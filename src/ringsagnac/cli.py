@@ -80,7 +80,6 @@ _TOP_KEYS = (
     "output",
 )
 _SWEEPABLE = ("mass", "hbar", "trap_frequency", "radius", "rotation", "duration", "omega")
-_SWEEP_COMMANDS = ("spectrum", "simulate", "decompose", "sensitivity")
 _VERIFY_TOL = 1e-4
 _MAX_WORKERS = 8
 
@@ -212,6 +211,11 @@ def _build_config(args) -> RunConfig:
         raise ConfigurationError(f"panel must be one of a-f, got {panel!r}")
     index = pick("index", None, _coerce_int)
     omega = pick("omega", None, _coerce_float)
+    if omega is not None and not math.isfinite(omega):
+        raise ConfigurationError(f"omega must be finite, got {omega}")
+    points = pick("points", 401, _coerce_int)
+    if points < 1:
+        raise ConfigurationError(f"points must be at least 1, got {points}")
 
     return RunConfig(
         trap=trap,
@@ -222,7 +226,7 @@ def _build_config(args) -> RunConfig:
         steps=pick("steps", 4096, _coerce_int),
         index=index,
         bracket=bracket,
-        points=pick("points", 401, _coerce_int),
+        points=points,
         panel=panel,
         fmt=fmt,
         output=pick("output", None, lambda v, _: str(v)),
@@ -259,7 +263,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -402,6 +406,8 @@ def _parse_sweep(text: str):
         raise ConfigurationError(f"cannot sweep {key!r}; choose from {', '.join(_SWEEPABLE)}")
     if count < 1:
         raise ConfigurationError(f"sweep needs at least one point, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigurationError(f"sweep endpoints must be finite, got {text!r}")
     return key, np.linspace(start, stop, count)
 
 
@@ -448,28 +454,10 @@ def _run_sweep(rc: RunConfig, command: str, sweep_spec: str, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_spectrum(rc: RunConfig, args) -> tuple[str, int]:
+def _cmd_point(rc: RunConfig, args) -> tuple[str, int]:
     if args.sweep:
-        return _run_sweep(rc, "spectrum", args.sweep, rc.fmt), 0
-    return _record_text(_eval_spectrum(rc), rc.fmt), 0
-
-
-def _cmd_simulate(rc: RunConfig, args) -> tuple[str, int]:
-    if args.sweep:
-        return _run_sweep(rc, "simulate", args.sweep, rc.fmt), 0
-    return _record_text(_eval_simulate(rc), rc.fmt), 0
-
-
-def _cmd_decompose(rc: RunConfig, args) -> tuple[str, int]:
-    if args.sweep:
-        return _run_sweep(rc, "decompose", args.sweep, rc.fmt), 0
-    return _record_text(_eval_decompose(rc), rc.fmt), 0
-
-
-def _cmd_sensitivity(rc: RunConfig, args) -> tuple[str, int]:
-    if args.sweep:
-        return _run_sweep(rc, "sensitivity", args.sweep, rc.fmt), 0
-    return _record_text(_eval_sensitivity(rc), rc.fmt), 0
+        return _run_sweep(rc, args.command, args.sweep, rc.fmt), 0
+    return _record_text(_EVALUATORS[args.command](rc), rc.fmt), 0
 
 
 def _trajectory_rows(rc: RunConfig):
@@ -643,12 +631,12 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
 
 
 _HANDLERS = {
-    "spectrum": _cmd_spectrum,
+    "spectrum": _cmd_point,
     "trajectory": _cmd_trajectory,
-    "simulate": _cmd_simulate,
-    "decompose": _cmd_decompose,
+    "simulate": _cmd_point,
+    "decompose": _cmd_point,
     "design": _cmd_design,
-    "sensitivity": _cmd_sensitivity,
+    "sensitivity": _cmd_point,
     "verify": _cmd_verify,
     "fig2": _cmd_fig2,
 }
@@ -716,9 +704,9 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         rc = _build_config(args)
-        if args.sweep and args.command not in _SWEEP_COMMANDS:
+        if args.sweep and args.command not in _EVALUATORS:
             raise ConfigurationError(
-                f"--sweep works with {', '.join(_SWEEP_COMMANDS)}, not {args.command}"
+                f"--sweep works with {', '.join(_EVALUATORS)}, not {args.command}"
             )
         text, code = _HANDLERS[args.command](rc, args)
     except ConfigurationError as exc:

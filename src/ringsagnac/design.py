@@ -22,15 +22,15 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, UnsupportedFamily
 from .geometry import PhaseDecomposition, decompose
-from .interferometer import interferometer_phase_closed, sagnac_phase
+from .interferometer import readout
 from .model import ProfileFamily, SweepProfile, TrapConfig, make_profile
+from .sensitivity import _integer_periods
 from .spectrum import spectrum_closed_form, spectrum_numeric
 
 __all__ = ["SchemeSpec", "design_time", "find_zero_time"]
 
 _SPECTRUM_ZERO_TOL = 1e-8
 _PHASE_EQUALITY_TOL = 1e-8
-_QCRB_TIME_TOL = 1e-8
 _OBJECTIVE_FLOOR = 1e-16
 _SCAN_POINTS = 128
 
@@ -52,13 +52,10 @@ class SchemeSpec:
 
 def _verified_scheme(family, config, duration, index=None) -> SchemeSpec:
     profile = make_profile(family, duration)
-    w0 = config.trap_frequency
-    spectrum_zero = bool(abs(spectrum_numeric(profile, w0).value) <= _SPECTRUM_ZERO_TOL)
-    phi_s = sagnac_phase(config)
-    phi_i = interferometer_phase_closed(config, profile)
-    phase_equality = bool(abs(phi_i - phi_s) <= _PHASE_EQUALITY_TOL * abs(phi_s))
-    cycles = w0 * duration / (2 * np.pi)
-    qcrb_time = bool(abs(cycles - round(cycles)) * 2 * np.pi <= _QCRB_TIME_TOL and round(cycles) >= 1)
+    result = readout(config, profile)
+    spectrum_zero = bool(abs(result.spectrum.value) <= _SPECTRUM_ZERO_TOL)
+    phi_s = result.sagnac
+    phase_equality = bool(abs(result.phase - phi_s) <= _PHASE_EQUALITY_TOL * abs(phi_s))
     return SchemeSpec(
         family=ProfileFamily(family),
         index=index,
@@ -67,7 +64,7 @@ def _verified_scheme(family, config, duration, index=None) -> SchemeSpec:
         profile=profile,
         spectrum_zero=spectrum_zero,
         phase_equality=phase_equality,
-        qcrb_time=qcrb_time,
+        qcrb_time=bool(_integer_periods(config, profile)),
         decomposition=decompose(config, profile),
     )
 

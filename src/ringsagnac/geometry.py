@@ -37,9 +37,9 @@ from scipy.integrate import simpson
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
 from .evolution import BranchEvolution, sample_trajectory
-from .interferometer import interferometer_phase_closed, sagnac_phase
+from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
-from .spectrum import spectrum_derivative, spectrum_numeric
+from .spectrum import spectrum_derivative
 
 __all__ = [
     "PhaseDecomposition",
@@ -184,14 +184,15 @@ def decompose(
     """Full phase decomposition with spectral/path cross-validation."""
     w0 = config.trap_frequency
     T = profile.duration
-    phi_s = sagnac_phase(config)
 
-    w_val = spectrum_numeric(profile, w0).value
+    result = readout(config, profile)
+    w_val = result.spectrum.value
+    phase = result.phase
+    phi_s = result.sagnac
     d_re = spectrum_derivative(profile, w0)
     xi0 = w0 * d_re
     xi = xi0 - w0 * T * w_val.imag
     dgg_spectral = np.sqrt(2 / np.pi) * phi_s * xi
-    phase = interferometer_phase_closed(config, profile)
 
     ev0 = sample_trajectory(config, profile, Branch.CO, n_samples)
     ev1 = sample_trajectory(config, profile, Branch.COUNTER, n_samples)

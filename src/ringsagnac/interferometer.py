@@ -30,7 +30,7 @@ import numpy as np
 
 from .evolution import sample_trajectory
 from .model import Branch, SweepProfile, TrapConfig
-from .spectrum import spectrum_numeric
+from .spectrum import SpectrumValue, spectrum_numeric
 
 __all__ = [
     "InterferometerResult",
@@ -45,8 +45,9 @@ DEFAULT_PATH_SAMPLES = 4096
 
 @dataclass(frozen=True)
 class InterferometerResult:
-    """All readout quantities for one run."""
+    """All readout quantities for one run, each derived from ``spectrum`` = W(omega0)."""
 
+    spectrum: SpectrumValue
     delta_alpha: complex
     contrast: float
     phase: float            # unwrapped interferometer phase
@@ -68,8 +69,7 @@ def sagnac_phase(config: TrapConfig) -> float:
 
 def interferometer_phase_closed(config: TrapConfig, profile: SweepProfile) -> float:
     """Unwrapped phase from the spectral relation."""
-    w_val = spectrum_numeric(profile, config.trap_frequency).value
-    return sagnac_phase(config) * (1 - np.sqrt(2 / np.pi) * w_val.real)
+    return readout(config, profile).phase
 
 
 def interferometer_phase_integral(
@@ -89,13 +89,14 @@ def interferometer_phase_integral(
 def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:
     """Assemble contrast, phase, and Bloch components of the readout."""
     w0 = config.trap_frequency
-    w_val = spectrum_numeric(profile, w0).value
+    spectrum = spectrum_numeric(profile, w0)
     scale = -2 * config.radius * np.sqrt(np.pi * config.mass * w0 / config.hbar)
-    d_alpha = scale * w_val.conjugate() * np.exp(-1j * w0 * profile.duration)
+    d_alpha = scale * spectrum.value.conjugate() * np.exp(-1j * w0 * profile.duration)
     contrast = float(np.exp(-abs(d_alpha) ** 2 / 2))
-    phase = sagnac_phase(config) * (1 - np.sqrt(2 / np.pi) * w_val.real)
+    phase = sagnac_phase(config) * (1 - np.sqrt(2 / np.pi) * spectrum.value.real)
     principal = float(np.angle(np.exp(1j * phase)))
     return InterferometerResult(
+        spectrum=spectrum,
         delta_alpha=complex(d_alpha),
         contrast=contrast,
         phase=float(phase),

@@ -13,7 +13,7 @@ revolution: the integral of omega_P over [0, T] equals pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -68,8 +68,11 @@ class TrapConfig:
     rotation: float = 0.1
 
     def __post_init__(self):
-        for name in ("mass", "hbar", "trap_frequency", "radius"):
-            if not getattr(self, name) > 0:
+        for name in ("mass", "hbar", "trap_frequency", "radius", "rotation"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            if name != "rotation" and not value > 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
 
     @property
@@ -113,6 +116,13 @@ class SweepProfile:
         return ()
 
 
+def _check_duration(duration):
+    if not duration > 0:
+        raise NonPositiveDuration(f"duration must be positive, got {duration}")
+    if not np.isfinite(duration):
+        raise ConfigurationError(f"duration must be finite, got {duration}")
+
+
 def make_profile(family, duration, samples=None) -> SweepProfile:
     """Build an admissible sweep profile.
 
@@ -122,8 +132,7 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     is recorded on the profile.
     """
     family = ProfileFamily(family)
-    if not duration > 0:
-        raise NonPositiveDuration(f"duration must be positive, got {duration}")
+    _check_duration(duration)
     if family is not ProfileFamily.TABULATED:
         return SweepProfile(family, float(duration))
 
@@ -132,6 +141,8 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
         raise ConfigurationError("tabulated profile needs a 1-d sequence of at least 2 samples")
     if np.any(values < 0):
         raise NegativeSample("tabulated sweep rates must be non-negative")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError("tabulated sweep rates must be finite")
     integral = np.trapezoid(values, dx=duration / (values.size - 1))
     if integral == 0.0:
         raise ZeroProfile("all-zero tabulated profile cannot be rescaled")
@@ -150,8 +161,7 @@ def zero_profile(duration) -> SweepProfile:
     Deliberately violates the half-revolution normalization; useful for
     switched-off-drive checks, never returned by make_profile.
     """
-    if not duration > 0:
-        raise NonPositiveDuration(f"duration must be positive, got {duration}")
+    _check_duration(duration)
     return SweepProfile(ProfileFamily.TABULATED, float(duration), samples=(0.0, 0.0))
 
 

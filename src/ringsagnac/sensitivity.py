@@ -25,7 +25,6 @@ import numpy as np
 from .errors import QfiFormulaInvalid
 from .model import SweepProfile, TrapConfig
 from .interferometer import readout
-from .spectrum import spectrum_numeric
 
 __all__ = [
     "SensitivityReport",
@@ -52,13 +51,16 @@ class SensitivityReport:
     limit_evaluated: bool
 
 
-def phase_slope(config: TrapConfig, profile: SweepProfile) -> float:
-    """Analytic d phi_I / d Omega (the phase is linear in the rotation)."""
-    w_val = spectrum_numeric(profile, config.trap_frequency).value
+def _slope(config: TrapConfig, w_val: complex) -> float:
     return (
         2 * np.pi * config.mass * config.radius**2 / config.hbar
         * (1 - np.sqrt(2 / np.pi) * w_val.real)
     )
+
+
+def phase_slope(config: TrapConfig, profile: SweepProfile) -> float:
+    """Analytic d phi_I / d Omega (the phase is linear in the rotation)."""
+    return _slope(config, readout(config, profile).spectrum.value)
 
 
 def _integer_periods(config: TrapConfig, profile: SweepProfile) -> bool:
@@ -100,7 +102,7 @@ def _evaluate(config: TrapConfig, profile: SweepProfile):
     result = readout(config, profile)
     # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast
     excess = float(np.expm1(abs(result.delta_alpha) ** 2))
-    slope = phase_slope(config, profile)
+    slope = _slope(config, result.spectrum.value)
     value, limit = _delta_omega_raw(excess, result.phase, slope)
     return result, slope, value, limit
 

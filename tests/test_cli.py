@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ringsagnac
-from ringsagnac.cli import run
+from ringsagnac.cli import _json_text, run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -84,6 +84,38 @@ def test_malformed_config(tmp_path, capsys):
     assert run(["simulate", "--config", str(cfg)]) == 2
     assert run(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rotation", "nan"],
+        ["simulate", "--rotation", "inf"],
+        ["simulate", "--mass", "inf"],
+        ["simulate", "--duration", "inf"],
+        ["simulate", "--family", "tabulated", "--samples", "nan,1,1"],
+        ["simulate", "--family", "tabulated", "--samples", "inf,1,1"],
+        ["spectrum", "--omega", "nan"],
+        ["spectrum", "--sweep", "omega=nan:1:3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_nonfinite_input_rejected(capsys, argv):
+    # a non-finite input is a configuration error, never NaN output with exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_json_text_is_strict_for_complex_values():
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = _json_text({"z": complex(float("nan"), float("inf"))})
+    assert json.loads(text, parse_constant=reject) == {"z": {"re": "nan", "im": "inf"}}
 
 
 def test_argparse_failures(capsys):
@@ -360,6 +392,8 @@ def test_fig2_area_measures(capsys):
 def test_fig2_validation(capsys):
     assert run(["fig2"]) == 2
     assert run(["fig2", "--panel", "c", "--family", "flat"]) == 2
+    assert run(["fig2", "--panel", "a", "--points", "-3"]) == 2
+    assert run(["fig2", "--panel", "a", "--points", "0"]) == 2
     capsys.readouterr()
 
 

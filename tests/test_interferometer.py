@@ -8,11 +8,16 @@ from ringsagnac import (
     ProfileFamily,
     TrapConfig,
     alpha_at,
+    decompose,
+    design_time,
     interferometer_phase_closed,
     interferometer_phase_integral,
     make_profile,
+    phase_slope,
     readout,
     sagnac_phase,
+    sensitivity_report,
+    spectrum_numeric,
 )
 
 SAGNAC_NATURAL = 0.6283185307179586  # 2 pi * 0.1
@@ -107,3 +112,57 @@ def test_readout_dimensional_consistency():
     result = readout(config, profile)
     assert result.phase == pytest.approx(sagnac_phase(config), rel=1e-12)
     assert result.contrast == pytest.approx(1.0, abs=1e-12)
+
+
+def _count_spectrum_calls(monkeypatch) -> list:
+    """Count spectrum_numeric calls made through every module that imports it."""
+    import ringsagnac.design
+    import ringsagnac.geometry
+    import ringsagnac.interferometer
+    import ringsagnac.sensitivity
+
+    calls = []
+
+    def counted(profile, omega):
+        calls.append(omega)
+        return spectrum_numeric(profile, omega)
+
+    for module in (ringsagnac.interferometer, ringsagnac.sensitivity,
+                   ringsagnac.geometry, ringsagnac.design):
+        if hasattr(module, "spectrum_numeric"):
+            monkeypatch.setattr(module, "spectrum_numeric", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("call", "expected"),
+    [
+        (readout, 1),
+        (sensitivity_report, 1),
+        (decompose, 1),
+        (lambda config, profile: design_time(ProfileFamily.FLAT, config, 1), 2),
+    ],
+    ids=["readout", "sensitivity_report", "decompose", "design_time"],
+)
+def test_one_spectrum_evaluation_per_call(natural, monkeypatch, call, expected):
+    # W(omega0) is sampled once per readout and every derived quantity
+    # reuses that sample; design_time reads out once for its flags and
+    # once inside the decomposition
+    profile = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
+    calls = _count_spectrum_calls(monkeypatch)
+    call(natural, profile)
+    assert calls == [natural.trap_frequency] * expected
+
+
+def test_readout_carries_the_spectrum_it_derives_from():
+    config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=0.05)
+    profile = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
+    result = readout(config, profile)
+    sample = spectrum_numeric(profile, config.trap_frequency)
+    assert result.spectrum == sample
+    # exact equality: the derived quantities are the same float expressions
+    slope = (2 * np.pi * config.mass * config.radius**2 / config.hbar
+             * (1 - np.sqrt(2 / np.pi) * sample.value.real))
+    assert phase_slope(config, profile) == slope
+    assert interferometer_phase_closed(config, profile) == result.phase
+    assert decompose(config, profile, n_samples=256).phase == result.phase

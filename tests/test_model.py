@@ -33,7 +33,7 @@ def test_drive_scale_dimensional():
 
 
 @pytest.mark.parametrize("name", ["mass", "hbar", "trap_frequency", "radius"])
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_positive_parameters_enforced(name, bad):
     with pytest.raises(ConfigurationError):
         TrapConfig(**{name: bad})
@@ -42,6 +42,12 @@ def test_positive_parameters_enforced(name, bad):
 def test_rotation_may_be_zero_or_negative():
     assert TrapConfig(rotation=0.0).rotation == 0.0
     assert TrapConfig(rotation=-0.3).rotation == -0.3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rotation_must_be_finite(bad):
+    with pytest.raises(ConfigurationError):
+        TrapConfig(rotation=bad)
 
 
 def test_branch_signs():
@@ -57,6 +63,24 @@ def test_branch_signs():
 def test_nonpositive_duration_rejected(family, bad_duration):
     with pytest.raises(NonPositiveDuration):
         make_profile(family, bad_duration)
+
+
+@pytest.mark.parametrize("family", list(ProfileFamily))
+def test_infinite_duration_rejected(family):
+    samples = [1.0, 1.0] if family is ProfileFamily.TABULATED else None
+    with pytest.raises(ConfigurationError):
+        make_profile(family, float("inf"), samples=samples)
+
+
+def test_zero_profile_rejects_infinite_duration():
+    with pytest.raises(ConfigurationError):
+        zero_profile(float("inf"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_samples_rejected(bad):
+    with pytest.raises(ConfigurationError):
+        make_profile(ProfileFamily.TABULATED, 1.0, samples=[bad, 1.0, 1.0])
 
 
 def test_tabulated_validation():
