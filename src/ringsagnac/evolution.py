@@ -30,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
-from .errors import InsufficientResolution, QuadratureNonConvergence, TimeOutOfRange
+from .errors import (
+    ConfigurationError,
+    InsufficientResolution,
+    QuadratureNonConvergence,
+    TimeOutOfRange,
+)
 from .model import Branch, SweepProfile, TrapConfig, lambda_drive
 
 __all__ = ["BranchEvolution", "alpha_at", "phi_at", "sample_trajectory"]
@@ -84,9 +89,10 @@ class BranchEvolution:
 
 
 def quad(*args, **kwargs):
-    # roundoff chatter near the noise floor is expected; explicit error
-    # budgets downstream are the real gate
-    with warnings.catch_warnings():
+    # roundoff chatter near the noise floor is expected, and a NaN integrand
+    # comes back as a NaN error estimate; explicit error budgets downstream
+    # are the real gate
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
         return _scipy_quad(*args, **kwargs)
 
@@ -109,7 +115,7 @@ def _moments_to(config, profile, branch, t) -> tuple[float, float]:
         val, abserr = quad(fn, a, b, weight="sin", wvar=w0, **_QUAD_OPTS)
         sin_total += val
         err += abserr
-    if err > _ALPHA_TOL:
+    if not err <= _ALPHA_TOL:
         raise QuadratureNonConvergence(
             f"amplitude quadrature error {err:.3e} exceeds {_ALPHA_TOL:.1e}"
         )
@@ -157,7 +163,7 @@ def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) 
         err += abserr
         c_start += quad(fn, a, b, weight="cos", wvar=w0, **_QUAD_OPTS)[0]
         s_start += quad(fn, a, b, weight="sin", wvar=w0, **_QUAD_OPTS)[0]
-    if err > _PHI_TOL:
+    if not err <= _PHI_TOL:
         raise QuadratureNonConvergence(
             f"phase quadrature error {err:.3e} exceeds {_PHI_TOL:.1e}"
         )
@@ -173,6 +179,8 @@ def sample_trajectory(
     inserted into the internal integration grid so every elementary
     interval has an analytic integrand.
     """
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
     if n_samples < MIN_SAMPLES:
         raise InsufficientResolution(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     T = profile.duration

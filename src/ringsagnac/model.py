@@ -74,6 +74,18 @@ class TrapConfig:
                 raise ConfigurationError(f"{name} must be finite, got {value}")
             if name != "rotation" and not value > 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
+        # derived scales the readout builds; a float r**2 raises OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = self.radius * self.radius
+            scales = {
+                "2 pi m r^2 / hbar": 2 * np.pi * self.mass * r2 / self.hbar,
+                "the Sagnac phase": 2 * np.pi * self.mass * r2 * self.rotation / self.hbar,
+                "m omega0 / hbar": self.mass * self.trap_frequency / self.hbar,
+                "drive_scale": self.drive_scale,
+            }
+        for name, value in scales.items():
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} is not finite for these trap parameters")
 
     @property
     def drive_scale(self) -> float:
@@ -143,10 +155,13 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
         raise NegativeSample("tabulated sweep rates must be non-negative")
     if not np.all(np.isfinite(values)):
         raise ConfigurationError("tabulated sweep rates must be finite")
-    integral = np.trapezoid(values, dx=duration / (values.size - 1))
+    with np.errstate(over="ignore", divide="ignore"):
+        integral = np.trapezoid(values, dx=duration / (values.size - 1))
+        factor = SWEEP_TOTAL_ANGLE / integral
     if integral == 0.0:
         raise ZeroProfile("all-zero tabulated profile cannot be rescaled")
-    factor = SWEEP_TOTAL_ANGLE / integral
+    if not (np.isfinite(integral) and np.isfinite(factor)):
+        raise ConfigurationError("tabulated sweep rates cannot be rescaled to a finite profile")
     return SweepProfile(
         ProfileFamily.TABULATED,
         float(duration),

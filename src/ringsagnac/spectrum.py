@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import QuadratureNonConvergence, UnsupportedFamily
+from .errors import ConfigurationError, QuadratureNonConvergence, UnsupportedFamily
 from .model import ProfileFamily, SweepProfile, eval_profile
 
 __all__ = [
@@ -79,7 +79,7 @@ def _weighted_moment(profile: SweepProfile, omega: float, weight: str, fn) -> fl
             val, abserr = quad(fn, a, b, weight=weight, wvar=omega, **_QUAD_OPTS)
             total += val
             err += abserr
-    if err > _ABS_TOL:
+    if not err <= _ABS_TOL:
         raise QuadratureNonConvergence(
             f"spectrum quadrature error {err:.3e} exceeds {_ABS_TOL:.1e}"
         )
@@ -154,6 +154,8 @@ def spectrum_closed_form(family, duration: float, omega: float) -> SpectrumValue
     if family not in _CLOSED:
         raise UnsupportedFamily(f"no closed form for family {family.value!r}")
     u = abs(omega) * duration
+    if not np.isfinite(u):
+        raise ConfigurationError(f"omega * duration = {u} is not finite")
     value = _CLOSED[family](u)
     if omega < 0:
         value = value.conjugate()

@@ -86,6 +86,15 @@ def test_malformed_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _assert_one_line_failure(capsys, argv, code, prefix):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -97,17 +106,38 @@ def test_malformed_config(tmp_path, capsys):
         ["simulate", "--family", "tabulated", "--samples", "inf,1,1"],
         ["spectrum", "--omega", "nan"],
         ["spectrum", "--sweep", "omega=nan:1:3"],
+        ["simulate", "--mass", "1e300", "--radius", "1e300"],
+        ["simulate", "--hbar", "1e-320"],
+        ["simulate", "--rotation", "1e308"],
+        ["spectrum", "--omega", "1e308"],
+        ["simulate", "--family", "tabulated", "--samples", "1e308,1e308"],
+        ["simulate", "--family", "tabulated", "--samples", "1e-320,1e-320"],
+        ["decompose", "--n-samples", "-5"],
+        ["trajectory", "--n-samples", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_nonfinite_input_rejected(capsys, argv):
-    # a non-finite input is a configuration error, never NaN output with exit 0
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("configuration error:")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    # a non-finite input or derived scale, or a sample count below one, is a
+    # configuration error, never NaN output with exit 0
+    _assert_one_line_failure(capsys, argv, 2, "configuration error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--omega", "1e300"],
+        ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--omega", "1e308"],
+        ["spectrum", "--sweep", "omega=1e307:1e308:2"],
+        ["simulate", "--trap-frequency", "1e308"],
+        ["simulate", "--duration", "1e300"],
+        ["decompose", "--duration", "1e300"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
+    # a NaN error estimate fails the budget instead of passing it
+    _assert_one_line_failure(capsys, argv, 3, "convergence error:")
 
 
 def test_json_text_is_strict_for_complex_values():

@@ -6,8 +6,10 @@ import pytest
 from ringsagnac import (
     Branch,
     BranchEvolution,
+    ConfigurationError,
     InsufficientResolution,
     ProfileFamily,
+    QuadratureNonConvergence,
     TimeOutOfRange,
     TrapConfig,
     alpha_at,
@@ -75,6 +77,21 @@ def test_trajectory_grid_shape(natural, flat):
 def test_minimum_resolution(natural, flat):
     with pytest.raises(InsufficientResolution):
         sample_trajectory(natural, flat, Branch.CO, 8)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_sample_count_below_one_is_a_configuration_error(natural, flat, n_samples):
+    with pytest.raises(ConfigurationError):
+        sample_trajectory(natural, flat, Branch.CO, n_samples)
+
+
+def test_nan_error_estimate_fails_the_budget(flat):
+    # omega0 T overflows, quad returns NaN with a NaN error estimate
+    extreme = TrapConfig(trap_frequency=1e308)
+    with pytest.raises(QuadratureNonConvergence):
+        alpha_at(extreme, flat, Branch.CO, flat.duration)
+    with pytest.raises(QuadratureNonConvergence):
+        phi_at(extreme, flat, Branch.CO, flat.duration)
 
 
 @pytest.mark.parametrize("family", [ProfileFamily.SINUSOIDAL, ProfileFamily.TABULATED])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ringsagnac import fock
+
 from ringsagnac import (
     Branch,
     ConfigurationError,
@@ -69,6 +71,33 @@ def test_truncation_guard_trips(natural):
     profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
     with pytest.raises(TruncationInsufficient):
         evolve_fock(natural, profile, Branch.CO, n_max=8, steps=512)
+
+
+def test_two_component_truncation_guard_trips(natural):
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    with pytest.raises(TruncationInsufficient):
+        evolve_two_component(natural, profile, n_max=8, steps=512)
+
+
+@pytest.mark.parametrize(
+    "family, steps", [(ProfileFamily.FLAT, 512), (ProfileFamily.SINUSOIDAL, 100)]
+)
+def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, family, steps):
+    # flat K=1 and sinusoidal L=0 design schemes: a constant drive needs one
+    # step exponential, a varying drive a fresh one whenever it changes
+    calls = []
+
+    def counting_expm(matrix):
+        calls.append(matrix)
+        return real_expm(matrix)
+
+    real_expm = fock.expm
+    monkeypatch.setattr(fock, "expm", counting_expm)
+    evolve_two_component(natural, make_profile(family, 2 * np.pi), n_max=40, steps=steps)
+    if family is ProfileFamily.FLAT:
+        assert len(calls) == 1
+    else:
+        assert len(calls) > 1
 
 
 def test_step_check(natural):

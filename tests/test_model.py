@@ -83,6 +83,27 @@ def test_nonfinite_samples_rejected(bad):
         make_profile(ProfileFamily.TABULATED, 1.0, samples=[bad, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"mass": 1e300, "radius": 1e300},
+        {"hbar": 1e-320},
+        {"rotation": 1e308},
+        {"mass": 1e300, "trap_frequency": 1e300},
+    ],
+)
+def test_overflowing_derived_scales_rejected(params):
+    with pytest.raises(ConfigurationError, match="not finite"):
+        TrapConfig(**params)
+
+
+@pytest.mark.parametrize("level", [1e308, 1e-320])
+def test_unnormalisable_samples_rejected(level):
+    # the trapezoid integral overflows, or the rescale factor does
+    with pytest.raises(ConfigurationError, match="finite profile"):
+        make_profile(ProfileFamily.TABULATED, 1.0, samples=[level, level])
+
+
 def test_tabulated_validation():
     with pytest.raises(NegativeSample):
         make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.2, -0.1, 0.4])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringsagnac import (
+    ConfigurationError,
     ProfileFamily,
     UnsupportedFamily,
     make_profile,
@@ -107,6 +108,13 @@ def test_conjugate_symmetry():
 def test_tabulated_has_no_closed_form():
     with pytest.raises(UnsupportedFamily):
         spectrum_closed_form(ProfileFamily.TABULATED, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("family", ANALYTIC)
+def test_closed_form_rejects_overflowing_argument(family):
+    # omega T overflows to inf, where the closed forms give NaN
+    with pytest.raises(ConfigurationError):
+        spectrum_closed_form(family, 2 * np.pi, 1e308)
 
 
 def test_method_tags():
