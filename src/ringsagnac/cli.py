@@ -40,6 +40,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +83,10 @@ _TOP_KEYS = (
 _SWEEPABLE = ("mass", "hbar", "trap_frequency", "radius", "rotation", "duration", "omega")
 _VERIFY_TOL = 1e-4
 _MAX_WORKERS = 8
+# argparse takes a dash-led token for an option unless it matches its own
+# negative-number pattern (-1, -1.5), so `--rotation -1e-3` lost its value;
+# here a dash followed by a digit, or by a dot and a digit, is a value
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 @dataclass(frozen=True)
@@ -685,7 +690,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, blurb in _SUBCOMMAND_HELP.items():
-        commands.add_parser(name, parents=[shared], help=blurb, description=blurb)
+        command = commands.add_parser(name, parents=[shared], help=blurb, description=blurb)
+        command._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

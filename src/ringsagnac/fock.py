@@ -5,15 +5,23 @@ Independent validation backend: the driven-trap Hamiltonian
     H(t) = hbar omega0 (n + 1/2) + i lambda(t) (a - a^dag)
 
 is propagated from the vacuum in a truncated number basis with a
-piecewise-constant midpoint Hamiltonian and a dense matrix exponential
-per step (unconditionally unitary), recomputed only when the drive
-changes.  Nothing here uses the coherent-state closed form, so agreement
-with the evolution/interferometer modules is a real check.  The spin
-label never appears in H, which is why propagating the two components
-separately must agree with propagating them jointly; evolve_two_component
-exercises exactly that.  One loop serves single-branch and joint runs,
-and both are guarded: every step checks each branch block's tail mass,
-and the final norm is checked.
+piecewise-constant midpoint Hamiltonian.  A step whose drive equals a
+neighbour's lies in a held run: it takes the dense matrix exponential of
+the joint generator, computed once per run, so a constant drive is
+propagated exactly.  Every other step is Strang-split (Feit, Fleck &
+Steiger 1982): half a body step, which is diagonal, the drive kick in the
+eigenbasis of i(a - a^dag), diagonalised once per call, and half a body
+step.  Both are unitary; the split step is second order in the step.
+Nothing here uses the coherent-state closed form, so agreement with the
+evolution/interferometer modules is a real check.  The spin label never
+appears in H, which is why propagating the two components separately must
+agree with propagating them jointly; evolve_two_component exercises
+exactly that.  Split steps act on each branch block with block-diagonal
+basis changes, so on a varying drive that agreement holds by
+construction; on a held drive the joint generator is exponentiated as one
+unstructured matrix, and the block structure is an outcome.  One loop
+serves single-branch and joint runs, and both are guarded: every step
+checks each branch block's tail mass, and the final norm is checked.
 """
 
 from __future__ import annotations
@@ -85,12 +93,24 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     dt = t_end / steps
     mids = (np.arange(steps) + 0.5) * dt
     lams = np.array([lambda_drive(config, profile, branch, mids) for branch in branches])
-    fresh = np.concatenate(([True], np.any(lams[:, 1:] != lams[:, :-1], axis=0)))
+    # a step is held when its drive equals a neighbour's; each held run gets one
+    # exact step exponential, every other step is Strang-split
+    repeats = np.concatenate(([False], np.all(lams[:, 1:] == lams[:, :-1], axis=0)))
+    held = repeats | np.append(repeats[1:], False)
+    fresh = held & ~repeats
     size = len(branches) * n_max
     blocks = [slice(start, start + n_max) for start in range(0, size, n_max)]
     # top decile of the ladder, but never an empty window
     tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
     tails = [slice(block.start + tail_from, block.stop) for block in blocks]
+    # split step: half body, drive kick in the drive's eigenbasis, half body;
+    # the diagonal half steps are folded into the two block-diagonal basis changes
+    levels, vecs = np.linalg.eigh(drive)
+    half_body = np.exp(-0.5j * dt * w0 * np.diagonal(body))
+    to_eigen = np.kron(np.eye(len(branches)), half_body[:, None] * vecs.conj())
+    from_eigen = np.kron(np.eye(len(branches)), vecs.T * half_body)
+    kicks = np.ones((steps, size), dtype=complex)
+    kicks[~held] = np.exp(-1j * dt / hbar * lams.T[~held, :, None] * levels).reshape(-1, size)
 
     generator = np.zeros((size, size), dtype=complex)
     psi = np.zeros(size, dtype=complex)
@@ -100,7 +120,10 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
             for block, lam in zip(blocks, lams[:, k]):
                 generator[block, block] = hbar * w0 * body + lam * drive
             step_u = expm(-1j * dt / hbar * generator)
-        psi = step_u @ psi
+        if held[k]:
+            psi = step_u @ psi
+        else:
+            psi = (psi @ to_eigen * kicks[k]) @ from_eigen
         # tail mass of each block's normalised state
         tail = max(
             np.vdot(psi[t], psi[t]).real / np.vdot(psi[b], psi[b]).real
@@ -128,7 +151,10 @@ def evolve_fock(
 
     With check_steps=True the run is repeated at half the step count and
     the step-doubling error estimate must pass, otherwise
-    StepCountInsufficient is raised.
+    StepCountInsufficient is raised.  From about 1024 steps on the design
+    schemes the estimate is within a factor 2 of the true step error; on
+    coarser grids it can undershoot (sinusoidal L=0 at 256 steps: 3.0e-6
+    against 6.7e-6).
     """
     _validate(n_max, steps)
     t_end = profile.duration if until is None else float(until)
@@ -166,9 +192,10 @@ def evolve_two_component(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate an equal spin superposition in the joint spin x trap space.
 
-    The joint generator is assembled as a full 2 n_max matrix and
-    exponentiated as one block, so its block structure is an outcome, not
-    an input; returns the (co, counter) trap-space components.
+    On a held drive the joint generator is assembled as a full 2 n_max
+    matrix and exponentiated as one block, so its block structure is an
+    outcome, not an input; split steps act on each block.  Returns the
+    (co, counter) trap-space components.
     """
     _validate(n_max, steps)
     psi = _propagate(config, profile, (Branch.CO, Branch.COUNTER), n_max, steps, profile.duration)

@@ -155,6 +155,24 @@ def test_argparse_failures(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rotation", "-1e-3"],
+        ["spectrum", "--omega", "-2.5E-1"],
+        ["simulate", "--format", "human", "--rotation", "-.5e-2"],
+    ],
+    ids=" ".join,
+)
+def test_negative_exponent_values_are_values(capsys, argv):
+    # argparse's own negative-number pattern misses these; it read them as options
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run(joined) == 0
+    expected = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_samples_need_tabulated_family(capsys):
     assert run(["spectrum", "--samples", "1,2,3"]) == 2
     assert "tabulated" in capsys.readouterr().err

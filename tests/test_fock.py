@@ -1,5 +1,7 @@
 """Number-basis propagation backend and its cross-checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ringsagnac import (
     coherence_fock,
     evolve_fock,
     evolve_two_component,
+    lambda_drive,
     make_profile,
     phi_at,
     readout,
@@ -79,12 +82,28 @@ def test_two_component_truncation_guard_trips(natural):
         evolve_two_component(natural, profile, n_max=8, steps=512)
 
 
+def _held_runs(config, profile, steps):
+    """Maximal runs of two or more steps whose midpoint drives repeat on both branches."""
+    mids = (np.arange(steps) + 0.5) * profile.duration / steps
+    lams = np.array([lambda_drive(config, profile, branch, mids) for branch in Branch])
+    repeats = np.all(lams[:, 1:] == lams[:, :-1], axis=0)
+    return int(np.sum(repeats & ~np.concatenate(([False], repeats[:-1]))))
+
+
 @pytest.mark.parametrize(
-    "family, steps", [(ProfileFamily.FLAT, 512), (ProfileFamily.SINUSOIDAL, 100)]
+    "profile, steps",
+    [
+        (make_profile(ProfileFamily.FLAT, 2 * np.pi), 512),
+        (make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi), 100),
+        (make_profile(ProfileFamily.TABULATED, 2 * np.pi, samples=(0.2, 1.0, 1.0, 0.2)), 512),
+    ],
+    ids=["flat-512", "sinusoidal-100", "tabulated-512"],
 )
-def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, family, steps):
-    # flat K=1 and sinusoidal L=0 design schemes: a constant drive needs one
-    # step exponential, a varying drive a fresh one whenever it changes
+def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, profile, steps):
+    # one exact step exponential per held run, however long; every other step
+    # is split and takes none.  Flat K=1 is one run; the plateau of the
+    # tabulated shape is one run; the sinusoidal L=0 drive repeats only where
+    # symmetric midpoints straddle a crest, so its count is taken from the drives
     calls = []
 
     def counting_expm(matrix):
@@ -93,19 +112,51 @@ def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, f
 
     real_expm = fock.expm
     monkeypatch.setattr(fock, "expm", counting_expm)
-    evolve_two_component(natural, make_profile(family, 2 * np.pi), n_max=40, steps=steps)
-    if family is ProfileFamily.FLAT:
-        assert len(calls) == 1
-    else:
-        assert len(calls) > 1
+    evolve_two_component(natural, profile, n_max=40, steps=steps)
+    expected = _held_runs(natural, profile, steps)
+    assert len(calls) == expected
+    assert expected < steps // 10
+    if profile.family is not ProfileFamily.SINUSOIDAL:
+        assert expected == 1
 
 
 def test_step_check(natural):
-    profile = make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi)
+    # sinusoidal L=1 at 128 steps is off by more than the 1e-4 budget
+    profile = make_profile(ProfileFamily.SINUSOIDAL, 6 * np.pi)
+    coarse = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=128)
+    fine = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=32768)
+    assert np.linalg.norm(coarse.amplitudes - fine.amplitudes) > 1e-4
     with pytest.raises(StepCountInsufficient):
         evolve_fock(natural, profile, Branch.CO, n_max=40, steps=128, check_steps=True)
+    profile = make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi)
     state = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=2048, check_steps=True)
     assert state.norm == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("steps", [1024, 2048])
+@pytest.mark.parametrize("shape", ["sinusoidal", "tabulated"])
+def test_step_check_estimate_is_honest(natural, random_profile, monkeypatch, shape, steps):
+    """The step-halving estimate is within a factor 2 of the true step error.
+
+    True error: distance to a 32768-step run.  Sinusoidal L=0 at 1024 steps
+    gives an estimate of 4.9e-7 against 5.5e-7, at 2048 steps 1.35e-7
+    against 1.42e-7.  At 256 steps the estimate undershoots by more than 2
+    (3.0e-6 against 6.7e-6): the halved run is then too coarse for the
+    second-order extrapolation.
+    """
+    if shape == "sinusoidal":
+        profile = make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi)
+    else:
+        profile = random_profile(np.random.default_rng(3))
+    # a zero budget makes the guard report every estimate
+    monkeypatch.setattr(fock, "_STEP_CHECK_TOL", 0.0)
+    with pytest.raises(StepCountInsufficient) as caught:
+        evolve_fock(natural, profile, Branch.CO, n_max=40, steps=steps, check_steps=True)
+    estimate = float(re.search(r"estimate (\S+) above", str(caught.value)).group(1))
+    state = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=steps)
+    fine = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=32768)
+    true = float(np.linalg.norm(state.amplitudes - fine.amplitudes))
+    assert true / 2 <= estimate <= 2 * true
 
 
 def test_parameter_floors(natural):
