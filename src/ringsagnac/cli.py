@@ -12,8 +12,10 @@ verify       truncated-basis propagation cross-check (exit 4 on mismatch)
 fig2         CSV data behind the six survey panels (a-f)
 
 Configuration comes from an optional JSON file (--config); flags override
-file values, and unknown keys are rejected.  The JSON schema mirrors the
-flags::
+file values, and unknown keys are rejected.  File values take the flags'
+types (finite numbers, whole numbers for the integer options, strings,
+and lists of numbers for samples and bracket), and null leaves a key unset.  The JSON
+schema mirrors the flags::
 
     {
       "trap":    {"mass": 1.0, "hbar": 1.0, "trap_frequency": 1.0,
@@ -44,6 +46,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -64,177 +67,178 @@ from .evolution import sample_trajectory
 from .sensitivity import sensitivity_report
 from .spectrum import spectrum_closed_form, spectrum_derivative, spectrum_numeric
 
-_TRAP_KEYS = ("mass", "hbar", "trap_frequency", "radius", "rotation")
-_PROFILE_KEYS = ("family", "duration", "samples")
-_TOP_KEYS = (
-    "trap",
-    "profile",
-    "omega",
-    "n_samples",
-    "n_max",
-    "steps",
-    "index",
-    "bracket",
-    "points",
-    "panel",
-    "format",
-    "output",
-)
-_SWEEPABLE = ("mass", "hbar", "trap_frequency", "radius", "rotation", "duration", "omega")
 _VERIFY_TOL = 1e-4
 _MAX_WORKERS = 8
 # argparse takes a dash-led token for an option unless it matches its own
 # negative-number pattern (-1, -1.5), so `--rotation -1e-3` lost its value;
-# here a dash followed by a digit, or by a dot and a digit, is a value
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# here a dash followed by a digit, by a dot and a digit, or by the whole of
+# inf, infinity or nan in any letter case is a value
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully resolved settings for one invocation."""
+class _Option:
+    """One setting: the flag --name, the config-file key name, and its check.
 
-    trap: TrapConfig
-    profile: SweepProfile
-    omega: float | None
-    n_samples: int
-    n_max: int
-    steps: int
-    index: int | None
-    bracket: tuple[float, float] | None
-    points: int
-    panel: str | None
-    fmt: str
-    output: str | None
+    kind is the type a config-file value must have and a flag's text is
+    read as: float (finite), int, str, or tuple (finite numbers; the flag's
+    text is split at sep).  A default of None leaves the setting unset; an
+    unset trap key takes TrapConfig's default.
+    """
+
+    name: str
+    block: str | None  # config-file object holding the key: "trap", "profile" or the top
+    kind: type
+    default: object = None
+    choices: tuple | None = None
+    minimum: int | None = None
+    length: int | None = None
+    sep: str | None = None
+    metavar: str | None = None
+    help: str | None = None
 
 
-def _parse_samples(text: str) -> tuple[float, ...]:
+_OPTIONS = (
+    _Option("mass", "trap", float),
+    _Option("hbar", "trap", float),
+    _Option("trap_frequency", "trap", float),
+    _Option("radius", "trap", float),
+    _Option("rotation", "trap", float),
+    _Option("family", "profile", str, "flat", choices=tuple(f.value for f in ProfileFamily)),
+    _Option("duration", "profile", float, 2 * math.pi),
+    _Option("samples", "profile", tuple, sep=",", metavar="V1,V2,...",
+            help="tabulated sweep rates, comma separated"),
+    _Option("omega", None, float, help="evaluation frequency (spectrum)"),
+    _Option("n_samples", None, int, 4096, help="path sample count for trajectory-based commands"),
+    _Option("n_max", None, int, 40, help="basis truncation (verify)"),
+    _Option("steps", None, int, 4096, help="propagation steps (verify)"),
+    _Option("index", None, int, help="scheme order (design)"),
+    _Option("bracket", None, tuple, length=2, sep=":", metavar="LO:HI",
+            help="search interval (design)"),
+    _Option("points", None, int, 401, minimum=1, help="grid size for fig2 panels a/b/d/e"),
+    _Option("panel", None, str, choices=tuple("abcdef"), help="fig2 panel"),
+    _Option("format", None, str, "machine", choices=("machine", "human")),
+    _Option("output", None, str, metavar="PATH", help="write result here instead of stdout"),
+)
+_SWEEPABLE = tuple(option.name for option in _OPTIONS if option.kind is float)
+
+
+# validated, fully resolved settings for one invocation: the trap, the
+# profile, and one field per top-level option
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    ["trap", "profile", *(option.name for option in _OPTIONS if option.block is None)],
+    frozen=True,
+)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
     try:
-        return tuple(float(part) for part in text.split(","))
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {number}")
+    return number
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _reals(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_real(item, f"{name} entry") for item in value)
+
+
+_COERCERS = {float: _real, int: _integer, str: _string, tuple: _reals}
+
+
+def _coerce(option: _Option, value):
+    """Check one given value, from a flag or the config file, against its option."""
+    value = _COERCERS[option.kind](value, option.name)
+    if option.choices is not None and value not in option.choices:
+        raise ConfigurationError(
+            f"{option.name} must be one of {', '.join(option.choices)}, got {value!r}"
+        )
+    if option.minimum is not None and value < option.minimum:
+        raise ConfigurationError(f"{option.name} must be at least {option.minimum}, got {value}")
+    if option.length is not None and len(value) != option.length:
+        raise ConfigurationError(
+            f"{option.name} needs exactly {option.length} values, got {value!r}"
+        )
+    return value
+
+
+def _split(text: str, option: _Option) -> list[float]:
+    """The numbers in a list option's flag text."""
+    try:
+        return [float(part) for part in text.split(option.sep)]
     except ValueError as exc:
-        raise ConfigurationError(f"bad samples list {text!r}: {exc}") from exc
-
-
-def _parse_bracket(value) -> tuple[float, float]:
-    if isinstance(value, str):
-        parts = value.split(":")
-    else:
-        parts = list(value)
-    if len(parts) != 2:
-        raise ConfigurationError(f"bracket needs exactly two endpoints, got {value!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad bracket {value!r}: {exc}") from exc
-
-
-def _reject_unknown(mapping: dict, allowed, where: str):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {where}")
+        raise ConfigurationError(f"bad {option.name} {text!r}: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
+    """Values a JSON config file gives, by option name; a null value is unset."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "config file")
-    for block, keys in (("trap", _TRAP_KEYS), ("profile", _PROFILE_KEYS)):
-        if block in data:
-            if not isinstance(data[block], dict):
-                raise ConfigurationError(f"config key {block!r} must be an object")
-            _reject_unknown(data[block], keys, f"config {block!r} block")
-    return data
-
-
-def _coerce_float(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a number, got {value!r}") from exc
-
-
-def _coerce_int(value, name: str) -> int:
-    if isinstance(value, bool) or (not isinstance(value, int) and not float(value).is_integer()):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    blocks = {None: data}
+    for block in ("trap", "profile"):
+        nested = data.pop(block, None)
+        if nested is not None and not isinstance(nested, dict):
+            raise ConfigurationError(f"config key {block!r} must be an object")
+        blocks[block] = nested or {}
+    given = {}
+    for block, mapping in blocks.items():
+        names = {option.name for option in _OPTIONS if option.block == block}
+        for key, value in mapping.items():
+            if key not in names:
+                where = f"config {block!r} block" if block else "config file"
+                raise ConfigurationError(f"unknown key {key!r} in {where}")
+            if value is not None:
+                given[key] = value
+    return given
 
 
 def _build_config(args) -> RunConfig:
-    data = _load_config_file(args.config) if args.config else {}
-    trap_block = dict(data.get("trap", {}))
-    profile_block = dict(data.get("profile", {}))
-
-    for key in _TRAP_KEYS:
-        flag = getattr(args, key)
+    given = _load_config_file(args.config) if args.config else {}
+    settings = {"trap": {}, "profile": {}, None: {}}
+    for option in _OPTIONS:
+        flag = getattr(args, option.name)
         if flag is not None:
-            trap_block[key] = flag
-    trap_kwargs = {k: _coerce_float(v, k) for k, v in trap_block.items()}
-    trap = TrapConfig(**trap_kwargs)
+            given[option.name] = _split(flag, option) if option.sep else flag
+        value = _coerce(option, given[option.name]) if option.name in given else option.default
+        settings[option.block][option.name] = value
 
-    if args.family is not None:
-        profile_block["family"] = args.family
-    if args.duration is not None:
-        profile_block["duration"] = args.duration
-    if args.samples is not None:
-        profile_block["samples"] = _parse_samples(args.samples)
-    family_name = profile_block.get("family", "flat")
-    try:
-        family = ProfileFamily(family_name)
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown profile family {family_name!r}") from exc
-    duration = _coerce_float(profile_block.get("duration", 2 * math.pi), "duration")
-    samples = profile_block.get("samples")
-    if samples is not None and family is not ProfileFamily.TABULATED:
+    trap = TrapConfig(**{k: v for k, v in settings["trap"].items() if v is not None})
+    profile = settings["profile"]
+    family = ProfileFamily(profile["family"])
+    if profile["samples"] is not None and family is not ProfileFamily.TABULATED:
         raise ConfigurationError("samples are only meaningful for the tabulated family")
-    profile = make_profile(family, duration, samples=samples)
-
-    bracket = data.get("bracket")
-    if args.bracket is not None:
-        bracket = args.bracket
-    if bracket is not None:
-        bracket = _parse_bracket(bracket)
-
-    def pick(name, default, coerce):
-        flag = getattr(args, name)
-        if flag is not None:
-            return coerce(flag, name)
-        if name in data and data[name] is not None:
-            return coerce(data[name], name)
-        return default
-
-    fmt = pick("format", "machine", lambda v, _: str(v))
-    if fmt not in ("machine", "human"):
-        raise ConfigurationError(f"format must be 'machine' or 'human', got {fmt!r}")
-    panel = pick("panel", None, lambda v, _: str(v))
-    if panel is not None and panel not in "abcdef":
-        raise ConfigurationError(f"panel must be one of a-f, got {panel!r}")
-    index = pick("index", None, _coerce_int)
-    omega = pick("omega", None, _coerce_float)
-    if omega is not None and not math.isfinite(omega):
-        raise ConfigurationError(f"omega must be finite, got {omega}")
-    points = pick("points", 401, _coerce_int)
-    if points < 1:
-        raise ConfigurationError(f"points must be at least 1, got {points}")
-
     return RunConfig(
         trap=trap,
-        profile=profile,
-        omega=omega,
-        n_samples=pick("n_samples", 4096, _coerce_int),
-        n_max=pick("n_max", 40, _coerce_int),
-        steps=pick("steps", 4096, _coerce_int),
-        index=index,
-        bracket=bracket,
-        points=points,
-        panel=panel,
-        fmt=fmt,
-        output=pick("output", None, lambda v, _: str(v)),
+        profile=make_profile(family, profile["duration"], samples=profile["samples"]),
+        **settings[None],
     )
 
 
@@ -324,12 +328,8 @@ def _table_text(header, rows, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # single-point evaluators (shared by plain runs and sweeps)
 
-def _resolved_omega(rc: RunConfig) -> float:
-    return rc.trap.trap_frequency if rc.omega is None else rc.omega
-
-
 def _eval_spectrum(rc: RunConfig) -> dict:
-    omega = _resolved_omega(rc)
+    omega = rc.trap.trap_frequency if rc.omega is None else rc.omega
     profile = rc.profile
     if profile.family is ProfileFamily.TABULATED:
         sample = spectrum_numeric(profile, omega)
@@ -346,47 +346,25 @@ def _eval_spectrum(rc: RunConfig) -> dict:
 
 def _eval_simulate(rc: RunConfig) -> dict:
     result = readout(rc.trap, rc.profile)
-    return {
-        "contrast": result.contrast,
-        "delta_alpha": result.delta_alpha,
-        "phase": result.phase,
-        "principal_arg": result.principal_arg,
-        "sagnac": result.sagnac,
-        "sigma_y": result.sigma_y,
-        "sigma_z": result.sigma_z,
-    }
+    names = ("contrast", "delta_alpha", "phase", "principal_arg", "sagnac", "sigma_y", "sigma_z")
+    return {name: getattr(result, name) for name in names}
 
 
-def _decomposition_record(dec) -> dict:
-    return {
-        "phase": dec.phase,
-        "delta_dynamic": dec.delta_dynamic,
-        "delta_geometric": dec.delta_geometric,
-        "delta_geometric_path": dec.delta_geometric_path,
-        "xi": dec.xi,
-        "xi0": dec.xi0,
-        "kappa": dec.kappa,
-        "scheme_class": dec.scheme_class.value,
-        "gamma_dynamic": list(dec.gamma_dynamic),
-        "gamma_geometric": list(dec.gamma_geometric),
-        "residual_angle": dec.residual_angle,
-    }
+def _field_record(result) -> dict:
+    """A result dataclass's fields in declaration order, enums by value."""
+    record = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        record[field.name] = value.value if isinstance(value, Enum) else value
+    return record
 
 
 def _eval_decompose(rc: RunConfig) -> dict:
-    return _decomposition_record(decompose(rc.trap, rc.profile, n_samples=rc.n_samples))
+    return _field_record(decompose(rc.trap, rc.profile, n_samples=rc.n_samples))
 
 
 def _eval_sensitivity(rc: RunConfig) -> dict:
-    report = sensitivity_report(rc.trap, rc.profile)
-    return {
-        "delta_omega": report.delta_omega,
-        "signal_fisher": report.signal_fisher,
-        "qfi": report.qfi,
-        "qfi_valid": report.qfi_valid,
-        "saturated": report.saturated,
-        "limit_evaluated": report.limit_evaluated,
-    }
+    return _field_record(sensitivity_report(rc.trap, rc.profile))
 
 
 _EVALUATORS = {
@@ -417,12 +395,13 @@ def _parse_sweep(text: str):
 
 
 def _with_value(rc: RunConfig, key: str, value: float) -> RunConfig:
-    if key in _TRAP_KEYS:
+    block = next(option.block for option in _OPTIONS if option.name == key)
+    if block == "trap":
         return dataclasses.replace(rc, trap=dataclasses.replace(rc.trap, **{key: value}))
-    if key == "duration":
+    if block == "profile":  # duration, the one float profile key
         profile = make_profile(rc.profile.family, value, samples=rc.profile.samples)
         return dataclasses.replace(rc, profile=profile)
-    return dataclasses.replace(rc, omega=value)
+    return dataclasses.replace(rc, **{key: value})
 
 
 def _flatten(record: dict) -> dict:
@@ -461,28 +440,25 @@ def _run_sweep(rc: RunConfig, command: str, sweep_spec: str, fmt: str) -> str:
 
 def _cmd_point(rc: RunConfig, args) -> tuple[str, int]:
     if args.sweep:
-        return _run_sweep(rc, args.command, args.sweep, rc.fmt), 0
-    return _record_text(_EVALUATORS[args.command](rc), rc.fmt), 0
+        return _run_sweep(rc, args.command, args.sweep, rc.format), 0
+    return _record_text(_EVALUATORS[args.command](rc), rc.format), 0
 
 
-def _trajectory_rows(rc: RunConfig):
-    co = sample_trajectory(rc.trap, rc.profile, Branch.CO, n_samples=rc.n_samples)
-    counter = sample_trajectory(rc.trap, rc.profile, Branch.COUNTER, n_samples=rc.n_samples)
-    rows = []
-    for i, t in enumerate(co.times):
-        rows.append([
-            float(t),
-            co.alphas[i].real, co.alphas[i].imag,
-            counter.alphas[i].real, counter.alphas[i].imag,
-            float(co.phases[i]), float(counter.phases[i]),
-        ])
+def _path_rows(rc: RunConfig, profile: SweepProfile):
+    """Both branch paths on one grid, and rows t, re/im alpha0, re/im alpha1."""
+    co, counter = (sample_trajectory(rc.trap, profile, branch, n_samples=rc.n_samples)
+                   for branch in (Branch.CO, Branch.COUNTER))
+    rows = [[float(t), a0.real, a0.imag, a1.real, a1.imag]
+            for t, a0, a1 in zip(co.times, co.alphas, counter.alphas)]
     return co, counter, rows
 
 
 def _cmd_trajectory(rc: RunConfig, args) -> tuple[str, int]:
-    co, counter, rows = _trajectory_rows(rc)
-    header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1", "phi0", "phi1"]
-    if rc.fmt == "machine":
+    co, counter, rows = _path_rows(rc, rc.profile)
+    if rc.format == "machine":
+        header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1", "phi0", "phi1"]
+        rows = [row + [float(phi0), float(phi1)]
+                for row, phi0, phi1 in zip(rows, co.phases, counter.phases)]
         return _csv_text(header, rows), 0
     record = {
         "samples": len(rows),
@@ -501,14 +477,13 @@ def _cmd_design(rc: RunConfig, args) -> tuple[str, int]:
         shape = rc.profile if family is ProfileFamily.TABULATED else family
         zero_time = find_zero_time(shape, rc.trap, rc.bracket)
         profile = make_profile(family, zero_time, samples=rc.profile.samples)
-        modulus = abs(spectrum_numeric(profile, rc.trap.trap_frequency).value)
         record = {
             "family": family.value,
             "bracket": list(rc.bracket),
             "duration": zero_time,
-            "spectrum_modulus": modulus,
+            "spectrum_modulus": abs(spectrum_numeric(profile, rc.trap.trap_frequency).value),
         }
-        return _record_text(record, rc.fmt), 0
+        return _record_text(record, rc.format), 0
     if rc.index is None:
         raise ConfigurationError("design needs --index (scheme order) or --bracket (zero search)")
     scheme = design_time(family, rc.trap, rc.index)
@@ -519,9 +494,9 @@ def _cmd_design(rc: RunConfig, args) -> tuple[str, int]:
         "spectrum_zero": scheme.spectrum_zero,
         "phase_equality": scheme.phase_equality,
         "qcrb_time": scheme.qcrb_time,
-        "decomposition": _decomposition_record(scheme.decomposition),
+        "decomposition": _field_record(scheme.decomposition),
     }
-    return _record_text(record, rc.fmt), 0
+    return _record_text(record, rc.format), 0
 
 
 _VERIFY_SCHEMES = (
@@ -529,10 +504,6 @@ _VERIFY_SCHEMES = (
     ("sinusoidal-L0", ProfileFamily.SINUSOIDAL, 0),
     ("cosinusoidal-M2", ProfileFamily.COSINUSOIDAL, 2),
 )
-
-
-def _wrap_angle(value: float) -> float:
-    return (value + np.pi) % (2 * np.pi) - np.pi
 
 
 def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
@@ -547,54 +518,18 @@ def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
         arg_fock = float(np.angle(coherence))
         discrepancy = max(
             abs(abs(coherence) - closed.contrast),
-            abs(_wrap_angle(arg_fock - closed.principal_arg)),
+            abs((arg_fock - closed.principal_arg + np.pi) % (2 * np.pi) - np.pi),
         )
         ok = discrepancy <= _VERIFY_TOL
         all_pass = all_pass and ok
         rows.append([label, scheme.duration, closed.contrast, abs(coherence),
                      closed.principal_arg, arg_fock, discrepancy,
                      "pass" if ok else "fail"])
-    text = _table_text(header, rows, rc.fmt)
-    if rc.fmt == "human":
+    text = _table_text(header, rows, rc.format)
+    if rc.format == "human":
         verdict = "all schemes verified" if all_pass else "verification FAILED"
         text += f"{verdict} (tolerance {_VERIFY_TOL:g})\n"
     return text, 0 if all_pass else 4
-
-
-def _panel_family(panel: str) -> ProfileFamily:
-    return ProfileFamily.SINUSOIDAL if panel in "abc" else ProfileFamily.FLAT
-
-
-def _fig2_profile_rows(profile: SweepProfile, points: int, scale: float):
-    times = np.linspace(0.0, profile.duration, points)
-    rates = eval_profile(profile, times)
-    return [[float(t), float(t / profile.duration), float(r), float(r * scale)]
-            for t, r in zip(times, rates)]
-
-
-def _fig2_spectrum_rows(profile: SweepProfile, points: int):
-    base = 2 * np.pi / profile.duration
-    rows = []
-    for scaled in np.linspace(0.0, 4.0, points):
-        omega = scaled * base
-        value = spectrum_closed_form(profile.family, profile.duration, omega).value
-        rows.append([float(scaled), float(omega), value.real, value.imag])
-    return rows
-
-
-def _fig2_path_rows(rc: RunConfig, profile: SweepProfile):
-    co = sample_trajectory(rc.trap, profile, Branch.CO, n_samples=rc.n_samples)
-    counter = sample_trajectory(rc.trap, profile, Branch.COUNTER, n_samples=rc.n_samples)
-    rows = []
-    for i, t in enumerate(co.times):
-        a1 = counter.alphas[i]
-        rows.append([
-            float(t),
-            co.alphas[i].real, co.alphas[i].imag,
-            a1.real, a1.imag,
-            -a1.real, -a1.imag,
-        ])
-    return rows
 
 
 def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
@@ -602,7 +537,7 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
         raise ConfigurationError("fig2 needs --panel (one of a-f)")
     if args.family is not None:
         raise ConfigurationError("fig2 panels fix the profile family; drop --family")
-    family = _panel_family(rc.panel)
+    family = ProfileFamily.SINUSOIDAL if rc.panel in "abc" else ProfileFamily.FLAT
     profile = make_profile(family, rc.profile.duration)
     T = profile.duration
 
@@ -610,77 +545,58 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
         # panel units: sinusoidal rate in pi^2/(2T), flat rate in pi/T
         scale = 2 * T / np.pi**2 if rc.panel == "a" else T / np.pi
         header = ["t", "t_over_T", "sweep_rate", "sweep_rate_scaled"]
-        rows = _fig2_profile_rows(profile, rc.points, scale)
-        return _table_text(header, rows, rc.fmt), 0
+        times = np.linspace(0.0, T, rc.points)
+        rows = [[float(t), float(t / T), float(r), float(r * scale)]
+                for t, r in zip(times, eval_profile(profile, times))]
+        return _table_text(header, rows, rc.format), 0
     if rc.panel in ("b", "e"):
         # frequency axis in units of 2 pi / T
         header = ["freq_scaled", "omega", "re_spectrum", "im_spectrum"]
-        rows = _fig2_spectrum_rows(profile, rc.points)
-        return _table_text(header, rows, rc.fmt), 0
+        base = 2 * np.pi / T
+        rows = []
+        for scaled in np.linspace(0.0, 4.0, rc.points):
+            omega = scaled * base
+            value = spectrum_closed_form(family, T, omega).value
+            rows.append([float(scaled), float(omega), value.real, value.imag])
+        return _table_text(header, rows, rc.format), 0
 
-    rows = _fig2_path_rows(rc, profile)
-    header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1",
-              "re_mirror1", "im_mirror1"]
-    if rc.fmt == "machine":
-        return _csv_text(header, rows), 0
+    rows = _path_rows(rc, profile)[2]
+    if rc.format == "machine":
+        header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1",
+                  "re_mirror1", "im_mirror1"]
+        return _csv_text(header, [row + [-row[3], -row[4]] for row in rows]), 0
     dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
-    sagnac = sagnac_phase(rc.trap)
     record = {
         "samples": len(rows),
         "area_measure": dec.delta_geometric_path / 2,
-        "half_sagnac": sagnac / 2,
+        "half_sagnac": sagnac_phase(rc.trap) / 2,
         "kappa": dec.kappa,
         "scheme_class": dec.scheme_class.value,
     }
     return _human_text(record), 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_point,
-    "trajectory": _cmd_trajectory,
-    "simulate": _cmd_point,
-    "decompose": _cmd_point,
-    "design": _cmd_design,
-    "sensitivity": _cmd_point,
-    "verify": _cmd_verify,
-    "fig2": _cmd_fig2,
-}
-
-_SUBCOMMAND_HELP = {
-    "spectrum": "profile transform at one frequency, or a frequency sweep",
-    "trajectory": "phase-space paths and accumulated phases as CSV",
-    "simulate": "interferometer readout (contrast, phase, spin projections)",
-    "decompose": "dynamic/geometric phase split and scheme classification",
-    "design": "design-point scheme by index, or spectrum-zero search",
-    "sensitivity": "rotation-rate resolution and Fisher-information bounds",
-    "verify": "cross-check closed forms against truncated-basis propagation",
-    "fig2": "CSV data behind the six survey panels",
-}
+_COMMANDS = (
+    ("spectrum", _cmd_point, "profile transform at one frequency, or a frequency sweep"),
+    ("trajectory", _cmd_trajectory, "phase-space paths and accumulated phases as CSV"),
+    ("simulate", _cmd_point, "interferometer readout (contrast, phase, spin projections)"),
+    ("decompose", _cmd_point, "dynamic/geometric phase split and scheme classification"),
+    ("design", _cmd_design, "design-point scheme by index, or spectrum-zero search"),
+    ("sensitivity", _cmd_point, "rotation-rate resolution and Fisher-information bounds"),
+    ("verify", _cmd_verify, "cross-check closed forms against truncated-basis propagation"),
+    ("fig2", _cmd_fig2, "CSV data behind the six survey panels"),
+)
+_HANDLERS = {name: handler for name, handler, _ in _COMMANDS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    shared.add_argument("--mass", type=float)
-    shared.add_argument("--hbar", type=float)
-    shared.add_argument("--trap-frequency", dest="trap_frequency", type=float)
-    shared.add_argument("--radius", type=float)
-    shared.add_argument("--rotation", type=float)
-    shared.add_argument("--family", choices=[f.value for f in ProfileFamily])
-    shared.add_argument("--duration", type=float)
-    shared.add_argument("--samples", metavar="V1,V2,...",
-                        help="tabulated sweep rates, comma separated")
-    shared.add_argument("--omega", type=float, help="evaluation frequency (spectrum)")
-    shared.add_argument("--n-samples", dest="n_samples", type=int,
-                        help="path sample count for trajectory-based commands")
-    shared.add_argument("--n-max", dest="n_max", type=int, help="basis truncation (verify)")
-    shared.add_argument("--steps", type=int, help="propagation steps (verify)")
-    shared.add_argument("--index", type=int, help="scheme order (design)")
-    shared.add_argument("--bracket", metavar="LO:HI", help="search interval (design)")
-    shared.add_argument("--points", type=int, help="grid size for fig2 panels a/b/d/e")
-    shared.add_argument("--panel", choices=list("abcdef"), help="fig2 panel")
-    shared.add_argument("--format", choices=["machine", "human"])
-    shared.add_argument("--output", metavar="PATH", help="write result here instead of stdout")
+    for option in _OPTIONS:
+        # a list option's flag keeps its text; _build_config splits it
+        shared.add_argument(f"--{option.name.replace('_', '-')}", dest=option.name,
+                            type=None if option.sep else option.kind, choices=option.choices,
+                            metavar=option.metavar, help=option.help)
     shared.add_argument("--sweep", metavar="KEY=START:STOP:N",
                         help="evaluate over a grid of one numeric key")
 
@@ -689,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="trap-guided ring interferometer models: spectra, phases, sensitivity",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _SUBCOMMAND_HELP.items():
+    for name, _, blurb in _COMMANDS:
         command = commands.add_parser(name, parents=[shared], help=blurb, description=blurb)
         command._negative_number_matcher = _NEGATIVE_VALUE
     return parser

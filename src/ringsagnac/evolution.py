@@ -146,6 +146,13 @@ def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) 
     hbar = config.hbar
     fn = lambda tau: lambda_drive(config, profile, branch, tau)
     edges = _cut_points(profile, t)
+    # a NaN integrand runs the nested quadrature to its subdivision limit
+    # before the budget below rejects it; omega0 tau is largest at t
+    nodes = np.asarray(edges)
+    with np.errstate(all="ignore"):
+        factors = fn(nodes) * np.exp(1j * w0 * nodes)
+    if not np.all(np.isfinite(factors)):
+        raise QuadratureNonConvergence(f"phase integrand is not finite on [0, {t}]")
 
     # cumulative moments at segment starts, then a local partial inside
     c_start, s_start = 0.0, 0.0

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 import ringsagnac
+from ringsagnac import cli
 from ringsagnac.cli import _json_text, run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 SAGNAC_NATURAL = 0.6283185307179586
 
@@ -83,6 +86,9 @@ def test_malformed_config(tmp_path, capsys):
     cfg.write_text("{not json")
     assert run(["simulate", "--config", str(cfg)]) == 2
     assert run(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
+    # json raises a plain ValueError for an integer longer than Python will parse
+    cfg.write_text('{"n_samples": 1' + "0" * 5000 + "}")
+    assert run(["simulate", "--config", str(cfg)]) == 2
     capsys.readouterr()
 
 
@@ -114,6 +120,8 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["simulate", "--family", "tabulated", "--samples", "1e-320,1e-320"],
         ["decompose", "--n-samples", "-5"],
         ["trajectory", "--n-samples", "0"],
+        ["simulate", "--rotation", "-inf"],
+        ["spectrum", "--omega", "-nan"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -138,6 +146,111 @@ def test_nonfinite_input_rejected(capsys, argv):
 def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # a NaN error estimate fails the budget instead of passing it
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n_samples": "abc"},
+        {"n_samples": [1]},
+        {"points": {}},
+        {"profile": {"family": "tabulated", "samples": "1,2,3"}},
+        {"profile": {"family": "tabulated", "samples": ["a", 1]}},
+        {"bracket": 7},
+        {"trap": {"rotation": "0.2"}},
+        {"trap": {"rotation": True}},
+        {"trap": {"rotation": 10**400}},
+        {"panel": "ab"},
+    ],
+    ids=lambda payload: json.dumps(payload)[:48],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, payload):
+    # config-file values take the flags' types; a value of another JSON type
+    # is a configuration error, not a traceback or a silent conversion
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(payload))
+    _assert_one_line_failure(capsys, ["simulate", "--config", str(cfg)], 2,
+                             "configuration error:")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"format": None}, {"trap": {"rotation": None}}, {"profile": None},
+     {"trap": None, "profile": {"samples": None}, "omega": None}],
+    ids=json.dumps,
+)
+def test_config_null_is_unset(tmp_path, capsys, payload):
+    # null leaves a key unset at every level, so the default applies
+    assert run(["simulate"]) == 0
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(payload))
+    assert run(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# one valid value per option: the command it shows in, the flag's text, and
+# the same value as a config file writes it
+FLAG_AND_FILE = {
+    "mass": (["simulate"], "2", 2),
+    "hbar": (["simulate"], "0.5", 0.5),
+    "trap_frequency": (["simulate"], "1.5", 1.5),
+    "radius": (["simulate"], "0.8", 0.8),
+    "rotation": (["simulate"], "-1e-3", -1e-3),
+    "family": (["simulate"], "sinusoidal", "sinusoidal"),
+    "duration": (["simulate"], "7", 7.0),
+    "samples": (["simulate", "--family", "tabulated"], "0.5,1,0.5", [0.5, 1, 0.5]),
+    "omega": (["spectrum"], "0.7", 0.7),
+    "n_samples": (["trajectory"], "32", 32),
+    "n_max": (["verify", "--steps", "1024"], "36", 36),
+    "steps": (["verify"], "1024", 1024),
+    "index": (["design", "--family", "sinusoidal"], "1", 1),
+    "bracket": (["design"], "5:7", [5, 7]),
+    "points": (["fig2", "--panel", "a"], "5", 5),
+    "panel": (["fig2", "--points", "5"], "b", "b"),
+    "format": (["simulate"], "human", "human"),
+    "output": (["spectrum"], "out.txt", "out.txt"),
+}
+
+
+@pytest.mark.parametrize("name", FLAG_AND_FILE)
+def test_flag_and_config_file_agree(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)  # where --output writes
+    argv, text, value = FLAG_AND_FILE[name]
+    block = next(option.block for option in cli._OPTIONS if option.name == name)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({block: {name: value}} if block else {name: value}))
+    results = []
+    for extra in ([f"--{name.replace('_', '-')}", text], ["--config", str(cfg)]):
+        code = run([*argv, *extra])
+        written = Path("out.txt").read_text() if Path("out.txt").exists() else None
+        results.append((code, capsys.readouterr().out, written))
+        Path("out.txt").unlink(missing_ok=True)
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+def _schema_blocks(text: str) -> dict:
+    schema = json.loads(re.search(r"^( *)\{\n.*?^\1\}$", text, re.S | re.M).group(0))
+    return {
+        None: set(schema) - {"trap", "profile"},
+        "trap": set(schema["trap"]),
+        "profile": set(schema["profile"]),
+    }
+
+
+@pytest.mark.parametrize("source", ["cli docstring", "README"])
+def test_documented_schema_matches_option_table(source):
+    text = cli.__doc__ if source == "cli docstring" else README.read_text()
+    if source == "README":
+        text = text.split("## Command line", 1)[1]
+    table = {block: {o.name for o in cli._OPTIONS if o.block == block}
+             for block in (None, "trap", "profile")}
+    assert _schema_blocks(text) == table
+
+
+def test_every_option_has_a_flag_and_file_case():
+    assert list(FLAG_AND_FILE) == [option.name for option in cli._OPTIONS]
 
 
 def test_json_text_is_strict_for_complex_values():
