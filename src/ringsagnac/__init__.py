@@ -46,7 +46,6 @@ from .interferometer import (
 from .geometry import (
     PhaseDecomposition,
     SchemeClass,
-    branch_dynamic_phase,
     branch_geometric_phase,
     decompose,
     shoelace_area,

@@ -44,7 +44,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,12 +62,11 @@ from .model import (
     eval_profile,
     make_profile,
 )
-from .evolution import sample_trajectory
+from .evolution import _sweep
 from .sensitivity import sensitivity_report
 from .spectrum import spectrum_closed_form, spectrum_derivative, spectrum_numeric
 
 _VERIFY_TOL = 1e-4
-_MAX_WORKERS = 8
 # argparse takes a dash-led token for an option unless it matches its own
 # negative-number pattern (-1, -1.5), so `--rotation -1e-3` lost its value;
 # here a dash followed by a digit, by a dot and a digit, or by the whole of
@@ -124,10 +122,11 @@ _SWEEPABLE = tuple(option.name for option in _OPTIONS if option.kind is float)
 
 
 # validated, fully resolved settings for one invocation: the trap, the
-# profile, and one field per top-level option
+# profile, one field per top-level option, and the given values they were
+# resolved from, which a sweep resolves again at each point
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
-    ["trap", "profile", *(option.name for option in _OPTIONS if option.block is None)],
+    ["trap", "profile", *(option.name for option in _OPTIONS if option.block is None), "given"],
     frozen=True,
 )
 
@@ -220,13 +219,21 @@ def _load_config_file(path: str) -> dict:
     return given
 
 
-def _build_config(args) -> RunConfig:
+def _given_values(args) -> dict:
+    """The values a run sets, by option name; a flag wins over the config file."""
     given = _load_config_file(args.config) if args.config else {}
-    settings = {"trap": {}, "profile": {}, None: {}}
     for option in _OPTIONS:
         flag = getattr(args, option.name)
         if flag is not None:
             given[option.name] = _split(flag, option) if option.sep else flag
+    if args.command == "fig2" and given.keys() & {"family", "samples"}:
+        raise ConfigurationError("fig2 panels fix the profile family; drop family and samples")
+    return given
+
+
+def _build_config(given: dict) -> RunConfig:
+    settings = {"trap": {}, "profile": {}, None: {}}
+    for option in _OPTIONS:
         value = _coerce(option, given[option.name]) if option.name in given else option.default
         settings[option.block][option.name] = value
 
@@ -239,6 +246,7 @@ def _build_config(args) -> RunConfig:
         trap=trap,
         profile=make_profile(family, profile["duration"], samples=profile["samples"]),
         **settings[None],
+        given=given,
     )
 
 
@@ -394,16 +402,6 @@ def _parse_sweep(text: str):
     return key, np.linspace(start, stop, count)
 
 
-def _with_value(rc: RunConfig, key: str, value: float) -> RunConfig:
-    block = next(option.block for option in _OPTIONS if option.name == key)
-    if block == "trap":
-        return dataclasses.replace(rc, trap=dataclasses.replace(rc.trap, **{key: value}))
-    if block == "profile":  # duration, the one float profile key
-        profile = make_profile(rc.profile.family, value, samples=rc.profile.samples)
-        return dataclasses.replace(rc, profile=profile)
-    return dataclasses.replace(rc, **{key: value})
-
-
 def _flatten(record: dict) -> dict:
     flat: dict = {}
     for key, value in record.items():
@@ -421,14 +419,11 @@ def _flatten(record: dict) -> dict:
 def _run_sweep(rc: RunConfig, command: str, sweep_spec: str, fmt: str) -> str:
     key, values = _parse_sweep(sweep_spec)
     evaluator = _EVALUATORS[command]
-
-    def point(value: float) -> dict:
-        return _flatten(evaluator(_with_value(rc, key, float(value))))
-
-    workers = min(_MAX_WORKERS, len(values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(point, values))  # map() preserves sweep order
-
+    # each point is resolved from the given values the way a single run is,
+    # so a tabulated profile is rescaled from its given samples, not from
+    # the already rescaled ones
+    records = [_flatten(evaluator(_build_config({**rc.given, key: float(value)})))
+               for value in values]
     header = [key] + [name for name in records[0] if name != key]
     rows = [[value] + [record[name] for name in header[1:]]
             for value, record in zip(values, records)]
@@ -446,8 +441,7 @@ def _cmd_point(rc: RunConfig, args) -> tuple[str, int]:
 
 def _path_rows(rc: RunConfig, profile: SweepProfile):
     """Both branch paths on one grid, and rows t, re/im alpha0, re/im alpha1."""
-    co, counter = (sample_trajectory(rc.trap, profile, branch, n_samples=rc.n_samples)
-                   for branch in (Branch.CO, Branch.COUNTER))
+    co, counter = _sweep(rc.trap, profile, (Branch.CO, Branch.COUNTER), rc.n_samples)
     rows = [[float(t), a0.real, a0.imag, a1.real, a1.imag]
             for t, a0, a1 in zip(co.times, co.alphas, counter.alphas)]
     return co, counter, rows
@@ -535,8 +529,6 @@ def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
     if rc.panel is None:
         raise ConfigurationError("fig2 needs --panel (one of a-f)")
-    if args.family is not None:
-        raise ConfigurationError("fig2 panels fix the profile family; drop --family")
     family = ProfileFamily.SINUSOIDAL if rc.panel in "abc" else ProfileFamily.FLAT
     profile = make_profile(family, rc.profile.duration)
     T = profile.duration
@@ -560,14 +552,14 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
             rows.append([float(scaled), float(omega), value.real, value.imag])
         return _table_text(header, rows, rc.format), 0
 
-    rows = _path_rows(rc, profile)[2]
     if rc.format == "machine":
         header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1",
                   "re_mirror1", "im_mirror1"]
+        rows = _path_rows(rc, profile)[2]
         return _csv_text(header, [row + [-row[3], -row[4]] for row in rows]), 0
     dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
     record = {
-        "samples": len(rows),
+        "samples": rc.n_samples + 1,
         "area_measure": dec.delta_geometric_path / 2,
         "half_sagnac": sagnac_phase(rc.trap) / 2,
         "kappa": dec.kappa,
@@ -625,7 +617,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        rc = _build_config(args)
+        rc = _build_config(_given_values(args))
         if args.sweep and args.command not in _EVALUATORS:
             raise ConfigurationError(
                 f"--sweep works with {', '.join(_EVALUATORS)}, not {args.command}"

@@ -18,6 +18,10 @@ Both reduce to running sine/cosine moments of the drive,
 which is what makes an O(N) single-sweep trajectory possible: the sweep
 accumulates C, S, phi over consecutive intervals with nested fixed-order
 Gauss-Legendre rules, all intervals evaluated as one vectorized batch.
+The branches differ only in the sign of the sweep term,
+lambda = D (Omega +/- omega_P), so one sweep serves both: the nodes,
+profile values and trig are evaluated once, and each branch combines the
+rotation and profile parts of the moment sums with its own sign.
 Point evaluations (alpha_at, phi_at) instead use adaptive quadrature of
 the definitions, so the two routes stay independent checks of each other.
 """
@@ -36,7 +40,7 @@ from .errors import (
     QuadratureNonConvergence,
     TimeOutOfRange,
 )
-from .model import Branch, SweepProfile, TrapConfig, lambda_drive
+from .model import Branch, SweepProfile, TrapConfig, eval_profile, lambda_drive
 
 __all__ = ["BranchEvolution", "alpha_at", "phi_at", "sample_trajectory"]
 
@@ -177,14 +181,18 @@ def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) 
     return total / hbar**2
 
 
-def sample_trajectory(
-    config: TrapConfig, profile: SweepProfile, branch: Branch, n_samples: int = 4096
-) -> BranchEvolution:
-    """Phase-space path on a uniform grid of n_samples+1 points over [0, T].
+def _node_sum(weights, values):
+    # sum over the inner nodes; einsum beats np.sum on a length-6 last axis
+    return np.einsum("mij,mij->mi", weights, values)
 
-    One vectorized sweep accumulates the drive moments; profile kinks are
-    inserted into the internal integration grid so every elementary
-    interval has an analytic integrand.
+
+def _sweep(
+    config: TrapConfig, profile: SweepProfile, branches, n_samples: int
+) -> list[BranchEvolution]:
+    """Paths of the given branches from one pass over the nested Gauss nodes.
+
+    Profile kinks are inserted into the internal integration grid so every
+    elementary interval has an analytic integrand.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -193,19 +201,15 @@ def sample_trajectory(
     T = profile.duration
     w0 = config.trap_frequency
     hbar = config.hbar
+    scale, rotation = config.drive_scale, config.rotation
+    signs = np.array([branch.sign for branch in branches], dtype=float)[:, None, None]
     ts = np.linspace(0.0, T, n_samples + 1)
     interior = [b for b in profile.breakpoints() if 0.0 < b < T]
     edges = np.union1d(ts, np.asarray(interior)) if interior else ts
     n_int = len(edges) - 1
 
-    lam = lambda t: lambda_drive(config, profile, branch, t)
-
-    cum_c = np.empty(n_int + 1)
-    cum_s = np.empty(n_int + 1)
-    cum_p = np.empty(n_int + 1)
-    cum_a = np.empty(n_int + 1)
-    cum_c[0] = cum_s[0] = cum_p[0] = cum_a[0] = 0.0
-    c0 = s0 = p0 = a0 = 0.0
+    # running C, S, phi-integral and |alpha|^2-integral, one row per branch
+    cum_c, cum_s, cum_p, cum_a = np.zeros((4, len(branches), n_int + 1))
     block = 16384  # keeps the (block, 6, 6) nested-node arrays modest
     for i0 in range(0, n_int, block):
         i1 = min(i0 + block, n_int)
@@ -217,42 +221,52 @@ def sample_trajectory(
         # outer Gauss-Legendre nodes, one row per elementary interval
         tau = mid[:, None] + half[:, None] * _GL_X[None, :]          # (m, 6)
         w_tau = half[:, None] * _GL_W[None, :]
-        lam_tau = lam(tau)
+        lam_tau = scale * (rotation + signs * eval_profile(profile, tau))  # (k, m, 6)
         cos_tau = np.cos(w0 * tau)
         sin_tau = np.sin(w0 * tau)
 
-        dC = np.sum(w_tau * lam_tau * cos_tau, axis=1)
-        dS = np.sum(w_tau * lam_tau * sin_tau, axis=1)
-        c_starts = c0 + np.concatenate(([0.0], np.cumsum(dC[:-1])))
-        s_starts = s0 + np.concatenate(([0.0], np.cumsum(dS[:-1])))
+        dC = np.sum(w_tau * lam_tau * cos_tau, axis=-1)             # (k, m)
+        dS = np.sum(w_tau * lam_tau * sin_tau, axis=-1)
+        cum_c[:, i0 + 1:i1 + 1] = cum_c[:, i0:i0 + 1] + np.cumsum(dC, axis=-1)
+        cum_s[:, i0 + 1:i1 + 1] = cum_s[:, i0:i0 + 1] + np.cumsum(dS, axis=-1)
 
-        # nested partial moments from each interval start to each outer node
+        # nested partial moments from each interval start to each outer node;
+        # C and S are linear in lambda = D (Omega + sign omega_P), so each
+        # splits into a rotation part and a profile part that every branch
+        # combines with its own sign
         span = tau - a[:, None]
         s_nodes = a[:, None, None] + span[:, :, None] * (_GL_X[None, None, :] + 1) / 2
         s_w = span[:, :, None] * _GL_W[None, None, :] / 2
-        lam_s = lam(s_nodes)
-        c_part = np.sum(s_w * lam_s * np.cos(w0 * s_nodes), axis=2)  # (m, 6)
-        s_part = np.sum(s_w * lam_s * np.sin(w0 * s_nodes), axis=2)
+        s_wp = s_w * eval_profile(profile, s_nodes)
+        cos_s = np.cos(w0 * s_nodes)
+        sin_s = np.sin(w0 * s_nodes)
+        c_part = scale * (rotation * _node_sum(s_w, cos_s) + signs * _node_sum(s_wp, cos_s))
+        s_part = scale * (rotation * _node_sum(s_w, sin_s) + signs * _node_sum(s_wp, sin_s))
 
-        c_nodes = c_starts[:, None] + c_part
-        s_nodes_run = s_starts[:, None] + s_part
+        c_nodes = cum_c[:, i0:i1, None] + c_part                     # (k, m, 6)
+        s_nodes_run = cum_s[:, i0:i1, None] + s_part
         phi_integrand = lam_tau * (sin_tau * c_nodes - cos_tau * s_nodes_run)
-        dPhi = np.sum(w_tau * phi_integrand, axis=1)
+        dPhi = np.sum(w_tau * phi_integrand, axis=-1)
         # |alpha|^2 = (C^2 + S^2)/hbar^2 shares the running moments
-        dA = np.sum(w_tau * (c_nodes**2 + s_nodes_run**2), axis=1)
-
-        cum_c[i0 + 1:i1 + 1] = c0 + np.cumsum(dC)
-        cum_s[i0 + 1:i1 + 1] = s0 + np.cumsum(dS)
-        cum_p[i0 + 1:i1 + 1] = p0 + np.cumsum(dPhi)
-        cum_a[i0 + 1:i1 + 1] = a0 + np.cumsum(dA)
-        c0, s0, p0, a0 = cum_c[i1], cum_s[i1], cum_p[i1], cum_a[i1]
-
-    phi_edges = cum_p / hbar**2
-    beta = -(cum_c + 1j * cum_s) / hbar
-    alpha_edges = beta * np.exp(-1j * w0 * edges)
+        dA = np.sum(w_tau * (c_nodes**2 + s_nodes_run**2), axis=-1)
+        cum_p[:, i0 + 1:i1 + 1] = cum_p[:, i0:i0 + 1] + np.cumsum(dPhi, axis=-1)
+        cum_a[:, i0 + 1:i1 + 1] = cum_a[:, i0:i0 + 1] + np.cumsum(dA, axis=-1)
 
     idx = np.searchsorted(edges, ts)
-    alphas = alpha_edges[idx]
-    phis = phi_edges[idx]
-    alpha_dots = -1j * w0 * alphas - lam(ts) / hbar
-    return BranchEvolution(branch, ts, alphas, alpha_dots, phis, cum_a[idx] / hbar**2)
+    alphas = -(cum_c[:, idx] + 1j * cum_s[:, idx]) / hbar * np.exp(-1j * w0 * ts)
+    lam_ts = scale * (rotation + signs[:, :, 0] * eval_profile(profile, ts))
+    alpha_dots = -1j * w0 * alphas - lam_ts / hbar
+    phases = cum_p[:, idx] / hbar**2
+    abs2 = cum_a[:, idx] / hbar**2
+    return [BranchEvolution(branch, ts, *row)
+            for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
+
+
+def sample_trajectory(
+    config: TrapConfig, profile: SweepProfile, branch: Branch, n_samples: int = 4096
+) -> BranchEvolution:
+    """Phase-space path on a uniform grid of n_samples+1 points over [0, T].
+
+    One vectorized sweep accumulates the drive moments; see _sweep.
+    """
+    return _sweep(config, profile, (branch,), n_samples)[0]

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import BranchEvolution, sample_trajectory
+from .evolution import BranchEvolution, _sweep
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 from .spectrum import spectrum_derivative
@@ -44,14 +44,11 @@ from .spectrum import spectrum_derivative
 __all__ = [
     "PhaseDecomposition",
     "SchemeClass",
-    "branch_dynamic_phase",
     "branch_geometric_phase",
     "decompose",
     "shoelace_area",
 ]
 
-_REFINE_TOL = 1e-7
-_MAX_REFINE_SAMPLES = 1 << 18
 _PATH_AGREEMENT_TOL = 1e-7
 _SPECTRUM_ZERO_TOL = 1e-8
 _GEOMETRIC_FLOOR = 1e-12
@@ -106,41 +103,6 @@ def shoelace_area(path) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _mean_square_amplitude(evolution: BranchEvolution) -> float:
-    return float(np.trapezoid(np.abs(evolution.alphas) ** 2, evolution.times))
-
-
-def branch_dynamic_phase(
-    evolution: BranchEvolution, config: TrapConfig, profile: SweepProfile
-) -> float:
-    """Dynamic phase of one branch, with step-doubling refinement.
-
-    The |alpha|^2 integral is computed by the trapezoid rule on the
-    sampled path, the path is resampled at doubled resolution until the
-    extrapolated change is within tolerance, and the Richardson-combined
-    value is used.
-    """
-    w0 = config.trap_frequency
-    coarse = _mean_square_amplitude(evolution)
-    n = len(evolution.times) - 1
-    current = evolution
-    while True:
-        n *= 2
-        if n > _MAX_REFINE_SAMPLES:
-            raise InsufficientResolution(
-                f"|alpha|^2 integral not converged to {_REFINE_TOL:.1e} "
-                f"within {_MAX_REFINE_SAMPLES} samples"
-            )
-        current = sample_trajectory(config, profile, evolution.branch, n)
-        fine = _mean_square_amplitude(current)
-        err = abs(fine - coarse) / 3
-        if err <= _REFINE_TOL:
-            integral = (4 * fine - coarse) / 3
-            break
-        coarse = fine
-    return 2 * current.final_phase - w0 * integral - w0 * current.duration / 2
-
-
 def branch_geometric_phase(evolution: BranchEvolution) -> float:
     """Geometric phase of one branch: line integral along the sampled path.
 
@@ -156,8 +118,8 @@ def branch_geometric_phase(evolution: BranchEvolution) -> float:
 
 
 def _swept_dynamic_phase(evolution: BranchEvolution, w0: float) -> float:
-    # same reduction as branch_dynamic_phase, but on the sweep-carried
-    # |alpha|^2 integral, which is kink-aligned and far below 1e-8 error
+    # gamma_d from the sweep-carried |alpha|^2 integral, which is
+    # kink-aligned and far below 1e-8 error
     mean_square = float(evolution.abs2_integrals[-1])
     return 2 * evolution.final_phase - w0 * mean_square - w0 * evolution.duration / 2
 
@@ -194,8 +156,7 @@ def decompose(
     xi = xi0 - w0 * T * w_val.imag
     dgg_spectral = np.sqrt(2 / np.pi) * phi_s * xi
 
-    ev0 = sample_trajectory(config, profile, Branch.CO, n_samples)
-    ev1 = sample_trajectory(config, profile, Branch.COUNTER, n_samples)
+    ev0, ev1 = _sweep(config, profile, (Branch.CO, Branch.COUNTER), n_samples)
     gd = (_swept_dynamic_phase(ev0, w0), _swept_dynamic_phase(ev1, w0))
     gg = (_swept_geometric_phase(ev0, w0), _swept_geometric_phase(ev1, w0))
     residual = _residual_angle(ev0.final_alpha, ev1.final_alpha)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import sample_trajectory
+from .evolution import _sweep
 from .model import Branch, SweepProfile, TrapConfig
 from .spectrum import SpectrumValue, spectrum_numeric
 
@@ -80,8 +80,7 @@ def interferometer_phase_integral(
     phi_0(T) - phi_1(T) plus the overlap angle Im[alpha_1* alpha_0];
     independent of the spectral route.
     """
-    ev0 = sample_trajectory(config, profile, Branch.CO, n_samples)
-    ev1 = sample_trajectory(config, profile, Branch.COUNTER, n_samples)
+    ev0, ev1 = _sweep(config, profile, (Branch.CO, Branch.COUNTER), n_samples)
     overlap_angle = (np.conj(ev1.final_alpha) * ev0.final_alpha).imag
     return ev0.final_phase - ev1.final_phase + overlap_angle
 

@@ -392,6 +392,45 @@ def test_sweep_omega(capsys):
     assert first[header.index("method")] == "closed-form"
 
 
+def _flat_record(record: dict) -> dict:
+    """A JSON record flattened the way sweep columns are named."""
+    flat = {}
+    for key, value in record.items():
+        if isinstance(value, dict):  # a complex value
+            flat[f"re_{key}"], flat[f"im_{key}"] = value["re"], value["im"]
+        elif isinstance(value, list):
+            flat.update({f"{key}_{i}": item for i, item in enumerate(value)})
+        else:
+            flat[key] = value
+    return flat
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--family", "tabulated", "--samples", "0.2,1,0.4", "--sweep",
+         "omega=0.3:1.7:3"],
+        ["simulate", "--family", "sinusoidal", "--sweep", "rotation=0.05:0.5:3"],
+        ["decompose", "--family", "tabulated", "--samples", "0.2,1,0.4", "--n-samples", "256",
+         "--sweep", "duration=5:7:2"],
+        ["sensitivity", "--sweep", "trap_frequency=0.9:1.1:3"],
+    ],
+    ids=["spectrum", "simulate", "decompose", "sensitivity"],
+)
+def test_sweep_rows_equal_single_point_runs(capsys, argv):
+    assert run(argv) == 0
+    header, *rows = [line.split(",") for line in _lines(capsys.readouterr().out)]
+    key = argv[-1].split("=")[0]
+    for row in rows:
+        point = [*argv[:-2], f"--{key.replace('_', '-')}", row[0]]
+        assert run(point) == 0
+        record = _flat_record(json.loads(capsys.readouterr().out))
+        assert set(record) - {key} == set(header[1:])
+        # 17 significant digits give back the same double, so equal cells
+        # mean equal values
+        assert row[1:] == [cli._cell(record[name]) for name in header[1:]]
+
+
 def test_sweep_validation(capsys):
     assert run(["verify", "--sweep", "rotation=0.1:0.3:3"]) == 2
     assert run(["simulate", "--sweep", "rotation=1:2"]) == 2
@@ -548,6 +587,26 @@ def test_fig2_area_measures(capsys):
     measure = float(_human_value(out, "area_measure"))
     assert measure == pytest.approx(0.3141592653589793, abs=1e-8)
     assert measure == pytest.approx(float(_human_value(out, "half_sagnac")), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [{"family": "flat"}, {"family": "tabulated", "samples": [0.5, 1, 0.5]}],
+    ids=["family", "family-and-samples"],
+)
+def test_fig2_rejects_a_profile_from_flag_and_file(tmp_path, capsys, profile):
+    # the panels fix the family, so a family or samples given in a config
+    # file is rejected exactly as the flags are, not silently ignored
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"profile": profile}))
+    flags = ["--family", profile["family"]]
+    if "samples" in profile:
+        flags += ["--samples", ",".join(str(v) for v in profile["samples"])]
+    for extra in (flags, ["--config", str(cfg)]):
+        assert run(["fig2", "--panel", "f", "--n-samples", "64", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fig2 panels fix the profile family" in captured.err
 
 
 def test_fig2_validation(capsys):

@@ -19,6 +19,7 @@ from ringsagnac import (
     spectrum_numeric,
     zero_profile,
 )
+from ringsagnac.evolution import _sweep
 
 
 @pytest.fixture
@@ -165,6 +166,20 @@ def test_abs2_integral_consistent_with_path(natural):
     assert np.all(np.diff(ev.abs2_integrals) >= 0)
     trapz = np.trapezoid(np.abs(ev.alphas) ** 2, ev.times)
     assert ev.abs2_integrals[-1] == pytest.approx(trapz, rel=1e-6)
+
+
+def test_two_branch_sweep_equals_one_branch_sweeps():
+    # the branches share the node work but must not mix: each row of the
+    # two-branch sweep is bit-identical to that branch's own sweep, also
+    # across the 16384-interval block boundary
+    config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=0.05)
+    profile = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
+    pair = _sweep(config, profile, (Branch.CO, Branch.COUNTER), 16400)
+    for branch, ev in zip((Branch.CO, Branch.COUNTER), pair):
+        alone = sample_trajectory(config, profile, branch, 16400)
+        assert ev.branch is branch
+        for name in ("times", "alphas", "alpha_dots", "phases", "abs2_integrals"):
+            np.testing.assert_array_equal(getattr(ev, name), getattr(alone, name))
 
 
 def test_path_validation():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ringsagnac import (
     Branch,
@@ -12,10 +13,11 @@ from ringsagnac import (
     ProfileFamily,
     SchemeClass,
     TrapConfig,
-    branch_dynamic_phase,
+    alpha_at,
     branch_geometric_phase,
     decompose,
     make_profile,
+    phi_at,
     sample_trajectory,
     shoelace_area,
     zero_profile,
@@ -66,12 +68,8 @@ def test_geometric_phase_needs_resolution():
 
 def test_dynamic_phase_flat_design(natural):
     # flat profile at T = 2 pi: gamma_d = -pi for both branches
-    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
-    for branch in (Branch.CO, Branch.COUNTER):
-        ev = sample_trajectory(natural, profile, branch, 256)
-        assert branch_dynamic_phase(ev, natural, profile) == pytest.approx(
-            -np.pi, abs=1e-7
-        )
+    dec = decompose(natural, make_profile(ProfileFamily.FLAT, 2 * np.pi), n_samples=256)
+    assert dec.gamma_dynamic == pytest.approx((-np.pi, -np.pi), abs=1e-7)
 
 
 def test_zero_drive_phases():
@@ -79,9 +77,32 @@ def test_zero_drive_phases():
     # phase and the path encloses no area
     still = TrapConfig(rotation=0.0)
     profile = zero_profile(2 * np.pi)
+    dec = decompose(still, profile, n_samples=64)
+    assert dec.gamma_dynamic == pytest.approx((-np.pi, -np.pi), abs=1e-12)
     ev = sample_trajectory(still, profile, Branch.CO, 64)
-    assert branch_dynamic_phase(ev, still, profile) == pytest.approx(-np.pi, abs=1e-12)
     assert branch_geometric_phase(ev) == pytest.approx(0.0, abs=1e-15)
+
+
+def _sum_rule_gaps(config, profile, n_samples):
+    """Per branch: gamma_d against its adaptive-quadrature definition, and the
+    sum rule gamma_d + gamma_g = phi(T) - w0 T / 2.
+
+    The reference integrates |alpha_at|^2 with quad and takes phi_at, so it
+    shares no code with the sweep that decompose reads gamma_d from; gamma_g
+    is the Simpson line integral along the sampled path.
+    """
+    w0, T = config.trap_frequency, profile.duration
+    dec = decompose(config, profile, n_samples=n_samples)
+    gaps = []
+    for gamma_d, branch in zip(dec.gamma_dynamic, (Branch.CO, Branch.COUNTER)):
+        mean_square = quad(lambda t: abs(alpha_at(config, profile, branch, t)) ** 2, 0.0, T,
+                           points=profile.breakpoints(), epsabs=1e-12, epsrel=1e-12,
+                           limit=200)[0]
+        phi_end = phi_at(config, profile, branch, T)
+        reference = 2 * phi_end - w0 * mean_square - w0 * T / 2
+        gamma_g = branch_geometric_phase(sample_trajectory(config, profile, branch, n_samples))
+        gaps.append((abs(gamma_d - reference), abs(gamma_d + gamma_g - (phi_end - w0 * T / 2))))
+    return gaps
 
 
 @pytest.mark.parametrize(
@@ -93,20 +114,16 @@ def test_zero_drive_phases():
     ],
 )
 def test_phase_sum_rule(natural, family, duration, tol):
-    # gamma_d + gamma_g = phi(T) - w0 T / 2 branch by branch; both public
-    # routes are independent of the sweep-carried shortcut
-    profile = make_profile(family, duration)
-    for branch in (Branch.CO, Branch.COUNTER):
-        ev = sample_trajectory(natural, profile, branch, 4096)
-        total = branch_dynamic_phase(ev, natural, profile) + branch_geometric_phase(ev)
-        assert total == pytest.approx(ev.final_phase - duration / 2, abs=tol)
+    for dynamic_gap, sum_gap in _sum_rule_gaps(natural, make_profile(family, duration), 4096):
+        assert dynamic_gap < tol
+        assert sum_gap < tol
 
 
 def test_phase_sum_rule_tabulated(natural, random_profile):
     profile = random_profile(np.random.default_rng(5))
-    ev = sample_trajectory(natural, profile, Branch.COUNTER, 4096)
-    total = branch_dynamic_phase(ev, natural, profile) + branch_geometric_phase(ev)
-    assert total == pytest.approx(ev.final_phase - profile.duration / 2, abs=1e-4)
+    for dynamic_gap, sum_gap in _sum_rule_gaps(natural, profile, 4096):
+        assert dynamic_gap < 1e-8
+        assert sum_gap < 1e-4
 
 
 def test_decompose_flat_design(natural):

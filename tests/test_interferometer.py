@@ -1,8 +1,11 @@
 """Two-branch readout: contrast, phase, and the spectral/time-domain routes."""
 
+import os
+
 import numpy as np
 import pytest
 
+import ringsagnac.cli
 from ringsagnac import (
     Branch,
     ProfileFamily,
@@ -152,6 +155,40 @@ def test_one_spectrum_evaluation_per_call(natural, monkeypatch, call, expected):
     calls = _count_spectrum_calls(monkeypatch)
     call(natural, profile)
     assert calls == [natural.trap_frequency] * expected
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Record the branches of every time-domain sweep, through each module using it."""
+    calls = []
+    sweep = ringsagnac.evolution._sweep
+
+    def counted(config, profile, branches, n_samples):
+        calls.append(tuple(branches))
+        return sweep(config, profile, branches, n_samples)
+
+    for module in (ringsagnac.evolution, ringsagnac.geometry, ringsagnac.interferometer,
+                   ringsagnac.cli):
+        monkeypatch.setattr(module, "_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda config, profile: decompose(config, profile, n_samples=256),
+        lambda config, profile: interferometer_phase_integral(config, profile, 256),
+        lambda config, profile: ringsagnac.cli.run(
+            ["trajectory", "--n-samples", "256", "--output", os.devnull]),
+    ],
+    ids=["decompose", "interferometer_phase_integral", "cli-trajectory"],
+)
+def test_one_sweep_for_both_branches(natural, monkeypatch, call):
+    # the branches share their nodes, profile values and trig, so every
+    # two-branch result takes both paths from one sweep
+    profile = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
+    calls = _count_sweeps(monkeypatch)
+    call(natural, profile)
+    assert calls == [(Branch.CO, Branch.COUNTER)]
 
 
 def test_readout_carries_the_spectrum_it_derives_from():
