@@ -25,7 +25,7 @@ from .geometry import PhaseDecomposition, decompose
 from .interferometer import readout
 from .model import ProfileFamily, SweepProfile, TrapConfig, make_profile
 from .sensitivity import _integer_periods
-from .spectrum import spectrum_closed_form, spectrum_numeric
+from .spectrum import _exact_spectrum, spectrum_closed_form
 
 __all__ = ["SchemeSpec", "design_time", "find_zero_time"]
 
@@ -120,7 +120,7 @@ def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
     w0 = config.trap_frequency
 
     def objective(duration: float) -> float:
-        value = spectrum_numeric(_profile_for_duration(family_or_shape, duration), w0).value
+        value = _exact_spectrum(_profile_for_duration(family_or_shape, duration), w0)[0].value
         return abs(value) ** 2
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)

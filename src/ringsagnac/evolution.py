@@ -178,7 +178,8 @@ def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) 
         raise QuadratureNonConvergence(
             f"phase quadrature error {err:.3e} exceeds {_PHI_TOL:.1e}"
         )
-    return total / hbar**2
+    # hbar**2 underflows to 0 for hbar below about 1e-162
+    return total / hbar / hbar
 
 
 def _node_sum(weights, values):
@@ -186,13 +187,16 @@ def _node_sum(weights, values):
     return np.einsum("mij,mij->mi", weights, values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     config: TrapConfig, profile: SweepProfile, branches, n_samples: int
 ) -> list[BranchEvolution]:
     """Paths of the given branches from one pass over the nested Gauss nodes.
 
     Profile kinks are inserted into the internal integration grid so every
-    elementary interval has an analytic integrand.
+    elementary interval has an analytic integrand.  A sweep that overflows
+    (durations near the float range) ends in inf or NaN without a warning;
+    callers check what they need to be finite.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -256,8 +260,8 @@ def _sweep(
     alphas = -(cum_c[:, idx] + 1j * cum_s[:, idx]) / hbar * np.exp(-1j * w0 * ts)
     lam_ts = scale * (rotation + signs[:, :, 0] * eval_profile(profile, ts))
     alpha_dots = -1j * w0 * alphas - lam_ts / hbar
-    phases = cum_p[:, idx] / hbar**2
-    abs2 = cum_a[:, idx] / hbar**2
+    phases = cum_p[:, idx] / hbar / hbar  # hbar**2 can underflow
+    abs2 = cum_a[:, idx] / hbar / hbar
     return [BranchEvolution(branch, ts, *row)
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .evolution import _sweep
 from .model import Branch, SweepProfile, TrapConfig
-from .spectrum import SpectrumValue, spectrum_numeric
+from .spectrum import SpectrumValue, _exact_spectrum
 
 __all__ = [
     "InterferometerResult",
@@ -86,9 +86,19 @@ def interferometer_phase_integral(
 
 
 def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:
-    """Assemble contrast, phase, and Bloch components of the readout."""
+    """Assemble contrast, phase, and Bloch components of the readout.
+
+    W(omega0) comes from the exact spectral route: the closed form for the
+    analytic families, the exact segment sum for tabulated profiles.
+    """
+    return _readout(config, profile, _exact_spectrum(profile, config.trap_frequency)[0])
+
+
+def _readout(
+    config: TrapConfig, profile: SweepProfile, spectrum: SpectrumValue
+) -> InterferometerResult:
+    """The readout derived from the given W(omega0) sample."""
     w0 = config.trap_frequency
-    spectrum = spectrum_numeric(profile, w0)
     scale = -2 * config.radius * np.sqrt(np.pi * config.mass * w0 / config.hbar)
     d_alpha = scale * spectrum.value.conjugate() * np.exp(-1j * w0 * profile.duration)
     contrast = float(np.exp(-abs(d_alpha) ** 2 / 2))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ringsagnac
-from ringsagnac import cli
+from ringsagnac import TrapConfig, cli, make_profile, readout
 from ringsagnac.cli import _json_text, run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -122,6 +122,9 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["trajectory", "--n-samples", "0"],
         ["simulate", "--rotation", "-inf"],
         ["spectrum", "--omega", "-nan"],
+        ["simulate", "--trap-frequency", "1e308"],
+        ["simulate", "--family", "tabulated", "--samples", "0.5,1,0.5",
+         "--trap-frequency", "1e308"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -137,15 +140,52 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["spectrum", "--omega", "1e300"],
         ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--omega", "1e308"],
         ["spectrum", "--sweep", "omega=1e307:1e308:2"],
-        ["simulate", "--trap-frequency", "1e308"],
-        ["simulate", "--duration", "1e300"],
+        ["spectrum", "--duration", "1e300"],
+        ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
+        ["spectrum", "--family", "sinusoidal", "--duration", "1e300"],
         ["decompose", "--duration", "1e300"],
+        ["decompose", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
-    # a NaN error estimate fails the budget instead of passing it
+    # a NaN error estimate fails the budget instead of passing it; decompose
+    # gets its spectrum exactly, and its overflowing path sweep fails the
+    # path/spectral agreement check with a NaN gap
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
+
+
+@pytest.mark.parametrize("family", ["flat", "sinusoidal", "cosinusoidal", "tabulated"])
+def test_huge_duration_has_an_exact_readout(capsys, family):
+    # the readout takes W(omega0) without quadrature, so omega0 T = 1e300 is
+    # answered, and with the library's values
+    argv = ["simulate", "--family", family, "--duration", "1e300"]
+    samples = None
+    if family == "tabulated":
+        samples = (0.5, 1.0, 0.5)
+        argv += ["--samples", "0.5,1,0.5"]
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    expected = readout(TrapConfig(), make_profile(family, 1e300, samples=samples))
+    assert record["contrast"] == expected.contrast
+    assert record["phase"] == expected.phase
+    assert record["delta_alpha"] == {"re": expected.delta_alpha.real,
+                                     "im": expected.delta_alpha.imag}
+    assert all(np.isfinite(value) for value in (record["sigma_y"], record["sigma_z"]))
+
+
+def test_tiny_hbar(capsys):
+    # hbar**2 underflows to zero below hbar ~ 1e-162; the paths divide by hbar
+    # twice, so they start from the vacuum and stay finite
+    assert run(["trajectory", "--hbar", "1e-200", "--n-samples", "64"]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in _lines(capsys.readouterr().out)[1:]]
+    assert rows[0] == [0.0] * 7
+    assert np.all(np.isfinite(rows))
+    # the phases are of order 1e200, so the path and spectral geometric
+    # parts cannot agree to the absolute 1e-7 check
+    _assert_one_line_failure(capsys, ["decompose", "--hbar", "1e-200"], 3,
+                             "convergence error:")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from ringsagnac import (
     sensitivity_report,
     spectrum_numeric,
 )
+from ringsagnac.spectrum import _exact_spectrum
 
 SAGNAC_NATURAL = 0.6283185307179586  # 2 pi * 0.1
 
@@ -118,7 +119,7 @@ def test_readout_dimensional_consistency():
 
 
 def _count_spectrum_calls(monkeypatch) -> list:
-    """Count spectrum_numeric calls made through every module that imports it."""
+    """Count exact-spectrum calls made through every module that imports it."""
     import ringsagnac.design
     import ringsagnac.geometry
     import ringsagnac.interferometer
@@ -128,12 +129,12 @@ def _count_spectrum_calls(monkeypatch) -> list:
 
     def counted(profile, omega):
         calls.append(omega)
-        return spectrum_numeric(profile, omega)
+        return _exact_spectrum(profile, omega)
 
     for module in (ringsagnac.interferometer, ringsagnac.sensitivity,
                    ringsagnac.geometry, ringsagnac.design):
-        if hasattr(module, "spectrum_numeric"):
-            monkeypatch.setattr(module, "spectrum_numeric", counted)
+        if hasattr(module, "_exact_spectrum"):
+            monkeypatch.setattr(module, "_exact_spectrum", counted)
     return calls
 
 
@@ -148,9 +149,9 @@ def _count_spectrum_calls(monkeypatch) -> list:
     ids=["readout", "sensitivity_report", "decompose", "design_time"],
 )
 def test_one_spectrum_evaluation_per_call(natural, monkeypatch, call, expected):
-    # W(omega0) is sampled once per readout and every derived quantity
-    # reuses that sample; design_time reads out once for its flags and
-    # once inside the decomposition
+    # W(omega0) and its slope are sampled once per readout or decomposition
+    # and every derived quantity reuses that sample; design_time reads out
+    # once for its flags and once inside the decomposition
     profile = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
     calls = _count_spectrum_calls(monkeypatch)
     call(natural, profile)
@@ -195,8 +196,11 @@ def test_readout_carries_the_spectrum_it_derives_from():
     config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=0.05)
     profile = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
     result = readout(config, profile)
-    sample = spectrum_numeric(profile, config.trap_frequency)
+    sample = _exact_spectrum(profile, config.trap_frequency)[0]
     assert result.spectrum == sample
+    assert sample.method == "exact piecewise-linear"
+    oracle = spectrum_numeric(profile, config.trap_frequency)
+    assert abs(sample.value - oracle.value) <= 1e-12
     # exact equality: the derived quantities are the same float expressions
     slope = (2 * np.pi * config.mass * config.radius**2 / config.hbar
              * (1 - np.sqrt(2 / np.pi) * sample.value.real))

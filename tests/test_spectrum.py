@@ -1,17 +1,25 @@
-"""Sweep-profile transform: closed forms, quadrature route, and derivative."""
+"""Sweep-profile transform: closed forms, the exact route, quadrature, and derivative."""
 
 import numpy as np
 import pytest
 
+import ringsagnac.spectrum
 from ringsagnac import (
     ConfigurationError,
     ProfileFamily,
+    TrapConfig,
     UnsupportedFamily,
+    decompose,
+    design_time,
+    find_zero_time,
     make_profile,
+    readout,
+    sensitivity_report,
     spectrum_closed_form,
     spectrum_derivative,
     spectrum_numeric,
 )
+from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _segment_kernels
 
 HALF_PI_SQRT = 1.2533141373155001  # sqrt(pi/2)
 
@@ -156,3 +164,93 @@ def test_derivative_odd_in_frequency():
     plus = spectrum_derivative(profile, 0.7)
     minus = spectrum_derivative(profile, -0.7)
     assert minus == pytest.approx(-plus, rel=1e-13)
+
+
+# exact route: closed forms and exact segment sums, no quadrature
+
+
+def test_exact_route_matches_quadrature_on_tabulated_profiles(random_profile):
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        profile = random_profile(rng)
+        h = profile.duration / (len(profile.samples) - 1)
+        switch = 2 * _SERIES_SWITCH / h  # omega at which theta = omega h / 2 switches
+        for omega in (1.0, 0.0, -0.7, switch * (1 - 1e-9), switch * (1 + 1e-9)):
+            sample, slope = _exact_spectrum(profile, omega)
+            assert sample.method == "exact piecewise-linear"
+            assert abs(sample.value - spectrum_numeric(profile, omega).value) <= 1e-12
+            assert abs(slope - spectrum_derivative(profile, omega)) <= 1e-12
+        zero = _exact_spectrum(profile, 0.0)
+        assert zero[0].value.real == pytest.approx(HALF_PI_SQRT, rel=1e-15)
+        assert zero[0].value.imag == 0.0 and zero[1] == 0.0
+
+
+def test_segment_kernels_on_both_sides_of_the_series_switch():
+    # series below the switch, closed forms above it: both against a
+    # 20-node Gauss-Legendre rule, exact to rounding for these integrands
+    x, w = np.polynomial.legendre.leggauss(20)
+    x, w = (x + 1) / 2, w / 2
+    theta = np.array([0.0, 1e-3, _SERIES_SWITCH * (1 - 1e-9), _SERIES_SWITCH * (1 + 1e-9),
+                      -_SERIES_SWITCH * (1 + 1e-9), 3.0])
+    tx = np.outer(theta, x)
+    reference = (np.cos(tx) @ w, (x * np.sin(tx)) @ w, (x * x * np.cos(tx)) @ w)
+    for kernel, expected in zip(_segment_kernels(theta), reference):
+        assert np.max(np.abs(kernel - expected)) <= 1e-15
+    # and keep their symmetry: m0 and q even, j1 odd
+    theta = np.array([0.3, -0.3, 2.0, -2.0])
+    m0, j1, q = _segment_kernels(theta)
+    assert m0[0] == m0[1] and q[0] == q[1] and j1[0] == -j1[1]
+    assert m0[2] == m0[3] and q[2] == q[3] and j1[2] == -j1[3]
+
+
+ANALYTIC_U = [0.0, 2 * np.pi, 2 * np.pi + 1e-9, 2 * np.pi - 1e-9, 2 * np.pi * (1 + 1e-9)]
+DESIGN_SCHEMES = [("flat", 1), ("flat", 2), ("flat", 3), ("sinusoidal", 0), ("sinusoidal", 1),
+                  ("cosinusoidal", 2), ("cosinusoidal", 3), ("cosinusoidal", 4)]
+
+
+@pytest.mark.parametrize("family", ANALYTIC)
+@pytest.mark.parametrize("u", ANALYTIC_U)
+def test_exact_slope_of_analytic_families(family, u):
+    # the removable point u = 2 pi is a zero shifted frequency, inside the
+    # small-theta series
+    T = 3.1
+    profile = make_profile(family, T)
+    for omega in (u / T, -u / T):
+        sample, slope = _exact_spectrum(profile, omega)
+        assert sample == spectrum_closed_form(family, T, omega)
+        assert abs(slope - spectrum_derivative(profile, omega)) <= 1e-10
+
+
+@pytest.mark.parametrize("family,index", DESIGN_SCHEMES)
+def test_exact_slope_at_design_schemes(family, index):
+    config = TrapConfig()
+    profile = design_time(family, config, index).profile
+    slope = _exact_spectrum(profile, config.trap_frequency)[1]
+    assert abs(slope - spectrum_derivative(profile, config.trap_frequency)) <= 1e-10
+
+
+def test_exact_route_rejects_nonfinite_arguments():
+    for family in ANALYTIC:
+        with pytest.raises(ConfigurationError):
+            _exact_spectrum(make_profile(family, 2 * np.pi), 1e308)
+    with pytest.raises(ConfigurationError):
+        _exact_spectrum(make_profile(ProfileFamily.TABULATED, 2.0, samples=[1, 2]), 1e308)
+
+
+def test_production_paths_never_run_quadrature(monkeypatch):
+    # quadrature is the oracle only: readout, sensitivity, decompose and the
+    # design routines run with it disabled
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path called quad")
+
+    monkeypatch.setattr(ringsagnac.spectrum, "quad", refuse)
+    config = TrapConfig()
+    tabulated = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
+    for profile in (*(make_profile(family, 7.0) for family in ANALYTIC), tabulated):
+        readout(config, profile)
+        sensitivity_report(config, profile)
+        decompose(config, profile, n_samples=256)
+    for family, index in (("flat", 1), ("sinusoidal", 0), ("cosinusoidal", 2)):
+        design_time(family, config, index)
+    shape = make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.4, 1.0, 1.0, 0.4])
+    assert 7.0 < find_zero_time(shape, config, (7.0, 8.5)) < 8.5
