@@ -38,7 +38,6 @@ from .evolution import BranchEvolution, alpha_at, phi_at, sample_trajectory
 from .fock import FockState, coherence_fock, evolve_fock, evolve_two_component
 from .interferometer import (
     InterferometerResult,
-    interferometer_phase_closed,
     interferometer_phase_integral,
     readout,
     sagnac_phase,
@@ -53,9 +52,7 @@ from .geometry import (
 from .design import SchemeSpec, design_time, find_zero_time
 from .sensitivity import (
     SensitivityReport,
-    delta_omega,
     delta_omega_point,
-    phase_slope,
     qfi,
     sensitivity_report,
 )

@@ -64,12 +64,7 @@ from .model import (
 )
 from .evolution import _sweep
 from .sensitivity import sensitivity_report
-from .spectrum import (
-    _exact_spectrum,
-    spectrum_closed_form,
-    spectrum_derivative,
-    spectrum_numeric,
-)
+from .spectrum import spectrum_closed_form, spectrum_derivative, spectrum_numeric
 
 _VERIFY_TOL = 1e-4
 # argparse takes a dash-led token for an option unless it matches its own
@@ -480,7 +475,7 @@ def _cmd_design(rc: RunConfig, args) -> tuple[str, int]:
             "family": family.value,
             "bracket": list(rc.bracket),
             "duration": zero_time,
-            "spectrum_modulus": abs(_exact_spectrum(profile, rc.trap.trap_frequency)[0].value),
+            "spectrum_modulus": abs(readout(rc.trap, profile).spectrum.value),
         }
         return _record_text(record, rc.format), 0
     if rc.index is None:

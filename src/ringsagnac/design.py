@@ -21,15 +21,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, UnsupportedFamily
-from .geometry import PhaseDecomposition, decompose
+from .geometry import _SPECTRUM_ZERO_TOL, PhaseDecomposition, decompose
 from .interferometer import readout
 from .model import ProfileFamily, SweepProfile, TrapConfig, make_profile
 from .sensitivity import _integer_periods
-from .spectrum import _exact_spectrum, spectrum_closed_form
+from .spectrum import spectrum_closed_form
 
 __all__ = ["SchemeSpec", "design_time", "find_zero_time"]
 
-_SPECTRUM_ZERO_TOL = 1e-8
 _PHASE_EQUALITY_TOL = 1e-8
 _OBJECTIVE_FLOOR = 1e-16
 _SCAN_POINTS = 128
@@ -120,8 +119,8 @@ def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
     w0 = config.trap_frequency
 
     def objective(duration: float) -> float:
-        value = _exact_spectrum(_profile_for_duration(family_or_shape, duration), w0)[0].value
-        return abs(value) ** 2
+        profile = _profile_for_duration(family_or_shape, duration)
+        return abs(readout(config, profile).spectrum.value) ** 2
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     values = [objective(t) for t in grid]

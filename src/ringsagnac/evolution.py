@@ -36,6 +36,7 @@ from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
     InsufficientResolution,
     QuadratureNonConvergence,
     TimeOutOfRange,
@@ -195,8 +196,8 @@ def _sweep(
 
     Profile kinks are inserted into the internal integration grid so every
     elementary interval has an analytic integrand.  A sweep that overflows
-    (durations near the float range) ends in inf or NaN without a warning;
-    callers check what they need to be finite.
+    (durations or rotation rates near the float range) raises
+    ConvergenceError instead of returning inf or NaN.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -262,6 +263,10 @@ def _sweep(
     alpha_dots = -1j * w0 * alphas - lam_ts / hbar
     phases = cum_p[:, idx] / hbar / hbar  # hbar**2 can underflow
     abs2 = cum_a[:, idx] / hbar / hbar
+    if not all(np.all(np.isfinite(part)) for part in (alphas, alpha_dots, phases, abs2)):
+        raise ConvergenceError(
+            f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
+        )
     return [BranchEvolution(branch, ts, *row)
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
 

@@ -18,8 +18,15 @@ mismatch obeys
             = -2 r sqrt(pi m omega0 / hbar) W(omega0)* exp(-i omega0 T),
 
 so contrast and phase are both set by the sweep spectrum at the trap
-frequency.  The spectral route and the time-domain route are implemented
-separately and serve as cross-checks.
+frequency.  The phase is linear in the rotation rate, with slope
+
+    d phi_I / d Omega = (2 pi m r^2 / hbar) {1 - sqrt(2/pi) Re W(omega0)}.
+
+``readout`` is the one place where W(omega0) becomes numbers: it carries
+W(omega0) and d Re W / d omega at omega0 from a single exact spectral
+evaluation, and the decomposition, sensitivity and design layers read
+them from its result.  The spectral route and the time-domain route are
+implemented separately and serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .spectrum import SpectrumValue, _exact_spectrum
 
 __all__ = [
     "InterferometerResult",
-    "interferometer_phase_closed",
     "interferometer_phase_integral",
     "readout",
     "sagnac_phase",
@@ -45,12 +51,18 @@ DEFAULT_PATH_SAMPLES = 4096
 
 @dataclass(frozen=True)
 class InterferometerResult:
-    """All readout quantities for one run, each derived from ``spectrum`` = W(omega0)."""
+    """All readout quantities for one run.
+
+    Each derives from ``spectrum`` = W(omega0) or ``spectrum_slope`` =
+    d Re W / d omega at omega0, both taken from one exact spectral call.
+    """
 
     spectrum: SpectrumValue
+    spectrum_slope: float
     delta_alpha: complex
     contrast: float
     phase: float            # unwrapped interferometer phase
+    phase_slope: float      # d phase / d Omega; the phase is linear in Omega
     principal_arg: float    # arg of the coherence, in (-pi, pi]
     sagnac: float
     sigma_y: float
@@ -67,11 +79,6 @@ def sagnac_phase(config: TrapConfig) -> float:
     return 2 * np.pi * config.mass * config.radius**2 * config.rotation / config.hbar
 
 
-def interferometer_phase_closed(config: TrapConfig, profile: SweepProfile) -> float:
-    """Unwrapped phase from the spectral relation."""
-    return readout(config, profile).phase
-
-
 def interferometer_phase_integral(
     config: TrapConfig, profile: SweepProfile, n_samples: int = DEFAULT_PATH_SAMPLES
 ) -> float:
@@ -86,31 +93,31 @@ def interferometer_phase_integral(
 
 
 def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:
-    """Assemble contrast, phase, and Bloch components of the readout.
+    """Assemble contrast, phase, their rotation slope and the Bloch components.
 
-    W(omega0) comes from the exact spectral route: the closed form for the
-    analytic families, the exact segment sum for tabulated profiles.
+    W(omega0) and d Re W / d omega come from one call of the exact spectral
+    route: the closed form for the analytic families, the exact segment
+    sum for tabulated profiles.
     """
-    return _readout(config, profile, _exact_spectrum(profile, config.trap_frequency)[0])
-
-
-def _readout(
-    config: TrapConfig, profile: SweepProfile, spectrum: SpectrumValue
-) -> InterferometerResult:
-    """The readout derived from the given W(omega0) sample."""
     w0 = config.trap_frequency
+    spectrum, spectrum_slope = _exact_spectrum(profile, w0)
     scale = -2 * config.radius * np.sqrt(np.pi * config.mass * w0 / config.hbar)
     d_alpha = scale * spectrum.value.conjugate() * np.exp(-1j * w0 * profile.duration)
     contrast = float(np.exp(-abs(d_alpha) ** 2 / 2))
-    phase = sagnac_phase(config) * (1 - np.sqrt(2 / np.pi) * spectrum.value.real)
+    sagnac = sagnac_phase(config)
+    factor = 1 - np.sqrt(2 / np.pi) * spectrum.value.real
+    phase = sagnac * factor
+    phase_slope = 2 * np.pi * config.mass * config.radius**2 / config.hbar * factor
     principal = float(np.angle(np.exp(1j * phase)))
     return InterferometerResult(
         spectrum=spectrum,
+        spectrum_slope=spectrum_slope,
         delta_alpha=complex(d_alpha),
         contrast=contrast,
         phase=float(phase),
+        phase_slope=phase_slope,
         principal_arg=principal,
-        sagnac=float(sagnac_phase(config)),
+        sagnac=float(sagnac),
         sigma_y=float(-contrast * np.sin(phase)),
         sigma_z=float(-contrast * np.cos(phase)),
     )

@@ -10,7 +10,10 @@ bounded above by the quantum Fisher information, which equals
 trap periods.  The phase is exactly linear in the rotation rate, so the
 slope is analytic:
 
-    d phi_I / d Omega = (2 pi m r^2 / hbar) {1 - sqrt(2/pi) Re W(omega0)}.
+    d phi_I / d Omega = (2 pi m r^2 / hbar) {1 - sqrt(2/pi) Re W(omega0)},
+
+and ``readout`` carries it as ``phase_slope``, from the same W(omega0)
+as the contrast and phase.
 
 The bound saturates at full contrast, which is what makes the designed
 spectrum-zero schemes optimal.
@@ -28,9 +31,7 @@ from .interferometer import readout
 
 __all__ = [
     "SensitivityReport",
-    "delta_omega",
     "delta_omega_point",
-    "phase_slope",
     "qfi",
     "sensitivity_report",
 ]
@@ -51,18 +52,6 @@ class SensitivityReport:
     limit_evaluated: bool
 
 
-def _slope(config: TrapConfig, w_val: complex) -> float:
-    return (
-        2 * np.pi * config.mass * config.radius**2 / config.hbar
-        * (1 - np.sqrt(2 / np.pi) * w_val.real)
-    )
-
-
-def phase_slope(config: TrapConfig, profile: SweepProfile) -> float:
-    """Analytic d phi_I / d Omega (the phase is linear in the rotation)."""
-    return _slope(config, readout(config, profile).spectrum.value)
-
-
 def _integer_periods(config: TrapConfig, profile: SweepProfile) -> bool:
     cycles = config.trap_frequency * profile.duration / (2 * np.pi)
     return abs(cycles - round(cycles)) * 2 * np.pi <= _TIME_TOL and round(cycles) >= 1
@@ -74,7 +63,7 @@ def qfi(config: TrapConfig, profile: SweepProfile) -> float:
         raise QfiFormulaInvalid(
             "Fisher-information formula requires an integer number of trap periods"
         )
-    return phase_slope(config, profile) ** 2
+    return readout(config, profile).phase_slope ** 2
 
 
 def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, bool]:
@@ -98,22 +87,13 @@ def delta_omega_point(contrast: float, phase: float, slope: float) -> float:
     return _delta_omega_raw(excess, phase, slope)[0]
 
 
-def _evaluate(config: TrapConfig, profile: SweepProfile):
+def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:
+    """Rotation-estimate uncertainty of the population signal, with its Fisher bounds."""
     result = readout(config, profile)
     # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast
     excess = float(np.expm1(abs(result.delta_alpha) ** 2))
-    slope = _slope(config, result.spectrum.value)
+    slope = result.phase_slope
     value, limit = _delta_omega_raw(excess, result.phase, slope)
-    return result, slope, value, limit
-
-
-def delta_omega(config: TrapConfig, profile: SweepProfile) -> float:
-    """Standard error of the rotation estimate from the population signal."""
-    return _evaluate(config, profile)[2]
-
-
-def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:
-    result, slope, value, limit = _evaluate(config, profile)
     valid = _integer_periods(config, profile)
     fisher = 0.0 if np.isinf(value) else 1.0 / (value * value)
     saturated = valid and result.contrast >= 1 - _CONTRAST_TOL

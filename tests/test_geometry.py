@@ -22,6 +22,7 @@ from ringsagnac import (
     shoelace_area,
     zero_profile,
 )
+from ringsagnac import geometry
 
 SAGNAC_NATURAL = 0.6283185307179586  # 2 pi * 0.1
 
@@ -202,3 +203,21 @@ def test_decompose_tabulated(natural, random_profile):
             assert gd + gg == pytest.approx(
                 ev.final_phase - profile.duration / 2, abs=1e-10
             )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [TrapConfig(), TrapConfig(hbar=1e-4, rotation=1e-4)],
+    ids=["natural", "hbar 1e-4"],
+)
+def test_path_check_keeps_its_absolute_bound_at_moderate_phases(monkeypatch, config):
+    # rounding of the branch phases widens the path/spectral tolerance only
+    # where 1e-12 of their size exceeds 1e-7, so at natural units and up to
+    # branch phases of about 1e5 a gap of 2e-7 is still refused
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    exact = geometry._residual_angle
+    monkeypatch.setattr(geometry, "_residual_angle", lambda a0, a1: exact(a0, a1) + 5e-8)
+    decompose(config, profile)
+    monkeypatch.setattr(geometry, "_residual_angle", lambda a0, a1: exact(a0, a1) + 2e-7)
+    with pytest.raises(InsufficientResolution, match=r"tol 1\.0e-07"):
+        decompose(config, profile)

@@ -13,13 +13,12 @@ from ringsagnac import (
     alpha_at,
     decompose,
     design_time,
-    interferometer_phase_closed,
     interferometer_phase_integral,
     make_profile,
-    phase_slope,
     readout,
     sagnac_phase,
     sensitivity_report,
+    spectrum_derivative,
     spectrum_numeric,
 )
 from ringsagnac.spectrum import _exact_spectrum
@@ -86,7 +85,7 @@ def test_delta_alpha_matches_branch_endpoints(natural):
 )
 def test_phase_routes_agree_analytic(natural, family, duration):
     profile = make_profile(family, duration)
-    closed = interferometer_phase_closed(natural, profile)
+    closed = readout(natural, profile).phase
     integral = interferometer_phase_integral(natural, profile, 2048)
     assert abs(closed - integral) < 1e-8
 
@@ -95,7 +94,7 @@ def test_phase_routes_agree_tabulated(natural, random_profile):
     rng = np.random.default_rng(97)
     for _ in range(10):
         profile = random_profile(rng)
-        closed = interferometer_phase_closed(natural, profile)
+        closed = readout(natural, profile).phase
         integral = interferometer_phase_integral(natural, profile, 2048)
         assert abs(closed - integral) < 1e-8
 
@@ -119,11 +118,8 @@ def test_readout_dimensional_consistency():
 
 
 def _count_spectrum_calls(monkeypatch) -> list:
-    """Count exact-spectrum calls made through every module that imports it."""
-    import ringsagnac.design
-    import ringsagnac.geometry
+    """Count exact-spectrum calls; readout is their only caller outside spectrum."""
     import ringsagnac.interferometer
-    import ringsagnac.sensitivity
 
     calls = []
 
@@ -131,11 +127,24 @@ def _count_spectrum_calls(monkeypatch) -> list:
         calls.append(omega)
         return _exact_spectrum(profile, omega)
 
-    for module in (ringsagnac.interferometer, ringsagnac.sensitivity,
-                   ringsagnac.geometry, ringsagnac.design):
-        if hasattr(module, "_exact_spectrum"):
-            monkeypatch.setattr(module, "_exact_spectrum", counted)
+    monkeypatch.setattr(ringsagnac.interferometer, "_exact_spectrum", counted)
     return calls
+
+
+def test_readout_is_the_only_exact_spectrum_caller():
+    # every other layer reads W(omega0) and its slope from a readout result
+    import importlib
+    import pkgutil
+
+    import ringsagnac
+
+    holders = set()
+    for info in pkgutil.iter_modules(ringsagnac.__path__):
+        module = importlib.import_module(f"ringsagnac.{info.name}")
+        if hasattr(module, "_exact_spectrum"):
+            holders.add(info.name)
+    assert holders == {"spectrum", "interferometer"}
+    assert not hasattr(ringsagnac, "_exact_spectrum")
 
 
 @pytest.mark.parametrize(
@@ -204,6 +213,36 @@ def test_readout_carries_the_spectrum_it_derives_from():
     # exact equality: the derived quantities are the same float expressions
     slope = (2 * np.pi * config.mass * config.radius**2 / config.hbar
              * (1 - np.sqrt(2 / np.pi) * sample.value.real))
-    assert phase_slope(config, profile) == slope
-    assert interferometer_phase_closed(config, profile) == result.phase
+    assert result.phase_slope == slope
     assert decompose(config, profile, n_samples=256).phase == result.phase
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        make_profile(ProfileFamily.FLAT, 2 * np.pi),
+        make_profile(ProfileFamily.SINUSOIDAL, 9.0),
+        make_profile(ProfileFamily.COSINUSOIDAL, 4 * np.pi),
+        make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8]),
+    ],
+    ids=["flat", "sinusoidal", "cosinusoidal", "tabulated"],
+)
+def test_readout_carries_the_spectrum_slope(profile):
+    config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=0.05)
+    result = readout(config, profile)
+    # the same call's slope, bit for bit, and the quadrature oracle's
+    assert result.spectrum_slope == _exact_spectrum(profile, config.trap_frequency)[1]
+    assert abs(result.spectrum_slope
+               - spectrum_derivative(profile, config.trap_frequency)) <= 1e-12
+
+
+@pytest.mark.parametrize("rotation", [0.05, -0.3, 1e-9, 0.0])
+def test_phase_slope_is_the_phase_per_unit_rotation(rotation):
+    # at rest the phase vanishes but its slope, which sets the sensitivity,
+    # does not
+    config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=rotation)
+    for profile in (make_profile(ProfileFamily.FLAT, 5.0),
+                    make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4])):
+        result = readout(config, profile)
+        assert abs(result.phase_slope * rotation - result.phase) <= 1e-14 * abs(result.phase)
+        assert result.phase_slope != 0.0

@@ -7,11 +7,10 @@ from ringsagnac import (
     ProfileFamily,
     QfiFormulaInvalid,
     TrapConfig,
-    delta_omega,
     delta_omega_point,
     make_profile,
-    phase_slope,
     qfi,
+    readout,
     sensitivity_report,
 )
 
@@ -40,7 +39,7 @@ def test_slope_and_qfi_at_design_points(natural):
         (ProfileFamily.COSINUSOIDAL, 2 * TWO_PI),
     ):
         profile = make_profile(family, T)
-        assert phase_slope(natural, profile) == pytest.approx(TWO_PI, rel=1e-12)
+        assert readout(natural, profile).phase_slope == pytest.approx(TWO_PI, rel=1e-12)
         assert qfi(natural, profile) == pytest.approx(TWO_PI**2, rel=1e-12)
 
 
@@ -50,7 +49,6 @@ def test_degraded_point(natural):
     profile = make_profile(ProfileFamily.FLAT, np.pi)
     report = sensitivity_report(natural, profile)
     assert report.delta_omega == pytest.approx(14.781948715199366, rel=1e-10)
-    assert delta_omega(natural, profile) == report.delta_omega
     assert not report.saturated
     assert not report.qfi_valid
     assert report.qfi is None
@@ -93,8 +91,6 @@ def test_point_formula_branches():
 def test_uncertainty_against_finite_difference(natural):
     # independent route: propagate a small rotation change through the
     # full readout and compare delta P / |dP/dOmega| at unit variance
-    from ringsagnac import readout
-
     profile = make_profile(ProfileFamily.FLAT, TWO_PI)
     h = 1e-6
     plus = readout(TrapConfig(rotation=0.1 + h), profile).signal
@@ -103,4 +99,5 @@ def test_uncertainty_against_finite_difference(natural):
     base = readout(natural, profile)
     # population variance of the two-outcome measurement: 1 - P^2
     sigma_p = np.sqrt(1 - base.signal**2)
-    assert delta_omega(natural, profile) == pytest.approx(sigma_p / abs(slope_p), rel=1e-6)
+    report = sensitivity_report(natural, profile)
+    assert report.delta_omega == pytest.approx(sigma_p / abs(slope_p), rel=1e-6)
