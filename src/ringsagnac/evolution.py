@@ -15,15 +15,31 @@ Both reduce to running sine/cosine moments of the drive,
     phi(t)   = (1/hbar^2) int_0^t lambda(tau) [sin(omega0 tau) C(tau)
                                                - cos(omega0 tau) S(tau)] dtau,
 
-which is what makes an O(N) single-sweep trajectory possible: the sweep
-accumulates C, S, phi over consecutive intervals with nested fixed-order
-Gauss-Legendre rules, all intervals evaluated as one vectorized batch.
-The branches differ only in the sign of the sweep term,
-lambda = D (Omega +/- omega_P), so one sweep serves both: the nodes,
-profile values and trig are evaluated once, and each branch combines the
-rotation and profile parts of the moment sums with its own sign.
-Point evaluations (alpha_at, phi_at) instead use adaptive quadrature of
-the definitions, so the two routes stay independent checks of each other.
+which is what makes an O(N) single-sweep trajectory possible.  On each
+elementary interval [a, a + h] (profile kinks are interval edges) the
+drive is a short sum lambda(a + d) = sum_r c_r b_r(d): the basis is
+{1, d/h} for tabulated and flat profiles, which are affine there, and
+{1, cos kd, sin kd} with k = 2 pi / T for the trigonometric families.
+Factoring exp(i omega0 tau) = exp(i omega0 a) exp(i omega0 d) leaves the
+nested 6x6 Gauss-Legendre rule acting on tables that depend on h alone,
+built once per distinct interval width:
+
+    P_r(d) = int_0^d b_r(x) exp(i omega0 x) dx,   G_r = P_r(h),
+    S_r    = int_0^h P_r(d) dd,
+    K_rs   = int_0^h b_r(d) Im[exp(-i omega0 d) P_s(d)] dd,
+    L_rs   = int_0^h Re[conj(P_r(d)) P_s(d)] dd.
+
+With Z = C + i S and Y = exp(-i omega0 a) Z(a), an interval then adds
+
+    dZ              = exp(i omega0 a) sum_r c_r G_r,
+    d(phi hbar^2)   = -Im(Y sum_r c_r conj(G_r)) - c^T K c,
+    d int |Z|^2     = h |Y|^2 + 2 Re(conj(Y) sum_r c_r S_r) + c^T L c,
+
+a few scalar products per interval and branch.  The branches differ only
+in their coefficients, lambda = D (Omega +/- omega_P), so one set of
+tables serves both.  Point evaluations (alpha_at, phi_at) instead use
+adaptive quadrature of the definitions, so the two routes stay
+independent checks of each other.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ from .errors import (
     QuadratureNonConvergence,
     TimeOutOfRange,
 )
-from .model import Branch, SweepProfile, TrapConfig, eval_profile, lambda_drive
+from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, lambda_drive
 
 __all__ = ["BranchEvolution", "alpha_at", "phi_at", "sample_trajectory"]
 
@@ -183,16 +199,33 @@ def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) 
     return total / hbar / hbar
 
 
-def _node_sum(weights, values):
-    # sum over the inner nodes; einsum beats np.sum on a length-6 last axis
-    return np.einsum("mij,mij->mi", weights, values)
+def _drive_basis(profile: SweepProfile, edges: np.ndarray):
+    """Coefficients and basis with omega_P(a + d) = sum_r coef[r] basis(d, h)[r].
+
+    Coefficients come from the profile at the edges for the affine families
+    and by angle addition for the trigonometric ones.
+    """
+    T = profile.duration
+    a = edges[:-1]
+    k = 2 * np.pi / T
+    if profile.family is ProfileFamily.SINUSOIDAL:
+        # |sin| flips sign at T/2, which is an edge
+        amplitude = np.pi**2 / (2 * T) * np.where(a < T / 2, 1.0, -1.0)
+        coef = amplitude * np.stack([np.zeros_like(a), np.sin(k * a), np.cos(k * a)])
+    elif profile.family is ProfileFamily.COSINUSOIDAL:
+        coef = np.pi / T * np.stack([np.ones_like(a), -np.cos(k * a), np.sin(k * a)])
+    else:
+        values = eval_profile(profile, edges)
+        return (np.stack([values[:-1], np.diff(values)]),
+                lambda d, h: np.stack([np.ones_like(d), d / h]))
+    return coef, lambda d, h: np.stack([np.ones_like(d), np.cos(k * d), np.sin(k * d)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     config: TrapConfig, profile: SweepProfile, branches, n_samples: int
 ) -> list[BranchEvolution]:
-    """Paths of the given branches from one pass over the nested Gauss nodes.
+    """Paths of the given branches from one pass of per-width Gauss tables.
 
     Profile kinks are inserted into the internal integration grid so every
     elementary interval has an analytic integrand.  A sweep that overflows
@@ -206,63 +239,59 @@ def _sweep(
     T = profile.duration
     w0 = config.trap_frequency
     hbar = config.hbar
-    scale, rotation = config.drive_scale, config.rotation
-    signs = np.array([branch.sign for branch in branches], dtype=float)[:, None, None]
+    signs = np.array([branch.sign for branch in branches], dtype=float)[:, None]
     ts = np.linspace(0.0, T, n_samples + 1)
     interior = [b for b in profile.breakpoints() if 0.0 < b < T]
     edges = np.union1d(ts, np.asarray(interior)) if interior else ts
-    n_int = len(edges) - 1
+    widths = np.diff(edges)
 
-    # running C, S, phi-integral and |alpha|^2-integral, one row per branch
-    cum_c, cum_s, cum_p, cum_a = np.zeros((4, len(branches), n_int + 1))
-    block = 16384  # keeps the (block, 6, 6) nested-node arrays modest
-    for i0 in range(0, n_int, block):
-        i1 = min(i0 + block, n_int)
-        a = edges[i0:i1]
-        b = edges[i0 + 1:i1 + 1]
-        half = (b - a) / 2
-        mid = (a + b) / 2
+    # drive coefficients c[r, branch, interval] of lambda = D (Omega + sign omega_P)
+    coef, basis = _drive_basis(profile, edges)
+    rotation = np.zeros((len(coef), 1, 1))
+    rotation[0] = config.rotation
+    c = config.drive_scale * (rotation + signs * coef[:, None, :])
 
-        # outer Gauss-Legendre nodes, one row per elementary interval
-        tau = mid[:, None] + half[:, None] * _GL_X[None, :]          # (m, 6)
-        w_tau = half[:, None] * _GL_W[None, :]
-        lam_tau = scale * (rotation + signs * eval_profile(profile, tau))  # (k, m, 6)
-        cos_tau = np.cos(w0 * tau)
-        sin_tau = np.sin(w0 * tau)
+    # the nested rule on [0, h] once per distinct width h: outer nodes d_j,
+    # inner nodes x on [0, d_j], P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
+    hs, which = np.unique(widths, return_inverse=True)
+    d = hs[:, None] / 2 * (_GL_X + 1)                                # (u, 6)
+    w = hs[:, None] / 2 * _GL_W
+    x = d[:, :, None] / 2 * (_GL_X + 1)                              # (u, 6, 6)
+    v = d[:, :, None] / 2 * _GL_W
+    turn_d = np.exp(1j * w0 * d)
+    basis_d = basis(d, hs[:, None])                                  # (r, u, 6)
+    partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, hs[:, None, None]))
+    G = np.einsum("uj,ruj->ru", w * turn_d, basis_d)
+    S = np.einsum("uj,ruj->ru", w, partial)
+    K = np.einsum("uj,ruj,suj->rsu", w, basis_d, (turn_d.conj() * partial).imag)
+    L = np.einsum("uj,ruj,suj->rsu", w, partial.conj(), partial).real
 
-        dC = np.sum(w_tau * lam_tau * cos_tau, axis=-1)             # (k, m)
-        dS = np.sum(w_tau * lam_tau * sin_tau, axis=-1)
-        cum_c[:, i0 + 1:i1 + 1] = cum_c[:, i0:i0 + 1] + np.cumsum(dC, axis=-1)
-        cum_s[:, i0 + 1:i1 + 1] = cum_s[:, i0:i0 + 1] + np.cumsum(dS, axis=-1)
+    # per interval: sum_r c_r G_r, sum_r c_r S_r, c^T K c and c^T L c; take
+    # keeps the interval axis contiguous, which einsum needs to be fast
+    g_re, g_im, s_re, s_im = np.einsum(
+        "rkm,qrm->qkm", c, np.take(np.stack([G.real, G.imag, S.real, S.imag]), which, axis=-1))
+    k_form, l_form = np.einsum(
+        "rkm,qrsm,skm->qkm", c, np.take(np.stack([K, L]), which, axis=-1), c)
 
-        # nested partial moments from each interval start to each outer node;
-        # C and S are linear in lambda = D (Omega + sign omega_P), so each
-        # splits into a rotation part and a profile part that every branch
-        # combines with its own sign
-        span = tau - a[:, None]
-        s_nodes = a[:, None, None] + span[:, :, None] * (_GL_X[None, None, :] + 1) / 2
-        s_w = span[:, :, None] * _GL_W[None, None, :] / 2
-        s_wp = s_w * eval_profile(profile, s_nodes)
-        cos_s = np.cos(w0 * s_nodes)
-        sin_s = np.sin(w0 * s_nodes)
-        c_part = scale * (rotation * _node_sum(s_w, cos_s) + signs * _node_sum(s_wp, cos_s))
-        s_part = scale * (rotation * _node_sum(s_w, sin_s) + signs * _node_sum(s_wp, sin_s))
-
-        c_nodes = cum_c[:, i0:i1, None] + c_part                     # (k, m, 6)
-        s_nodes_run = cum_s[:, i0:i1, None] + s_part
-        phi_integrand = lam_tau * (sin_tau * c_nodes - cos_tau * s_nodes_run)
-        dPhi = np.sum(w_tau * phi_integrand, axis=-1)
-        # |alpha|^2 = (C^2 + S^2)/hbar^2 shares the running moments
-        dA = np.sum(w_tau * (c_nodes**2 + s_nodes_run**2), axis=-1)
-        cum_p[:, i0 + 1:i1 + 1] = cum_p[:, i0:i0 + 1] + np.cumsum(dPhi, axis=-1)
-        cum_a[:, i0 + 1:i1 + 1] = cum_a[:, i0:i0 + 1] + np.cumsum(dA, axis=-1)
+    # Z = C + i S runs over the edges; with Y = exp(-i w0 a) Z(a) each
+    # interval adds -Im(Y conj(sum c G)) - c^T K c to the phase integral
+    # and h |Y|^2 + 2 Re(conj(Y) sum c S) + c^T L c to int |Z|^2
+    turn = np.exp(1j * w0 * edges)
+    y = np.zeros((len(branches), len(edges)), dtype=complex)
+    np.cumsum(turn[:-1] * (g_re + 1j * g_im), axis=-1, out=y[:, 1:])
+    y *= turn.conj()
+    y_re, y_im = y.real[:, :-1], y.imag[:, :-1]
+    runs = np.zeros((2, len(branches), len(edges)))
+    np.cumsum(y_re * g_im - y_im * g_re - k_form, axis=-1, out=runs[0, :, 1:])
+    np.cumsum(widths * (y_re**2 + y_im**2) + 2 * (y_re * s_re + y_im * s_im) + l_form,
+              axis=-1, out=runs[1, :, 1:])
 
     idx = np.searchsorted(edges, ts)
-    alphas = -(cum_c[:, idx] + 1j * cum_s[:, idx]) / hbar * np.exp(-1j * w0 * ts)
-    lam_ts = scale * (rotation + signs[:, :, 0] * eval_profile(profile, ts))
+    alphas = -y[:, idx] / hbar
+    lam_ts = config.drive_scale * (config.rotation + signs * eval_profile(profile, ts))
     alpha_dots = -1j * w0 * alphas - lam_ts / hbar
-    phases = cum_p[:, idx] / hbar / hbar  # hbar**2 can underflow
-    abs2 = cum_a[:, idx] / hbar / hbar
+    # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
+    phases, abs2 = runs[:, :, idx] / hbar / hbar
     if not all(np.all(np.isfinite(part)) for part in (alphas, alpha_dots, phases, abs2)):
         raise ConvergenceError(
             f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QfiFormulaInvalid
+from .errors import ConvergenceError, QfiFormulaInvalid
 from .model import SweepProfile, TrapConfig
 from .interferometer import readout
 
@@ -63,7 +63,7 @@ def qfi(config: TrapConfig, profile: SweepProfile) -> float:
         raise QfiFormulaInvalid(
             "Fisher-information formula requires an integer number of trap periods"
         )
-    return readout(config, profile).phase_slope ** 2
+    return sensitivity_report(config, profile).qfi
 
 
 def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, bool]:
@@ -90,17 +90,24 @@ def delta_omega_point(contrast: float, phase: float, slope: float) -> float:
 def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:
     """Rotation-estimate uncertainty of the population signal, with its Fisher bounds."""
     result = readout(config, profile)
-    # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast
-    excess = float(np.expm1(abs(result.delta_alpha) ** 2))
     slope = result.phase_slope
-    value, limit = _delta_omega_raw(excess, result.phase, slope)
     valid = _integer_periods(config, profile)
-    fisher = 0.0 if np.isinf(value) else 1.0 / (value * value)
+    with np.errstate(over="ignore", divide="ignore"):
+        # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast;
+        # it overflows to inf, a lost signal, for widely parted branches
+        excess = float(np.expm1(abs(result.delta_alpha) ** 2))
+        value, limit = _delta_omega_raw(excess, result.phase, slope)
+        fisher = 0.0 if np.isinf(value) else float(np.divide(1.0, value * value))
+        bound = slope**2 if valid else None
+    if not np.isfinite(fisher) or (valid and not np.isfinite(bound)):
+        raise ConvergenceError(
+            f"Fisher information overflows for the phase slope {slope:.3e}"
+        )
     saturated = valid and result.contrast >= 1 - _CONTRAST_TOL
     return SensitivityReport(
         delta_omega=value,
         signal_fisher=fisher,
-        qfi=slope**2 if valid else None,
+        qfi=bound,
         qfi_valid=valid,
         saturated=saturated,
         limit_evaluated=limit,

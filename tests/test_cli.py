@@ -150,6 +150,8 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["fig2", "--panel", "c", "--rotation", "1e300"],
         ["decompose", "--trap-frequency", "1e6"],
         ["decompose", "--rotation", "1e150"],
+        ["sensitivity", "--hbar", "1e-300"],
+        ["sensitivity", "--radius", "1e150"],
         ["design", "--family", "sinusoidal", "--index", "100000000"],
         ["design", "--family", "flat", "--index", "100000000"],
     ],
@@ -160,7 +162,8 @@ def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # gets its spectrum exactly, and an overflowing path sweep is refused
     # instead of handing on inf or NaN; an under-resolved sweep fails the
     # path/spectral agreement check, and so does a rotation so fast that the
-    # branch difference is lost in the rounding of the branch phases
+    # branch difference is lost in the rounding of the branch phases; a
+    # Fisher information that overflows is refused too
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
 
 

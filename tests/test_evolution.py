@@ -1,7 +1,12 @@
 """Coherent-state path of a single branch: quadrature route and sampled sweep."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ringsagnac
 
 from ringsagnac import (
     Branch,
@@ -169,9 +174,9 @@ def test_abs2_integral_consistent_with_path(natural):
 
 
 def test_two_branch_sweep_equals_one_branch_sweeps():
-    # the branches share the node work but must not mix: each row of the
-    # two-branch sweep is bit-identical to that branch's own sweep, also
-    # across the 16384-interval block boundary
+    # the branches share the width tables but must not mix: each row of the
+    # two-branch sweep is bit-identical to that branch's own sweep, also on
+    # a long grid
     config = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.1, radius=0.9, rotation=0.05)
     profile = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
     pair = _sweep(config, profile, (Branch.CO, Branch.COUNTER), 16400)
@@ -191,3 +196,68 @@ def test_path_validation():
         BranchEvolution(Branch.CO, ts, zeros + 1.0, zeros, np.zeros(8))
     with pytest.raises(ValueError):
         BranchEvolution(Branch.CO, ts, zeros, zeros, np.zeros(8), np.ones(8))
+
+
+DIMENSIONAL = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05)
+# six nodes sit at multiples of T/5, off every grid of 2^k or 2^k + 1 samples
+OFF_GRID = make_profile(ProfileFamily.TABULATED, 7.3, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
+
+
+@pytest.mark.parametrize(
+    "profile, n_samples",
+    [
+        *[(make_profile(family, 7.3), n)
+          for family in (ProfileFamily.FLAT, ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL)
+          for n in (16, 4096)],
+        # odd counts put the |sin| kink at T/2 inside a grid interval
+        (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 17),
+        (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 4097),
+        (OFF_GRID, 16),
+        (OFF_GRID, 4096),
+    ],
+    ids=lambda value: getattr(value, "family", value),
+)
+def test_sweep_interior_matches_adaptive_quadrature(profile, n_samples):
+    # the width-table sweep against the independent adaptive route, away
+    # from natural units; both agree to rounding (a few 1e-15 here), far
+    # inside the quadrature budgets, so the bound is 1e-12
+    ev = sample_trajectory(DIMENSIONAL, profile, Branch.COUNTER, n_samples)
+    for idx in (n_samples // 3, n_samples // 2 + 1, 3 * n_samples // 4 + 1):
+        t = ev.times[idx]
+        assert abs(ev.alphas[idx] - alpha_at(DIMENSIONAL, profile, Branch.COUNTER, t)) < 1e-12
+        assert abs(ev.phases[idx] - phi_at(DIMENSIONAL, profile, Branch.COUNTER, t)) < 1e-12
+
+
+def test_off_grid_profile_nodes_split_sweep_intervals():
+    # premise of the tabulated case above: no node lies on either grid
+    nodes = OFF_GRID.grid[1:-1]
+    for n_samples in (16, 4096):
+        ts = np.linspace(0.0, OFF_GRID.duration, n_samples + 1)
+        assert not np.isin(nodes, ts).any()
+
+
+def _imported_modules(name):
+    source = Path(ringsagnac.__file__).parent / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                found.add(module.split(".")[0])
+                found.update(alias.name for alias in node.names if not module)
+            elif module.startswith("ringsagnac."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("ringsagnac."))
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [("evolution", {"spectrum", "interferometer", "geometry"}), ("spectrum", {"evolution"})],
+)
+def test_time_domain_and_spectral_routes_share_no_code(module, forbidden):
+    # the path sweep and the spectrum check each other, so neither may
+    # import the other (or, for the sweep, what builds on the spectrum)
+    assert _imported_modules(module) & forbidden == set()

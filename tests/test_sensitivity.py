@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringsagnac import (
+    ConvergenceError,
     ProfileFamily,
     QfiFormulaInvalid,
     TrapConfig,
@@ -58,6 +59,24 @@ def test_qfi_requires_integer_periods(natural):
     profile = make_profile(ProfileFamily.FLAT, 5.0)
     with pytest.raises(QfiFormulaInvalid):
         qfi(natural, profile)
+
+
+def test_overflowing_fisher_information_is_refused():
+    # 2 pi m r^2 / hbar is finite at hbar = 1e-300, and so is the readout,
+    # but its square is not: the report refuses instead of returning inf
+    tiny = TrapConfig(hbar=1e-300)
+    profile = make_profile(ProfileFamily.FLAT, TWO_PI)
+    assert np.isfinite(readout(tiny, profile).phase)
+    with pytest.raises(ConvergenceError):
+        sensitivity_report(tiny, profile)
+    with pytest.raises(ConvergenceError):
+        qfi(tiny, profile)
+    # off the integer-period grid there is no QFI, and the lost signal is
+    # an infinite uncertainty with zero Fisher information
+    off_grid = sensitivity_report(tiny, make_profile(ProfileFamily.FLAT, 5.0))
+    assert off_grid.qfi is None
+    assert off_grid.delta_omega == np.inf
+    assert off_grid.signal_fisher == 0.0
 
 
 def test_limit_point():
