@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, UnsupportedFamily
 from .geometry import _SPECTRUM_ZERO_TOL, PhaseDecomposition, decompose
@@ -113,6 +112,8 @@ def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
     parts must vanish for full contrast): a coarse scan localizes the
     dip, then bounded golden-section/parabolic refinement polishes it.
     """
+    from scipy.optimize import minimize_scalar  # loaded by the bracket search alone
+
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise ConfigurationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")

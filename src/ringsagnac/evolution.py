@@ -37,9 +37,12 @@ With Z = C + i S and Y = exp(-i omega0 a) Z(a), an interval then adds
 
 a few scalar products per interval and branch.  The branches differ only
 in their coefficients, lambda = D (Omega +/- omega_P), so one set of
-tables serves both.  Point evaluations (alpha_at, phi_at) instead use
-adaptive quadrature of the definitions, so the two routes stay
-independent checks of each other.
+tables serves both.  One stage computes these interval terms; _sweep runs
+them through the sample grid for full paths, and _sweep_ends sums them
+for the end values, which are all that decompose and the time-domain
+phase read.  Point evaluations (alpha_at, phi_at) instead use adaptive
+quadrature of the definitions, so the two routes stay independent checks
+of each other; scipy is imported on their first call.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
 from .errors import (
     ConfigurationError,
@@ -69,6 +71,9 @@ MIN_SAMPLES = 16
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
 # analytic-per-interval integrands used here.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+# widths per block of the Gauss tables: a block's node arrays take about
+# 4 MB, and the corpus profiles (10 to 31 widths) are one block
+_TABLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,17 @@ class BranchEvolution:
 
 
 def quad(*args, **kwargs):
-    # roundoff chatter near the noise floor is expected, and a NaN integrand
-    # comes back as a NaN error estimate; explicit error budgets downstream
-    # are the real gate
+    """scipy.integrate.quad, with scipy imported on the first point evaluation.
+
+    Roundoff chatter near the noise floor is expected, and a NaN integrand
+    comes back as a NaN error estimate; explicit error budgets downstream
+    are the real gate.
+    """
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
+
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(*args, **kwargs)
+        return scipy_quad(*args, **kwargs)
 
 
 def _cut_points(profile: SweepProfile, t: float) -> list[float]:
@@ -221,16 +231,46 @@ def _drive_basis(profile: SweepProfile, edges: np.ndarray):
     return coef, lambda d, h: np.stack([np.ones_like(d), np.cos(k * d), np.sin(k * d)])
 
 
+def _width_tables(hs: np.ndarray, w0: float, basis, n_basis: int):
+    """G, S, K and L of the nested rule on [0, h], one column per width h.
+
+    Returns (Re G, Im G, Re S, Im S) stacked as (4, r, u) and (K, L) as
+    (2, r, r, u).  The rule's (6, 6) node arrays are built for
+    _TABLE_BLOCK widths at a time, so profiles whose kinks make most
+    interval widths distinct stay within a fixed working set.
+    """
+    vectors = np.empty((4, n_basis, len(hs)))
+    forms = np.empty((2, n_basis, n_basis, len(hs)))
+    for start in range(0, len(hs), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        h = hs[block]
+        # outer nodes d_j on [0, h], inner nodes x on [0, d_j],
+        # P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
+        d = h[:, None] / 2 * (_GL_X + 1)                                 # (u, 6)
+        w = h[:, None] / 2 * _GL_W
+        x = d[:, :, None] / 2 * (_GL_X + 1)                              # (u, 6, 6)
+        v = d[:, :, None] / 2 * _GL_W
+        turn_d = np.exp(1j * w0 * d)
+        basis_d = basis(d, h[:, None])                                   # (r, u, 6)
+        partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, h[:, None, None]))
+        G = np.einsum("uj,ruj->ru", w * turn_d, basis_d)
+        S = np.einsum("uj,ruj->ru", w, partial)
+        vectors[..., block] = G.real, G.imag, S.real, S.imag
+        forms[0][..., block] = np.einsum("uj,ruj,suj->rsu", w, basis_d,
+                                         (turn_d.conj() * partial).imag)
+        forms[1][..., block] = np.einsum("uj,ruj,suj->rsu", w, partial.conj(), partial).real
+    return vectors, forms
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(
-    config: TrapConfig, profile: SweepProfile, branches, n_samples: int
-) -> list[BranchEvolution]:
-    """Paths of the given branches from one pass of per-width Gauss tables.
+def _interval_terms(config: TrapConfig, profile: SweepProfile, branches, n_samples: int):
+    """The stage both sweep consumers share: per-interval terms of every branch.
 
     Profile kinks are inserted into the internal integration grid so every
-    elementary interval has an analytic integrand.  A sweep that overflows
-    (durations or rotation rates near the float range) raises
-    ConvergenceError instead of returning inf or NaN.
+    elementary interval has an analytic integrand.  Returns the sample
+    times ts, the integration edges, Y = exp(-i w0 a) Z(a) at every edge
+    (branch, edge), and each interval's addition to the phase integral
+    phi hbar^2 and to int |Z|^2 (branch, interval).
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -238,8 +278,6 @@ def _sweep(
         raise InsufficientResolution(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     T = profile.duration
     w0 = config.trap_frequency
-    hbar = config.hbar
-    signs = np.array([branch.sign for branch in branches], dtype=float)[:, None]
     ts = np.linspace(0.0, T, n_samples + 1)
     interior = [b for b in profile.breakpoints() if 0.0 < b < T]
     edges = np.union1d(ts, np.asarray(interior)) if interior else ts
@@ -249,29 +287,14 @@ def _sweep(
     coef, basis = _drive_basis(profile, edges)
     rotation = np.zeros((len(coef), 1, 1))
     rotation[0] = config.rotation
-    c = config.drive_scale * (rotation + signs * coef[:, None, :])
-
-    # the nested rule on [0, h] once per distinct width h: outer nodes d_j,
-    # inner nodes x on [0, d_j], P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
+    c = config.drive_scale * (rotation + _signs(branches) * coef[:, None, :])
     hs, which = np.unique(widths, return_inverse=True)
-    d = hs[:, None] / 2 * (_GL_X + 1)                                # (u, 6)
-    w = hs[:, None] / 2 * _GL_W
-    x = d[:, :, None] / 2 * (_GL_X + 1)                              # (u, 6, 6)
-    v = d[:, :, None] / 2 * _GL_W
-    turn_d = np.exp(1j * w0 * d)
-    basis_d = basis(d, hs[:, None])                                  # (r, u, 6)
-    partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, hs[:, None, None]))
-    G = np.einsum("uj,ruj->ru", w * turn_d, basis_d)
-    S = np.einsum("uj,ruj->ru", w, partial)
-    K = np.einsum("uj,ruj,suj->rsu", w, basis_d, (turn_d.conj() * partial).imag)
-    L = np.einsum("uj,ruj,suj->rsu", w, partial.conj(), partial).real
+    vectors, forms = _width_tables(hs, w0, basis, len(coef))
 
     # per interval: sum_r c_r G_r, sum_r c_r S_r, c^T K c and c^T L c; take
     # keeps the interval axis contiguous, which einsum needs to be fast
-    g_re, g_im, s_re, s_im = np.einsum(
-        "rkm,qrm->qkm", c, np.take(np.stack([G.real, G.imag, S.real, S.imag]), which, axis=-1))
-    k_form, l_form = np.einsum(
-        "rkm,qrsm,skm->qkm", c, np.take(np.stack([K, L]), which, axis=-1), c)
+    g_re, g_im, s_re, s_im = np.einsum("rkm,qrm->qkm", c, np.take(vectors, which, axis=-1))
+    k_form, l_form = np.einsum("rkm,qrsm,skm->qkm", c, np.take(forms, which, axis=-1), c)
 
     # Z = C + i S runs over the edges; with Y = exp(-i w0 a) Z(a) each
     # interval adds -Im(Y conj(sum c G)) - c^T K c to the phase integral
@@ -281,23 +304,65 @@ def _sweep(
     np.cumsum(turn[:-1] * (g_re + 1j * g_im), axis=-1, out=y[:, 1:])
     y *= turn.conj()
     y_re, y_im = y.real[:, :-1], y.imag[:, :-1]
-    runs = np.zeros((2, len(branches), len(edges)))
-    np.cumsum(y_re * g_im - y_im * g_re - k_form, axis=-1, out=runs[0, :, 1:])
-    np.cumsum(widths * (y_re**2 + y_im**2) + 2 * (y_re * s_re + y_im * s_im) + l_form,
-              axis=-1, out=runs[1, :, 1:])
+    d_phase = y_re * g_im - y_im * g_re - k_form
+    d_abs2 = widths * (y_re**2 + y_im**2) + 2 * (y_re * s_re + y_im * s_im) + l_form
+    return ts, edges, y, d_phase, d_abs2
 
-    idx = np.searchsorted(edges, ts)
-    alphas = -y[:, idx] / hbar
-    lam_ts = config.drive_scale * (config.rotation + signs * eval_profile(profile, ts))
-    alpha_dots = -1j * w0 * alphas - lam_ts / hbar
-    # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
-    phases, abs2 = runs[:, :, idx] / hbar / hbar
-    if not all(np.all(np.isfinite(part)) for part in (alphas, alpha_dots, phases, abs2)):
+
+def _signs(branches) -> np.ndarray:
+    return np.array([branch.sign for branch in branches], dtype=float)[:, None]
+
+
+def _require_finite(T: float, *parts):
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise ConvergenceError(
             f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
         )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep(
+    config: TrapConfig, profile: SweepProfile, branches, n_samples: int
+) -> list[BranchEvolution]:
+    """Paths of the given branches on the sample grid, from one interval pass.
+
+    A sweep that overflows (durations or rotation rates near the float
+    range) raises ConvergenceError instead of returning inf or NaN.
+    """
+    ts, edges, y, d_phase, d_abs2 = _interval_terms(config, profile, branches, n_samples)
+    hbar = config.hbar
+    runs = np.zeros((2, len(branches), len(edges)))
+    np.cumsum(d_phase, axis=-1, out=runs[0, :, 1:])
+    np.cumsum(d_abs2, axis=-1, out=runs[1, :, 1:])
+
+    idx = np.searchsorted(edges, ts)
+    alphas = -y[:, idx] / hbar
+    lam_ts = config.drive_scale * (config.rotation + _signs(branches) * eval_profile(profile, ts))
+    alpha_dots = -1j * config.trap_frequency * alphas - lam_ts / hbar
+    # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
+    phases, abs2 = runs[:, :, idx] / hbar / hbar
+    _require_finite(profile.duration, alphas, alpha_dots, phases, abs2)
     return [BranchEvolution(branch, ts, *row)
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep_ends(
+    config: TrapConfig, profile: SweepProfile, branches, n_samples: int
+) -> list[tuple[complex, float, float]]:
+    """(alpha(T), phi(T), int_0^T |alpha|^2 dt) of each given branch.
+
+    The intervals of _sweep, summed instead of run through, with nothing
+    gathered at the sample times: the end values are all that decompose
+    and the time-domain phase read.  Overflow raises ConvergenceError.
+    """
+    y, d_phase, d_abs2 = _interval_terms(config, profile, branches, n_samples)[2:]
+    hbar = config.hbar
+    alphas = -y[:, -1] / hbar
+    phases = d_phase.sum(axis=-1) / hbar / hbar
+    abs2 = d_abs2.sum(axis=-1) / hbar / hbar
+    _require_finite(profile.duration, alphas, phases, abs2)
+    return [(complex(a), float(p), float(m)) for a, p, m in zip(alphas, phases, abs2)]
 
 
 def sample_trajectory(

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import BranchEvolution, _sweep
+from .evolution import BranchEvolution, _sweep_ends
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 
@@ -115,23 +114,23 @@ def branch_geometric_phase(evolution: BranchEvolution) -> float:
         raise InsufficientResolution(
             f"geometric phase needs at least {MIN_PATH_SAMPLES} path samples"
         )
+    from scipy.integrate import simpson  # the cross-check route only
+
     integrand = (np.conj(evolution.alphas) * evolution.alpha_dots).imag
     return -float(simpson(integrand, x=evolution.times))
 
 
-def _swept_dynamic_phase(evolution: BranchEvolution, w0: float) -> float:
+def _swept_dynamic_phase(phase: float, mean_square: float, w0: float, T: float) -> float:
     # gamma_d from the sweep-carried |alpha|^2 integral, which is
     # kink-aligned and far below 1e-8 error
-    mean_square = float(evolution.abs2_integrals[-1])
-    return 2 * evolution.final_phase - w0 * mean_square - w0 * evolution.duration / 2
+    return 2 * phase - w0 * mean_square - w0 * T / 2
 
 
-def _swept_geometric_phase(evolution: BranchEvolution, w0: float) -> float:
+def _swept_geometric_phase(phase: float, mean_square: float, w0: float) -> float:
     # Im[alpha* alpha_dot] = -w0 |alpha|^2 + lambda Im(alpha)/hbar and the
     # second term is exactly the phi integrand, so the line integral
     # collapses to carried quantities
-    mean_square = float(evolution.abs2_integrals[-1])
-    return w0 * mean_square - evolution.final_phase
+    return w0 * mean_square - phase
 
 
 def _residual_angle(alpha0: complex, alpha1: complex) -> float:
@@ -157,13 +156,16 @@ def decompose(
     xi = xi0 - w0 * T * w_val.imag
     dgg_spectral = np.sqrt(2 / np.pi) * phi_s * xi
 
-    ev0, ev1 = _sweep(config, profile, (Branch.CO, Branch.COUNTER), n_samples)
+    (alpha0, phi0, square0), (alpha1, phi1, square1) = _sweep_ends(
+        config, profile, (Branch.CO, Branch.COUNTER), n_samples)
     # an overflow in the path parts carries inf or NaN into a NaN gap, which
     # fails the check below like any other disagreement
     with np.errstate(over="ignore", invalid="ignore"):
-        gd = (_swept_dynamic_phase(ev0, w0), _swept_dynamic_phase(ev1, w0))
-        gg = (_swept_geometric_phase(ev0, w0), _swept_geometric_phase(ev1, w0))
-        residual = _residual_angle(ev0.final_alpha, ev1.final_alpha)
+        gd = (_swept_dynamic_phase(phi0, square0, w0, T),
+              _swept_dynamic_phase(phi1, square1, w0, T))
+        gg = (_swept_geometric_phase(phi0, square0, w0),
+              _swept_geometric_phase(phi1, square1, w0))
+        residual = _residual_angle(alpha0, alpha1)
     dgg_path = gg[0] - gg[1] + residual
     gap = abs(dgg_path - dgg_spectral)
     if not gap <= _PATH_AGREEMENT_TOL:

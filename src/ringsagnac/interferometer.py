@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _sweep
+from .evolution import _sweep_ends
 from .model import Branch, SweepProfile, TrapConfig
 from .spectrum import SpectrumValue, _exact_spectrum
 
@@ -87,9 +87,10 @@ def interferometer_phase_integral(
     phi_0(T) - phi_1(T) plus the overlap angle Im[alpha_1* alpha_0];
     independent of the spectral route.
     """
-    ev0, ev1 = _sweep(config, profile, (Branch.CO, Branch.COUNTER), n_samples)
-    overlap_angle = (np.conj(ev1.final_alpha) * ev0.final_alpha).imag
-    return ev0.final_phase - ev1.final_phase + overlap_angle
+    (alpha0, phi0, _), (alpha1, phi1, _) = _sweep_ends(
+        config, profile, (Branch.CO, Branch.COUNTER), n_samples)
+    overlap_angle = (np.conj(alpha1) * alpha0).imag
+    return phi0 - phi1 + overlap_angle
 
 
 def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:

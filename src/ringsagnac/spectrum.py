@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConfigurationError, QuadratureNonConvergence, UnsupportedFamily
 from .model import ProfileFamily, SweepProfile, eval_profile
@@ -101,18 +100,27 @@ def _segments(profile: SweepProfile) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, with scipy imported on the first oracle call.
+
+    The roundoff warning fires near the noise floor; the explicit error
+    budgets of the callers are the real gate.
+    """
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(*args, **kwargs)
+
+
 def _weighted_moment(profile: SweepProfile, omega: float, weight: str, fn) -> float:
     """int_0^T fn(t) * {cos,sin}(omega t) dt with kink-aligned segments."""
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        # the roundoff warning fires near the noise floor; the explicit error
-        # budget below is the real gate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in _segments(profile):
-            val, abserr = quad(fn, a, b, weight=weight, wvar=omega, **_QUAD_OPTS)
-            total += val
-            err += abserr
+    for a, b in _segments(profile):
+        val, abserr = quad(fn, a, b, weight=weight, wvar=omega, **_QUAD_OPTS)
+        total += val
+        err += abserr
     if not err <= _ABS_TOL:
         raise QuadratureNonConvergence(
             f"spectrum quadrature error {err:.3e} exceeds {_ABS_TOL:.1e}"

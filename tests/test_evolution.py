@@ -12,6 +12,7 @@ from ringsagnac import (
     Branch,
     BranchEvolution,
     ConfigurationError,
+    ConvergenceError,
     InsufficientResolution,
     ProfileFamily,
     QuadratureNonConvergence,
@@ -24,7 +25,7 @@ from ringsagnac import (
     spectrum_numeric,
     zero_profile,
 )
-from ringsagnac.evolution import _sweep
+from ringsagnac.evolution import _sweep, _sweep_ends
 
 
 @pytest.fixture
@@ -203,20 +204,20 @@ DIMENSIONAL = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rot
 OFF_GRID = make_profile(ProfileFamily.TABULATED, 7.3, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
 
 
-@pytest.mark.parametrize(
-    "profile, n_samples",
-    [
-        *[(make_profile(family, 7.3), n)
-          for family in (ProfileFamily.FLAT, ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL)
-          for n in (16, 4096)],
-        # odd counts put the |sin| kink at T/2 inside a grid interval
-        (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 17),
-        (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 4097),
-        (OFF_GRID, 16),
-        (OFF_GRID, 4096),
-    ],
-    ids=lambda value: getattr(value, "family", value),
-)
+SWEEP_CASES = [
+    *[(make_profile(family, 7.3), n)
+      for family in (ProfileFamily.FLAT, ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL)
+      for n in (16, 4096)],
+    # odd counts put the |sin| kink at T/2 inside a grid interval
+    (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 17),
+    (make_profile(ProfileFamily.SINUSOIDAL, 7.3), 4097),
+    (OFF_GRID, 16),
+    (OFF_GRID, 4096),
+]
+
+
+@pytest.mark.parametrize("profile, n_samples", SWEEP_CASES,
+                         ids=lambda value: getattr(value, "family", value))
 def test_sweep_interior_matches_adaptive_quadrature(profile, n_samples):
     # the width-table sweep against the independent adaptive route, away
     # from natural units; both agree to rounding (a few 1e-15 here), far
@@ -234,6 +235,46 @@ def test_off_grid_profile_nodes_split_sweep_intervals():
     for n_samples in (16, 4096):
         ts = np.linspace(0.0, OFF_GRID.duration, n_samples + 1)
         assert not np.isin(nodes, ts).any()
+
+
+@pytest.mark.parametrize("profile, n_samples", SWEEP_CASES,
+                         ids=lambda value: getattr(value, "family", value))
+def test_end_values_match_the_path_sweep(profile, n_samples):
+    # the end values sum the path sweep's interval terms instead of running
+    # through them, so the two agree to rounding of the summation order
+    branches = (Branch.CO, Branch.COUNTER)
+    paths = _sweep(DIMENSIONAL, profile, branches, n_samples)
+    ends = _sweep_ends(DIMENSIONAL, profile, branches, n_samples)
+    for (alpha, phase, square), ev in zip(ends, paths):
+        assert alpha == ev.final_alpha
+        assert abs(phase - ev.final_phase) <= 1e-12 * max(1.0, abs(ev.final_phase))
+        assert abs(square - ev.abs2_integrals[-1]) <= 1e-12 * max(1.0, ev.abs2_integrals[-1])
+
+
+def test_end_values_keep_the_sweep_checks(natural, flat):
+    with pytest.raises(ConfigurationError):
+        _sweep_ends(natural, flat, (Branch.CO,), 0)
+    with pytest.raises(InsufficientResolution):
+        _sweep_ends(natural, flat, (Branch.CO,), 8)
+    with pytest.raises(ConvergenceError):
+        _sweep_ends(TrapConfig(rotation=1e200), flat, (Branch.CO,), 16)
+
+
+def test_width_tables_in_blocks_equal_one_block(monkeypatch):
+    # a profile with nodes off the sample grid has more distinct interval
+    # widths than one table block holds; building the tables block by block
+    # gives the same sweep as one block over all widths
+    nodes = np.random.default_rng(5).uniform(0.1, 1.0, 3001)
+    profile = make_profile(ProfileFamily.TABULATED, 7.3, samples=nodes)
+    edges = np.union1d(np.linspace(0.0, 7.3, 2049), profile.grid)
+    assert len(np.unique(np.diff(edges))) > ringsagnac.evolution._TABLE_BLOCK
+    branches = (Branch.CO, Branch.COUNTER)
+    blocked = _sweep(DIMENSIONAL, profile, branches, 2048)
+    monkeypatch.setattr(ringsagnac.evolution, "_TABLE_BLOCK", 10**9)
+    whole = _sweep(DIMENSIONAL, profile, branches, 2048)
+    for a, b in zip(blocked, whole):
+        for name in ("alphas", "alpha_dots", "phases", "abs2_integrals"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-14)
 
 
 def _imported_modules(name):

@@ -106,18 +106,42 @@ def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, p
     # symmetric midpoints straddle a crest, so its count is taken from the drives
     calls = []
 
-    def counting_expm(matrix):
-        calls.append(matrix)
-        return real_expm(matrix)
+    def counting_step(generator, dt, hbar):
+        calls.append(generator)
+        return real_step(generator, dt, hbar)
 
-    real_expm = fock.expm
-    monkeypatch.setattr(fock, "expm", counting_expm)
+    real_step = fock._held_step
+    monkeypatch.setattr(fock, "_held_step", counting_step)
     evolve_two_component(natural, profile, n_max=40, steps=steps)
     expected = _held_runs(natural, profile, steps)
     assert len(calls) == expected
     assert expected < steps // 10
     if profile.family is not ProfileFamily.SINUSOIDAL:
         assert expected == 1
+
+
+@pytest.mark.parametrize("size", [40, 80])
+@pytest.mark.parametrize("dt", [0.01, 1.0])
+def test_held_step_matches_dense_exponential(size, dt):
+    # the eigendecomposition route against scipy's Pade exponential on random
+    # Hermitian generators of the single-branch and joint sizes
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        generator = (x + x.conj().T) / 2
+        step = fock._held_step(generator, dt, 0.7)
+        assert np.abs(step - expm(-1j * dt / 0.7 * generator)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [40, 80])
+def test_held_step_is_unitary_to_rounding(n_max):
+    # a held run applies one step thousands of times, so the step must be
+    # unitary to rounding; eigh's eigenvectors alone miss that by up to 6e-15
+    body, drive = fock._operators(n_max)
+    for lam in np.linspace(-1.5, 1.5, 13):
+        step = fock._held_step(body + lam * drive, 2 * np.pi / 4096, 1.0)
+        assert np.abs(step.conj().T @ step - np.eye(n_max)).max() <= 2e-15
 
 
 def test_step_check(natural):

@@ -1,0 +1,79 @@
+"""Production routes load numpy only; scipy is imported by the oracle routes alone."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ringsagnac
+
+SRC = Path(ringsagnac.__file__).resolve().parents[1]
+
+# numpy-only commands, run one after another in a fresh interpreter
+PRODUCTION = [
+    ["simulate"],
+    ["sensitivity"],
+    ["decompose"],
+    ["trajectory"],
+    ["design", "--index", "1"],
+    ["verify"],
+    ["fig2", "--panel", "a"],
+]
+# commands that take a quadrature or a scalar-minimiser route
+ORACLE = [
+    ["spectrum"],
+    ["design", "--bracket", "5:7"],
+]
+
+SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+report = {}
+import ringsagnac as rs
+report["import ringsagnac"] = [0, scipy_modules()]
+config = rs.TrapConfig()
+tabulated = rs.make_profile(rs.ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
+rs.readout(config, tabulated)
+rs.sensitivity_report(config, tabulated)
+rs.decompose(config, tabulated, n_samples=256)
+rs.interferometer_phase_integral(config, tabulated, 256)
+rs.sample_trajectory(config, tabulated, rs.Branch.CO, 256)
+rs.design_time("sinusoidal", config, 0)
+rs.coherence_fock(config, rs.make_profile(rs.ProfileFamily.FLAT, 6.283185307179586),
+                  n_max=16, steps=256)
+report["library"] = [0, scipy_modules()]
+import ringsagnac.cli
+report["import ringsagnac.cli"] = [0, scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ringsagnac.cli.run(argv)
+    report[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def _run(commands) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_production_routes_load_no_scipy():
+    report = _run(PRODUCTION)
+    assert len(report) == 3 + len(PRODUCTION)
+    for step, (code, scipy_loaded) in report.items():
+        assert code == 0, step
+        assert scipy_loaded == [], step
+
+
+def test_oracle_commands_still_run():
+    report = _run(ORACLE)
+    for argv in ORACLE:
+        code, scipy_loaded = report[" ".join(argv)]
+        assert code == 0
+        assert scipy_loaded

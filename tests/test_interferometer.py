@@ -168,17 +168,15 @@ def test_one_spectrum_evaluation_per_call(natural, monkeypatch, call, expected):
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Record the branches of every time-domain sweep, through each module using it."""
+    """Record the branches of every pass of the stage both sweep consumers share."""
     calls = []
-    sweep = ringsagnac.evolution._sweep
+    stage = ringsagnac.evolution._interval_terms
 
     def counted(config, profile, branches, n_samples):
         calls.append(tuple(branches))
-        return sweep(config, profile, branches, n_samples)
+        return stage(config, profile, branches, n_samples)
 
-    for module in (ringsagnac.evolution, ringsagnac.geometry, ringsagnac.interferometer,
-                   ringsagnac.cli):
-        monkeypatch.setattr(module, "_sweep", counted)
+    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
     return calls
 
 

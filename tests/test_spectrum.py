@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ringsagnac.evolution
 import ringsagnac.spectrum
 from ringsagnac import (
     ConfigurationError,
@@ -12,6 +13,7 @@ from ringsagnac import (
     decompose,
     design_time,
     find_zero_time,
+    interferometer_phase_integral,
     make_profile,
     readout,
     sensitivity_report,
@@ -238,18 +240,21 @@ def test_exact_route_rejects_nonfinite_arguments():
 
 
 def test_production_paths_never_run_quadrature(monkeypatch):
-    # quadrature is the oracle only: readout, sensitivity, decompose and the
-    # design routines run with it disabled
+    # quadrature is the oracle only: readout, sensitivity, decompose, the
+    # time-domain phase and the design routines run with both the spectral
+    # and the time-domain quadrature disabled
     def refuse(*args, **kwargs):
         raise AssertionError("production path called quad")
 
     monkeypatch.setattr(ringsagnac.spectrum, "quad", refuse)
+    monkeypatch.setattr(ringsagnac.evolution, "quad", refuse)
     config = TrapConfig()
     tabulated = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
     for profile in (*(make_profile(family, 7.0) for family in ANALYTIC), tabulated):
         readout(config, profile)
         sensitivity_report(config, profile)
         decompose(config, profile, n_samples=256)
+        interferometer_phase_integral(config, profile, 256)
     for family, index in (("flat", 1), ("sinusoidal", 0), ("cosinusoidal", 2)):
         design_time(family, config, index)
     shape = make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.4, 1.0, 1.0, 0.4])
