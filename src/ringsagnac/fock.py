@@ -5,24 +5,37 @@ Independent validation backend: the driven-trap Hamiltonian
     H(t) = hbar omega0 (n + 1/2) + i lambda(t) (a - a^dag)
 
 is propagated from the vacuum in a truncated number basis with a
-piecewise-constant midpoint Hamiltonian.  A step whose drive equals a
-neighbour's lies in a held run: it takes the exact step exponential of
-the joint generator, V diag(exp(-i dt E / hbar)) V^H from one Hermitian
-eigendecomposition (numpy's eigh) per run, so a constant drive is
-propagated exactly.  Every other step is Strang-split (Feit, Fleck &
-Steiger 1982): half a body step, which is diagonal, the drive kick in the
-eigenbasis of i(a - a^dag), diagonalised once per call, and half a body
-step.  Both are unitary; the split step is second order in the step.
-Nothing here uses the coherent-state closed form, so agreement with the
-evolution/interferometer modules is a real check.  The spin label never
-appears in H, which is why propagating the two components separately must
-agree with propagating them jointly; evolve_two_component exercises
-exactly that.  Split steps act on each branch block with block-diagonal
-basis changes, so on a varying drive that agreement holds by
-construction; on a held drive the joint generator is diagonalised as one
-unstructured matrix, and the block structure is an outcome.  One loop
-serves single-branch and joint runs, and both are guarded: every step
-checks each branch block's tail mass, and the final norm is checked.
+piecewise-constant midpoint Hamiltonian.  Nothing here uses the
+coherent-state closed form, so agreement with the evolution/interferometer
+modules is a real check.
+
+One pass propagates every branch at once: each branch is one row of a
+(branches, n_max) array, its vacuum holding equal weight, and all rows see
+one joint generator.  The steps fall into segments:
+
+* A step whose drive equals a neighbour's lies in a held run.  One
+  Hermitian eigendecomposition (numpy's eigh) of the joint generator,
+  cleaned to orthonormal eigenvectors, serves the whole run, and the state
+  j steps in is V diag(exp(-i j dt E / hbar)) V^H psi, evaluated in closed
+  form, so a constant drive is propagated exactly.
+* Every other step is Strang-split (Feit, Fleck & Steiger 1982): half a
+  body step, which is diagonal, the drive kick in the eigenbasis of
+  i(a - a^dag), diagonalised once per call, and half a body step.  Both are
+  unitary; the step is second order.  The pass stays in the coordinates
+  phi = psi T, T = diag(half body) V*, where a step is
+  phi <- (phi * kick) (F T) with F = V^T diag(half body): one matrix product
+  covers every row.
+
+Segments are walked in chunks of at most _CHUNK steps.  Each chunk builds its
+own kicks or phases, maps its states back to the number basis with one matrix
+product, and checks the tail mass of every branch block after every step,
+naming the first failing step; the final norm is checked too.  The spin
+label never appears in H, which is why propagating the two components
+separately must agree with propagating them jointly; evolve_two_component
+exercises exactly that.  Split steps act on each row alike, so on a varying
+drive that agreement holds by construction; on a held drive the joint
+generator is diagonalised as one unstructured matrix, and the block
+structure is an outcome.
 """
 
 from __future__ import annotations
@@ -47,6 +60,16 @@ _TAIL_TOL = 1e-10
 _STEP_CHECK_TOL = 1e-4
 MIN_LEVELS = 8
 MIN_STEPS = 100
+# Ceilings that keep one call's memory bounded: the joint generator of two
+# 512-level blocks is 16.8 MB and its held-run eigendecomposition takes a few
+# copies; a million steps keep the drive tables (midpoints, one drive row per
+# branch, held flags) near 40 MB.  At either ceiling a coherence_fock call
+# peaked about 110 MB above the import.
+_MAX_LEVELS = 512
+_MAX_STEPS = 1_000_000
+# steps per tail check: the kicks, phases and states of one chunk are the only
+# tables that grow with the step count beyond the drive itself
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -81,73 +104,114 @@ def _operators(n_max: int):
 def _validate(n_max: int, steps: int):
     if n_max < MIN_LEVELS:
         raise ConfigurationError(f"n_max must be at least {MIN_LEVELS}")
+    if n_max > _MAX_LEVELS:
+        raise ConfigurationError(f"n_max must be at most {_MAX_LEVELS}")
     if steps < MIN_STEPS:
         raise ConfigurationError(f"steps must be at least {MIN_STEPS}")
+    if steps > _MAX_STEPS:
+        raise ConfigurationError(f"steps must be at most {_MAX_STEPS}")
 
 
-def _held_step(generator: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i dt H / hbar) of a Hermitian H, as V diag(exp(-i dt E / hbar)) V^H.
+def _held_basis(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies E and eigenvectors V of a Hermitian generator.
 
     eigh's eigenvectors are orthonormal to a few ulps only, and a held run
-    applies the same step thousands of times; one Newton-Schulz step,
+    maps thousands of states through them; one Newton-Schulz step,
     V (3 - V^H V) / 2, makes them orthonormal to rounding first.
     """
     energies, vecs = np.linalg.eigh(generator)
     vecs = vecs @ (1.5 * np.eye(len(energies)) - 0.5 * (vecs.conj().T @ vecs))
-    return (vecs * np.exp(-1j * dt / hbar * energies)) @ vecs.conj().T
+    return energies, vecs
+
+
+def _check_tails(states: np.ndarray, first: int):
+    """Raise unless every block of every state keeps its tail mass in tolerance.
+
+    `states` is (steps, blocks, n_max), the state after step `first` first.
+    """
+    n_max = states.shape[-1]
+    # top decile of the ladder, but never an empty window
+    tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
+    mass = states.real**2 + states.imag**2
+    # tail mass of each block's normalised state, worst block per step
+    tails = np.max(mass[..., tail_from:].sum(axis=-1) / mass.sum(axis=-1), axis=-1)
+    failing = np.flatnonzero(~(tails <= _TAIL_TOL))
+    if failing.size:
+        k = failing[0]
+        raise TruncationInsufficient(
+            f"tail mass {tails[k]:.3e} above {_TAIL_TOL:.1e} at step {first + k}; raise n_max"
+        )
 
 
 def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
-    """Equal-weight vacuum blocks, one per branch, under one joint generator."""
+    """Equal-weight vacuum blocks, one row per branch, under one joint generator."""
     hbar = config.hbar
     w0 = config.trap_frequency
     body, drive = _operators(n_max)
     dt = t_end / steps
     mids = (np.arange(steps) + 0.5) * dt
     lams = np.array([lambda_drive(config, profile, branch, mids) for branch in branches])
-    # a step is held when its drive equals a neighbour's; each held run gets one
-    # exact step exponential, every other step is Strang-split
+    # a step is held when its drive equals a neighbour's; each held run is one
+    # segment, and so is each stretch of split steps between held runs
     repeats = np.concatenate(([False], np.all(lams[:, 1:] == lams[:, :-1], axis=0)))
     held = repeats | np.append(repeats[1:], False)
-    fresh = held & ~repeats
-    size = len(branches) * n_max
-    blocks = [slice(start, start + n_max) for start in range(0, size, n_max)]
-    # top decile of the ladder, but never an empty window
-    tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
-    tails = [slice(block.start + tail_from, block.stop) for block in blocks]
-    # split step: half body, drive kick in the drive's eigenbasis, half body;
-    # the diagonal half steps are folded into the two block-diagonal basis changes
+    starts = np.flatnonzero(held & ~repeats | ~held & np.concatenate(([True], held[:-1])))
+    # split steps run in the coordinates phi = psi to_eigen, where a step is
+    # phi <- (phi * kick) split_step; the half body steps sit in the basis changes
     levels, vecs = np.linalg.eigh(drive)
     half_body = np.exp(-0.5j * dt * w0 * np.diagonal(body))
-    to_eigen = np.kron(np.eye(len(branches)), half_body[:, None] * vecs.conj())
-    from_eigen = np.kron(np.eye(len(branches)), vecs.T * half_body)
-    kicks = np.ones((steps, size), dtype=complex)
-    kicks[~held] = np.exp(-1j * dt / hbar * lams.T[~held, :, None] * levels).reshape(-1, size)
+    to_eigen = half_body[:, None] * vecs.conj()
+    from_eigen = vecs.T * half_body
+    split_step = from_eigen @ to_eigen
 
-    generator = np.zeros((size, size), dtype=complex)
-    psi = np.zeros(size, dtype=complex)
-    psi[::n_max] = 1 / np.sqrt(len(branches))
-    for k in range(steps):
-        if fresh[k]:
-            for block, lam in zip(blocks, lams[:, k]):
+    size = len(branches) * n_max
+    psi = np.zeros((len(branches), n_max), dtype=complex)
+    psi[:, 0] = 1 / np.sqrt(len(branches))
+    for begin, end in zip(starts, np.append(starts[1:], steps)):
+        in_run = held[begin]
+        if in_run:
+            generator = np.zeros((size, size), dtype=complex)
+            for row, lam in enumerate(lams[:, begin]):
+                block = slice(row * n_max, (row + 1) * n_max)
                 generator[block, block] = hbar * w0 * body + lam * drive
-            step_u = _held_step(generator, dt, hbar)
-        if held[k]:
-            psi = step_u @ psi
+            energies, basis = _held_basis(generator)
+            coeffs = basis.conj().T @ psi.ravel()
         else:
-            psi = (psi @ to_eigen * kicks[k]) @ from_eigen
-        # tail mass of each block's normalised state
-        tail = max(
-            np.vdot(psi[t], psi[t]).real / np.vdot(psi[b], psi[b]).real
-            for b, t in zip(blocks, tails)
-        )
-        if not tail <= _TAIL_TOL:
-            raise TruncationInsufficient(
-                f"tail mass {tail:.3e} above {_TAIL_TOL:.1e} at step {k}; raise n_max"
-            )
+            phi = psi @ to_eigen
+        for first in range(begin, end, _CHUNK):
+            last = min(first + _CHUNK, end)
+            if in_run:
+                # j steps into the run: V diag(exp(-i j dt E / hbar)) V^H psi
+                j = np.arange(first - begin + 1, last - begin + 1)
+                phases = np.exp(-1j * np.outer(j * (dt / hbar), energies))
+                states = (phases * coeffs) @ basis.T
+            else:
+                kicked = np.exp(-1j * dt / hbar * lams[:, first:last].T[:, :, None] * levels)
+                for row in kicked:
+                    row *= phi
+                    phi = row @ split_step
+                states = kicked.reshape(-1, n_max) @ from_eigen
+            states = states.reshape(last - first, len(branches), n_max)
+            _check_tails(states, first)
+        psi = states[-1].copy()  # not a view that keeps the chunk alive
     if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:
         raise ConvergenceError("propagation lost unitarity beyond tolerance")
     return psi
+
+
+def _check_halving(psi, config, profile, branches, n_max, steps, t_end):
+    """Repeat the run at half the step count; raise unless each block agrees.
+
+    Each block is rescaled to unit weight, so a joint run reports the larger
+    of its branches' single-run estimates.
+    """
+    half = _propagate(config, profile, branches, n_max, steps // 2, t_end)
+    gap = float(np.max(np.linalg.norm(psi - half, axis=1))) * np.sqrt(len(branches))
+    estimate = gap / 3  # second-order halving
+    if estimate > _STEP_CHECK_TOL:
+        raise StepCountInsufficient(
+            f"step-halving error estimate {estimate:.3e} above {_STEP_CHECK_TOL:.1e}"
+        )
 
 
 def evolve_fock(
@@ -174,13 +238,8 @@ def evolve_fock(
         raise TimeOutOfRange(f"until={t_end} outside [0, {profile.duration}]")
     psi = _propagate(config, profile, (branch,), n_max, steps, t_end)
     if check_steps:
-        half = _propagate(config, profile, (branch,), n_max, steps // 2, t_end)
-        estimate = float(np.linalg.norm(psi - half)) / 3  # second-order halving
-        if estimate > _STEP_CHECK_TOL:
-            raise StepCountInsufficient(
-                f"step-halving error estimate {estimate:.3e} above {_STEP_CHECK_TOL:.1e}"
-            )
-    return FockState(n_max=n_max, amplitudes=psi, branch=branch, time=t_end)
+        _check_halving(psi, config, profile, (branch,), n_max, steps, t_end)
+    return FockState(n_max=n_max, amplitudes=psi[0], branch=branch, time=t_end)
 
 
 def coherence_fock(
@@ -190,10 +249,25 @@ def coherence_fock(
     steps: int = 4096,
     check_steps: bool = False,
 ) -> complex:
-    """Branch overlap <psi_counter | psi_co> at recombination."""
-    up = evolve_fock(config, profile, Branch.CO, n_max, steps, check_steps=check_steps)
-    down = evolve_fock(config, profile, Branch.COUNTER, n_max, steps, check_steps=check_steps)
-    value = complex(np.vdot(down.amplitudes, up.amplitudes))
+    """Branch overlap <psi_counter | psi_co> at recombination.
+
+    Both branches are propagated in one pass, as the two rows of the joint
+    run evolve_two_component makes, each holding weight 1/2, so the overlap
+    is twice their inner product.  The pass takes its split steps in the
+    drive's eigen coordinates, one matrix product for both rows, evaluates
+    held runs in closed form, and checks both branches' tail mass after every
+    step a chunk at a time, naming the first step either branch fails.
+    check_steps repeats the pass at half the step count and raises
+    StepCountInsufficient when the larger of the two branches' step-halving
+    estimates is over budget.
+    """
+    _validate(n_max, steps)
+    branches = (Branch.CO, Branch.COUNTER)
+    psi = _propagate(config, profile, branches, n_max, steps, profile.duration)
+    if check_steps:
+        _check_halving(psi, config, profile, branches, n_max, steps, profile.duration)
+    co, counter = psi
+    value = complex(2 * np.vdot(counter, co))
     if abs(value) > 1 + _NORM_TOL:
         raise ConvergenceError("coherence modulus exceeds 1 beyond tolerance")
     return value
@@ -210,5 +284,7 @@ def evolve_two_component(
     (co, counter) trap-space components.
     """
     _validate(n_max, steps)
-    psi = _propagate(config, profile, (Branch.CO, Branch.COUNTER), n_max, steps, profile.duration)
-    return psi[:n_max], psi[n_max:]
+    co, counter = _propagate(
+        config, profile, (Branch.CO, Branch.COUNTER), n_max, steps, profile.duration
+    )
+    return co, counter

@@ -125,12 +125,15 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["simulate", "--trap-frequency", "1e308"],
         ["simulate", "--family", "tabulated", "--samples", "0.5,1,0.5",
          "--trap-frequency", "1e308"],
+        ["verify", "--steps", "20000000"],
+        ["verify", "--n-max", "100000"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_nonfinite_input_rejected(capsys, argv):
-    # a non-finite input or derived scale, or a sample count below one, is a
-    # configuration error, never NaN output with exit 0
+    # a non-finite input or derived scale, a sample count below one, or an
+    # oracle size whose tables would not fit in memory is a configuration
+    # error, never NaN output with exit 0 nor a traceback
     _assert_one_line_failure(capsys, argv, 2, "configuration error:")
 
 

@@ -17,6 +17,7 @@ from ringsagnac import (
     TruncationInsufficient,
     alpha_at,
     coherence_fock,
+    design_time,
     evolve_fock,
     evolve_two_component,
     lambda_drive,
@@ -100,18 +101,18 @@ def _held_runs(config, profile, steps):
     ids=["flat-512", "sinusoidal-100", "tabulated-512"],
 )
 def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, profile, steps):
-    # one exact step exponential per held run, however long; every other step
-    # is split and takes none.  Flat K=1 is one run; the plateau of the
-    # tabulated shape is one run; the sinusoidal L=0 drive repeats only where
-    # symmetric midpoints straddle a crest, so its count is taken from the drives
+    # one eigendecomposition per held run, however long; every other step is
+    # split and takes none.  Flat K=1 is one run; the plateau of the tabulated
+    # shape is one run; the sinusoidal L=0 drive repeats only where symmetric
+    # midpoints straddle a crest, so its count is taken from the drives
     calls = []
 
-    def counting_step(generator, dt, hbar):
+    def counting_basis(generator):
         calls.append(generator)
-        return real_step(generator, dt, hbar)
+        return real_basis(generator)
 
-    real_step = fock._held_step
-    monkeypatch.setattr(fock, "_held_step", counting_step)
+    real_basis = fock._held_basis
+    monkeypatch.setattr(fock, "_held_basis", counting_basis)
     evolve_two_component(natural, profile, n_max=40, steps=steps)
     expected = _held_runs(natural, profile, steps)
     assert len(calls) == expected
@@ -120,28 +121,119 @@ def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, p
         assert expected == 1
 
 
-@pytest.mark.parametrize("size", [40, 80])
-@pytest.mark.parametrize("dt", [0.01, 1.0])
-def test_held_step_matches_dense_exponential(size, dt):
-    # the eigendecomposition route against scipy's Pade exponential on random
-    # Hermitian generators of the single-branch and joint sizes
-    expm = pytest.importorskip("scipy.linalg").expm
-    rng = np.random.default_rng(size)
-    for _ in range(5):
-        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        generator = (x + x.conj().T) / 2
-        step = fock._held_step(generator, dt, 0.7)
-        assert np.abs(step - expm(-1j * dt / 0.7 * generator)).max() <= 1e-13
+@pytest.mark.parametrize("branches", [(Branch.CO,), tuple(Branch)], ids=["single", "joint"])
+def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
+    # a flat drive is one held run, whose state j steps in is evaluated in
+    # closed form a chunk at a time; it must match scipy's Pade exponential of
+    # the generator over j dt on both sides of a chunk edge and at the end
+    linalg = pytest.importorskip("scipy.linalg")
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    steps = 4096
+    dt = profile.duration / steps
+    wanted = (1, 255, 256, 257, 4096)
+    seen = {}
+
+    def recording_check(states, first):
+        for j in wanted:
+            if first < j <= first + len(states):
+                seen[j] = states[j - 1 - first].ravel()
+        real_check(states, first)
+
+    real_check = fock._check_tails
+    monkeypatch.setattr(fock, "_check_tails", recording_check)
+    fock._propagate(natural, profile, branches, 40, steps, profile.duration)
+    body, drive = fock._operators(40)
+    generator = linalg.block_diag(*(
+        natural.hbar * natural.trap_frequency * body
+        + lambda_drive(natural, profile, branch, dt / 2) * drive
+        for branch in branches
+    ))
+    vacuum = np.kron(np.ones(len(branches)), np.eye(40)[0]) / np.sqrt(len(branches))
+    assert sorted(seen) == list(wanted)
+    for j in wanted:
+        expected = linalg.expm(-1j * j * dt / natural.hbar * generator) @ vacuum
+        assert np.abs(seen[j] - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n_max", [40, 80])
 def test_held_step_is_unitary_to_rounding(n_max):
-    # a held run applies one step thousands of times, so the step must be
-    # unitary to rounding; eigh's eigenvectors alone miss that by up to 6e-15
+    # a held run maps thousands of states through one eigenbasis, so the
+    # eigenvectors, and with them every held-run map, must be unitary to
+    # rounding; eigh's eigenvectors alone miss that by up to 6e-15
     body, drive = fock._operators(n_max)
     for lam in np.linspace(-1.5, 1.5, 13):
-        step = fock._held_step(body + lam * drive, 2 * np.pi / 4096, 1.0)
-        assert np.abs(step.conj().T @ step - np.eye(n_max)).max() <= 2e-15
+        _, vecs = fock._held_basis(body + lam * drive)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(n_max)).max() <= 2e-15
+
+
+def _reference_run(config, profile, branch, n_max, steps):
+    """The per-step loop: a fresh exponential on each held step, else a Strang step.
+
+    Returns the end state, or the index of the first step whose tail mass is
+    above tolerance.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
+    body, drive = fock._operators(n_max)
+    dt = profile.duration / steps
+    lams = lambda_drive(config, profile, branch, (np.arange(steps) + 0.5) * dt)
+    repeats = np.concatenate(([False], lams[1:] == lams[:-1]))
+    held = repeats | np.append(repeats[1:], False)
+    levels, vecs = np.linalg.eigh(drive)
+    half_body = np.exp(-0.5j * dt * config.trap_frequency * np.diagonal(body))
+    tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
+    psi = np.eye(n_max, dtype=complex)[0]
+    for k, lam in enumerate(lams):
+        if held[k]:
+            generator = config.hbar * config.trap_frequency * body + lam * drive
+            psi = expm(-1j * dt / config.hbar * generator) @ psi
+        else:
+            kick = np.exp(-1j * dt / config.hbar * lam * levels)
+            psi = half_body * (vecs @ (kick * (vecs.conj().T @ (half_body * psi))))
+        if not np.vdot(psi[tail_from:], psi[tail_from:]).real / np.vdot(psi, psi).real <= 1e-10:
+            return k
+    return psi
+
+
+@pytest.mark.parametrize("shape", ["sinusoidal-1", "cosinusoidal-2", "tabulated"])
+def test_propagation_matches_per_step_reference(natural, random_profile, shape):
+    # chunked, eigen-coordinate propagation of both branches in one pass
+    # against the plain per-step loop, branch by branch
+    if shape == "tabulated":
+        profile = random_profile(np.random.default_rng(3))
+    else:
+        family, index = shape.split("-")
+        profile = design_time(family, natural, int(index)).profile
+    co, counter = evolve_two_component(natural, profile, n_max=40, steps=1024)
+    for branch, joint in zip(Branch, (co, counter)):
+        reference = _reference_run(natural, profile, branch, 40, 1024)
+        single = evolve_fock(natural, profile, branch, n_max=40, steps=1024)
+        assert np.abs(single.amplitudes - reference).max() <= 1e-12
+        assert np.abs(np.sqrt(2) * joint - reference).max() <= 1e-12
+
+
+def _failing_step(call):
+    with pytest.raises(TruncationInsufficient) as caught:
+        call()
+    return int(re.search(r"at step (\d+);", str(caught.value)).group(1))
+
+
+@pytest.mark.parametrize(
+    "family, index, n_max, branch",
+    [("cosinusoidal", 2, 8, Branch.CO), ("flat", 1, 9, Branch.COUNTER)],
+    ids=["split", "held"],
+)
+def test_truncation_trip_step_matches_reference(natural, family, index, n_max, branch):
+    # the tail check runs a chunk at a time but names the same first failing
+    # step as the per-step loop, here past the first 256-step chunk
+    profile = design_time(family, natural, index).profile
+    trips = {b: _reference_run(natural, profile, b, n_max, 1024) for b in Branch}
+    expected = trips[branch]
+    assert isinstance(expected, int) and expected >= fock._CHUNK
+    step = _failing_step(lambda: evolve_fock(natural, profile, branch, n_max=n_max, steps=1024))
+    assert step == expected
+    # the joint run trips at the first step either branch fails
+    first = min(trip for trip in trips.values() if isinstance(trip, int))
+    assert _failing_step(lambda: coherence_fock(natural, profile, n_max=n_max, steps=1024)) == first
 
 
 def test_step_check(natural):
@@ -155,6 +247,12 @@ def test_step_check(natural):
     profile = make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi)
     state = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=2048, check_steps=True)
     assert state.norm == pytest.approx(1.0, abs=1e-10)
+
+
+def _reported_estimate(call):
+    with pytest.raises(StepCountInsufficient) as caught:
+        call()
+    return float(re.search(r"estimate (\S+) above", str(caught.value)).group(1))
 
 
 @pytest.mark.parametrize("steps", [1024, 2048])
@@ -174,13 +272,33 @@ def test_step_check_estimate_is_honest(natural, random_profile, monkeypatch, sha
         profile = random_profile(np.random.default_rng(3))
     # a zero budget makes the guard report every estimate
     monkeypatch.setattr(fock, "_STEP_CHECK_TOL", 0.0)
-    with pytest.raises(StepCountInsufficient) as caught:
-        evolve_fock(natural, profile, Branch.CO, n_max=40, steps=steps, check_steps=True)
-    estimate = float(re.search(r"estimate (\S+) above", str(caught.value)).group(1))
+    estimate = _reported_estimate(lambda: evolve_fock(
+        natural, profile, Branch.CO, n_max=40, steps=steps, check_steps=True))
     state = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=steps)
     fine = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=32768)
     true = float(np.linalg.norm(state.amplitudes - fine.amplitudes))
     assert true / 2 <= estimate <= 2 * true
+
+
+@pytest.mark.parametrize("shape", ["sinusoidal", "tabulated"])
+def test_coherence_step_check_reports_larger_branch_estimate(
+    natural, random_profile, monkeypatch, shape
+):
+    # both branches run as rows of one pass with weight 1/2 each; the check
+    # rescales each row to unit weight and reports the larger estimate
+    if shape == "sinusoidal":
+        profile = make_profile(ProfileFamily.SINUSOIDAL, 2 * np.pi)
+    else:
+        profile = random_profile(np.random.default_rng(3))
+    monkeypatch.setattr(fock, "_STEP_CHECK_TOL", 0.0)
+    singles = [
+        _reported_estimate(lambda branch=branch: evolve_fock(
+            natural, profile, branch, n_max=40, steps=1024, check_steps=True))
+        for branch in Branch
+    ]
+    joint = _reported_estimate(
+        lambda: coherence_fock(natural, profile, n_max=40, steps=1024, check_steps=True))
+    assert joint == pytest.approx(max(singles), rel=1e-3)
 
 
 def test_parameter_floors(natural):
@@ -189,6 +307,14 @@ def test_parameter_floors(natural):
         evolve_fock(natural, profile, Branch.CO, n_max=4)
     with pytest.raises(ConfigurationError):
         evolve_fock(natural, profile, Branch.CO, steps=50)
+    # ceilings keep the joint generator and the drive tables bounded; each is
+    # refused before anything is allocated
+    for call in (evolve_fock, coherence_fock, evolve_two_component):
+        args = (natural, profile, Branch.CO) if call is evolve_fock else (natural, profile)
+        with pytest.raises(ConfigurationError, match="n_max must be at most 512"):
+            call(*args, n_max=100_000)
+        with pytest.raises(ConfigurationError, match="steps must be at most 1000000"):
+            call(*args, steps=20_000_000)
     with pytest.raises(TimeOutOfRange):
         evolve_fock(natural, profile, Branch.CO, until=7.0)
     with pytest.raises(TimeOutOfRange):
