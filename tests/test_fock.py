@@ -121,6 +121,22 @@ def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, p
         assert expected == 1
 
 
+@pytest.mark.parametrize("size", [40, 80])
+@pytest.mark.parametrize("dt", [0.01, 1.0])
+def test_held_step_matches_dense_exponential(size, dt):
+    # V diag(exp(-i dt E / hbar)) V^H from the cleaned eigenbasis against
+    # scipy's Pade exponential on random Hermitian generators of the
+    # single-branch and joint sizes
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        generator = (x + x.conj().T) / 2
+        energies, vecs = fock._held_basis(generator)
+        step = (vecs * np.exp(-1j * dt / 0.7 * energies)) @ vecs.conj().T
+        assert np.abs(step - expm(-1j * dt / 0.7 * generator)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("branches", [(Branch.CO,), tuple(Branch)], ids=["single", "joint"])
 def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
     # a flat drive is one held run, whose state j steps in is evaluated in
