@@ -111,6 +111,12 @@ def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
     Minimizes |W(omega0)|^2 over the bracket (both real and imaginary
     parts must vanish for full contrast): a coarse scan localizes the
     dip, then bounded golden-section/parabolic refinement polishes it.
+
+    That refinement stops near sqrt(eps) |T|, not at its xatol of
+    1e-10 2 pi / omega0: scipy's bounded Brent adds sqrt(eps) |x| to the
+    tolerance.  On the palindromic shape (0.4, 1, 1, 0.4) over (7, 8.5) at
+    natural units it returns T = 7.644884517626601 with |W| = 6.3e-9,
+    while |W| falls below 2e-16 at 7.644884568650893, 5.1e-8 further on.
     """
     from scipy.optimize import minimize_scalar  # loaded by the bracket search alone
 

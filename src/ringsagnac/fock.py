@@ -17,30 +17,38 @@ one joint generator.  The steps fall into segments:
   Hermitian eigendecomposition (numpy's eigh) of the joint generator,
   cleaned to orthonormal eigenvectors, serves the whole run, and the state
   j steps in is V diag(exp(-i j dt E / hbar)) V^H psi, evaluated in closed
-  form, so a constant drive is propagated exactly.
+  form, so a constant drive is propagated exactly.  One phase table,
+  exp(-i j dt E / hbar) for j up to the chunk length, serves every chunk of
+  the run; a chunk first turns the coefficients V^H psi by its own offset
+  from the run's start.
 * Every other step is Strang-split (Feit, Fleck & Steiger 1982): half a
   body step, which is diagonal, the drive kick in the eigenbasis of
-  i(a - a^dag), diagonalised once per call, and half a body step.  Both are
-  unitary; the step is second order.  The pass stays in the coordinates
-  phi = psi T, T = diag(half body) V*, where a step is
-  phi <- (phi * kick) (F T) with F = V^T diag(half body): one matrix product
-  covers every row.
+  i(a - a^dag), and half a body step.  Both are unitary; the step is second
+  order.  The eigensystem of i(a - a^dag) depends on n_max alone and is
+  cached, read-only.  Since lambda = D (Omega + sign omega_P), the kick on
+  the drive eigenvalues l is exp(-i dt D Omega l / hbar), one factor per
+  call, times exp(-i dt D omega_P(t) l / hbar)^sign, one factor per step
+  shared by every branch, the counter branch taking its conjugate.  The
+  pass stays in the coordinates phi = psi T, T = diag(half body) V*, where a
+  step is phi <- (phi * kick) (F T) with F = V^T diag(half body): one matrix
+  product covers every row.
 
 Segments are walked in chunks of at most _CHUNK steps.  Each chunk builds its
-own kicks or phases, maps its states back to the number basis with one matrix
-product, and checks the tail mass of every branch block after every step,
-naming the first failing step; the final norm is checked too.  The spin
-label never appears in H, which is why propagating the two components
-separately must agree with propagating them jointly; evolve_two_component
-exercises exactly that.  Split steps act on each row alike, so on a varying
-drive that agreement holds by construction; on a held drive the joint
-generator is diagonalised as one unstructured matrix, and the block
-structure is an outcome.
+own kicks or turns its coefficients, maps its states back to the number
+basis with one matrix product, and checks the tail mass of every branch
+block after every step, naming the first failing step; the final norm is
+checked too.  The spin label never appears in H, which is why propagating
+the two components separately must agree with propagating them jointly;
+evolve_two_component exercises exactly that.  Split steps act on each row
+alike, so on a varying drive that agreement holds by construction; on a
+held drive the joint generator is diagonalised as one unstructured matrix,
+and the block structure is an outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from .errors import (
     TimeOutOfRange,
     TruncationInsufficient,
 )
-from .model import Branch, SweepProfile, TrapConfig, lambda_drive
+from .model import Branch, SweepProfile, TrapConfig, eval_profile
 
 __all__ = ["FockState", "coherence_fock", "evolve_fock", "evolve_two_component"]
 
@@ -99,6 +107,18 @@ def _operators(n_max: int):
     body = np.diag(n + 0.5).astype(complex)          # units of hbar*omega0
     drive = 1j * (lower - lower.conj().T)            # units of lambda
     return body, drive
+
+
+@lru_cache(maxsize=4)
+def _drive_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues and eigenvectors of i(a - a^dag) at n_max levels.
+
+    They depend on n_max alone; the cache holds four sizes, 17 MB at the
+    512-level ceiling.
+    """
+    levels, vecs = np.linalg.eigh(_operators(n_max)[1])
+    levels.flags.writeable = vecs.flags.writeable = False
+    return levels, vecs
 
 
 def _validate(n_max: int, steps: int):
@@ -150,7 +170,11 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     body, drive = _operators(n_max)
     dt = t_end / steps
     mids = (np.arange(steps) + 0.5) * dt
-    lams = np.array([lambda_drive(config, profile, branch, mids) for branch in branches])
+    # lambda = D (Omega + sign omega_P) from one profile evaluation, formed as
+    # lambda_drive forms it
+    sweep = eval_profile(profile, mids)
+    signs = np.array([branch.sign for branch in branches])
+    lams = config.drive_scale * (config.rotation + signs[:, None] * sweep)
     # a step is held when its drive equals a neighbour's; each held run is one
     # segment, and so is each stretch of split steps between held runs
     repeats = np.concatenate(([False], np.all(lams[:, 1:] == lams[:, :-1], axis=0)))
@@ -158,11 +182,15 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     starts = np.flatnonzero(held & ~repeats | ~held & np.concatenate(([True], held[:-1])))
     # split steps run in the coordinates phi = psi to_eigen, where a step is
     # phi <- (phi * kick) split_step; the half body steps sit in the basis changes
-    levels, vecs = np.linalg.eigh(drive)
+    levels, vecs = _drive_eigensystem(n_max)
     half_body = np.exp(-0.5j * dt * w0 * np.diagonal(body))
     to_eigen = half_body[:, None] * vecs.conj()
     from_eigen = vecs.T * half_body
     split_step = from_eigen @ to_eigen
+    # a kick exp(-i dt lambda levels / hbar) is the rotation factor of every
+    # step times the sweep factor of its step, conjugated on the counter branch
+    rate = dt / hbar * config.drive_scale
+    rotation_kick = np.exp(-1j * rate * config.rotation * levels)
 
     size = len(branches) * n_max
     psi = np.zeros((len(branches), n_max), dtype=complex)
@@ -176,17 +204,23 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
                 generator[block, block] = hbar * w0 * body + lam * drive
             energies, basis = _held_basis(generator)
             coeffs = basis.conj().T @ psi.ravel()
+            # row j - 1 holds exp(-i j dt E / hbar), j steps into a chunk
+            j = np.arange(1, min(end - begin, _CHUNK) + 1)
+            phases = np.exp(-1j * np.outer(j * (dt / hbar), energies))
         else:
             phi = psi @ to_eigen
         for first in range(begin, end, _CHUNK):
             last = min(first + _CHUNK, end)
             if in_run:
-                # j steps into the run: V diag(exp(-i j dt E / hbar)) V^H psi
-                j = np.arange(first - begin + 1, last - begin + 1)
-                phases = np.exp(-1j * np.outer(j * (dt / hbar), energies))
-                states = (phases * coeffs) @ basis.T
+                # the chunk's offset from the run's start moves its coefficients:
+                # V diag(exp(-i (first - begin + j) dt E / hbar)) V^H psi
+                offset = np.exp(-1j * ((first - begin) * (dt / hbar)) * energies)
+                states = (phases[: last - first] * (coeffs * offset)) @ basis.T
             else:
-                kicked = np.exp(-1j * dt / hbar * lams[:, first:last].T[:, :, None] * levels)
+                sweep_kick = np.exp(-1j * rate * np.outer(sweep[first:last], levels))
+                kicked = rotation_kick * np.stack(
+                    [sweep_kick if sign > 0 else sweep_kick.conj() for sign in signs], axis=1
+                )
                 for row in kicked:
                     row *= phi
                     phi = row @ split_step

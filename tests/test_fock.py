@@ -140,13 +140,14 @@ def test_held_step_matches_dense_exponential(size, dt):
 @pytest.mark.parametrize("branches", [(Branch.CO,), tuple(Branch)], ids=["single", "joint"])
 def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
     # a flat drive is one held run, whose state j steps in is evaluated in
-    # closed form a chunk at a time; it must match scipy's Pade exponential of
-    # the generator over j dt on both sides of a chunk edge and at the end
+    # closed form a chunk at a time from one phase table and a per-chunk
+    # offset; it must match scipy's Pade exponential of the generator over
+    # j dt on both sides of the first chunk edges, deep in the run and at the end
     linalg = pytest.importorskip("scipy.linalg")
     profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
     steps = 4096
     dt = profile.duration / steps
-    wanted = (1, 255, 256, 257, 4096)
+    wanted = (1, 255, 256, 257, 511, 512, 513, 3841, 4096)
     seen = {}
 
     def recording_check(states, first):
@@ -171,6 +172,42 @@ def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
         assert np.abs(seen[j] - expected).max() <= 1e-13
 
 
+class _CountingExp:
+    """numpy, except that exp counts the elements it evaluates."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        out = np.exp(x)
+        self.elements += out.size
+        return out
+
+
+@pytest.mark.parametrize("shape", ["tabulated", "flat"])
+def test_complex_exponentials_per_pass(natural, random_profile, monkeypatch, shape):
+    # both branches share one sweep kick factor per split step, and a held
+    # run takes one phase table of at most a chunk's rows plus one offset row
+    # per chunk; the rest is the per-call rotation factor and half body step
+    if shape == "flat":
+        profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    else:
+        profile = random_profile(np.random.default_rng(3))
+    n_max, steps = 40, 1024
+    counting = _CountingExp()
+    monkeypatch.setattr(fock, "np", counting)
+    coherence_fock(natural, profile, n_max=n_max, steps=steps)
+    if shape == "flat":
+        rows = fock._CHUNK + steps // fock._CHUNK
+        assert counting.elements == rows * 2 * n_max + 2 * n_max
+    else:
+        assert _held_runs(natural, profile, steps) == 0
+        assert counting.elements == steps * n_max + 2 * n_max
+
+
 @pytest.mark.parametrize("n_max", [40, 80])
 def test_held_step_is_unitary_to_rounding(n_max):
     # a held run maps thousands of states through one eigenbasis, so the
@@ -189,7 +226,10 @@ def _reference_run(config, profile, branch, n_max, steps):
     above tolerance.
     """
     expm = pytest.importorskip("scipy.linalg").expm
-    body, drive = fock._operators(n_max)
+    # the ladder operators are built here, sharing nothing with fock
+    lower = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
+    body = np.diag(np.arange(n_max) + 0.5)
+    drive = 1j * (lower - lower.T)
     dt = profile.duration / steps
     lams = lambda_drive(config, profile, branch, (np.arange(steps) + 0.5) * dt)
     repeats = np.concatenate(([False], lams[1:] == lams[:-1]))
@@ -210,19 +250,28 @@ def _reference_run(config, profile, branch, n_max, steps):
     return psi
 
 
-@pytest.mark.parametrize("shape", ["sinusoidal-1", "cosinusoidal-2", "tabulated"])
+# hbar, mass, radius and omega0 off 1 give a drive scale D != 1, and the
+# rotation is negative, so the split kick factors are checked off natural units
+SCALED = TrapConfig(hbar=0.5, mass=2.0, radius=1.5, trap_frequency=1.7, rotation=-0.3)
+
+
+@pytest.mark.parametrize(
+    "shape", ["sinusoidal-1", "cosinusoidal-2", "tabulated", "scaled-cosinusoidal-2"]
+)
 def test_propagation_matches_per_step_reference(natural, random_profile, shape):
     # chunked, eigen-coordinate propagation of both branches in one pass
     # against the plain per-step loop, branch by branch
+    config = SCALED if shape.startswith("scaled") else natural
     if shape == "tabulated":
         profile = random_profile(np.random.default_rng(3))
     else:
-        family, index = shape.split("-")
-        profile = design_time(family, natural, int(index)).profile
-    co, counter = evolve_two_component(natural, profile, n_max=40, steps=1024)
+        family, index = shape.removeprefix("scaled-").split("-")
+        profile = design_time(family, config, int(index)).profile
+    co, counter = evolve_two_component(config, profile, n_max=40, steps=1024)
     for branch, joint in zip(Branch, (co, counter)):
-        reference = _reference_run(natural, profile, branch, 40, 1024)
-        single = evolve_fock(natural, profile, branch, n_max=40, steps=1024)
+        reference = _reference_run(config, profile, branch, 40, 1024)
+        assert not isinstance(reference, int)
+        single = evolve_fock(config, profile, branch, n_max=40, steps=1024)
         assert np.abs(single.amplitudes - reference).max() <= 1e-12
         assert np.abs(np.sqrt(2) * joint - reference).max() <= 1e-12
 
