@@ -30,15 +30,15 @@ schema mirrors the flags::
 Defaults are the natural-unit flat scheme (m = hbar = omega0 = r = 1,
 rotation 0.1, T = 2 pi).  Exit codes: 0 success, 2 configuration error,
 3 convergence error, 4 verification failure.  Output for a fixed
-configuration is byte-identical across runs.
+configuration is byte-identical across runs.  Tables are unquoted CSV with
+17 significant digits: no header or cell holds a comma, a quote or a line
+break, so no field needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -265,15 +265,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(item) for item in row])
-    return buffer.getvalue()
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -321,16 +312,24 @@ def _record_text(record: dict, fmt: str) -> str:
     return _json_text(record) if fmt == "machine" else _human_text(record)
 
 
-def _table_text(header, rows, fmt: str) -> str:
+def _table_text(header, columns, fmt: str) -> str:
+    """A table given column by column: CSV (machine) or aligned text (human)."""
+    # a float array column keeps its floats, and "%.17g" % x is _cell's text
+    # for every float; any other column is written cell by cell
+    specs, values = [], []
+    for column in columns:
+        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        specs.append("%.17g" if floats else "%s")
+        values.append(column.tolist() if floats else [_cell(item) for item in column])
     if fmt == "machine":
-        return _csv_text(header, rows)
-    cells = [[_cell(item) for item in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+        # no header or cell holds a comma, a quote or a line break, so the
+        # CSV needs no quoting
+        line = ",".join(specs) + "\n"
+        return ",".join(header) + "\n" + "".join([line % row for row in zip(*values)])
+    cells = [[spec % x for x in column] for spec, column in zip(specs, values)]
+    widths = [max(map(len, (name, *column))) for name, column in zip(header, cells)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [header, *zip(*cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +424,8 @@ def _run_sweep(rc: RunConfig, command: str, sweep_spec: str, fmt: str) -> str:
     records = [_flatten(evaluator(_build_config({**rc.given, key: float(value)})))
                for value in values]
     header = [key] + [name for name in records[0] if name != key]
-    rows = [[value] + [record[name] for name in header[1:]]
-            for value, record in zip(values, records)]
-    return _table_text(header, rows, fmt)
+    columns = [values, *([record[name] for record in records] for name in header[1:])]
+    return _table_text(header, columns, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +437,21 @@ def _cmd_point(rc: RunConfig, args) -> tuple[str, int]:
     return _record_text(_EVALUATORS[args.command](rc), rc.format), 0
 
 
-def _path_rows(rc: RunConfig, profile: SweepProfile):
-    """Both branch paths on one grid, and rows t, re/im alpha0, re/im alpha1."""
+def _paths(rc: RunConfig, profile: SweepProfile):
+    """Both branch paths on one grid, and columns t, re/im alpha0, re/im alpha1."""
     co, counter = _sweep(rc.trap, profile, (Branch.CO, Branch.COUNTER), rc.n_samples)
-    rows = [[float(t), a0.real, a0.imag, a1.real, a1.imag]
-            for t, a0, a1 in zip(co.times, co.alphas, counter.alphas)]
-    return co, counter, rows
+    columns = [co.times, co.alphas.real, co.alphas.imag,
+               counter.alphas.real, counter.alphas.imag]
+    return co, counter, columns
 
 
 def _cmd_trajectory(rc: RunConfig, args) -> tuple[str, int]:
-    co, counter, rows = _path_rows(rc, rc.profile)
+    co, counter, columns = _paths(rc, rc.profile)
     if rc.format == "machine":
         header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1", "phi0", "phi1"]
-        rows = [row + [float(phi0), float(phi1)]
-                for row, phi0, phi1 in zip(rows, co.phases, counter.phases)]
-        return _csv_text(header, rows), 0
+        return _table_text(header, [*columns, co.phases, counter.phases], "machine"), 0
     record = {
-        "samples": len(rows),
+        "samples": len(co.times),
         "duration": rc.profile.duration,
         "closure_alpha0": abs(co.final_alpha),
         "closure_alpha1": abs(counter.final_alpha),
@@ -519,7 +515,7 @@ def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
         rows.append([label, scheme.duration, closed.contrast, abs(coherence),
                      closed.principal_arg, arg_fock, discrepancy,
                      "pass" if ok else "fail"])
-    text = _table_text(header, rows, rc.format)
+    text = _table_text(header, zip(*rows), rc.format)
     if rc.format == "human":
         verdict = "all schemes verified" if all_pass else "verification FAILED"
         text += f"{verdict} (tolerance {_VERIFY_TOL:g})\n"
@@ -538,25 +534,21 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
         scale = 2 * T / np.pi**2 if rc.panel == "a" else T / np.pi
         header = ["t", "t_over_T", "sweep_rate", "sweep_rate_scaled"]
         times = np.linspace(0.0, T, rc.points)
-        rows = [[float(t), float(t / T), float(r), float(r * scale)]
-                for t, r in zip(times, eval_profile(profile, times))]
-        return _table_text(header, rows, rc.format), 0
+        rates = eval_profile(profile, times)
+        return _table_text(header, [times, times / T, rates, rates * scale], rc.format), 0
     if rc.panel in ("b", "e"):
         # frequency axis in units of 2 pi / T
         header = ["freq_scaled", "omega", "re_spectrum", "im_spectrum"]
-        base = 2 * np.pi / T
-        rows = []
-        for scaled in np.linspace(0.0, 4.0, rc.points):
-            omega = scaled * base
-            value = spectrum_closed_form(family, T, omega).value
-            rows.append([float(scaled), float(omega), value.real, value.imag])
-        return _table_text(header, rows, rc.format), 0
+        scaled = np.linspace(0.0, 4.0, rc.points)
+        omegas = scaled * (2 * np.pi / T)
+        values = np.array([spectrum_closed_form(family, T, omega).value for omega in omegas])
+        return _table_text(header, [scaled, omegas, values.real, values.imag], rc.format), 0
 
     if rc.format == "machine":
         header = ["t", "re_alpha0", "im_alpha0", "re_alpha1", "im_alpha1",
                   "re_mirror1", "im_mirror1"]
-        rows = _path_rows(rc, profile)[2]
-        return _csv_text(header, [row + [-row[3], -row[4]] for row in rows]), 0
+        columns = _paths(rc, profile)[2]
+        return _table_text(header, [*columns, -columns[3], -columns[4]], "machine"), 0
     dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
     record = {
         "samples": rc.n_samples + 1,
@@ -604,11 +596,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _deliver(text: str, rc: RunConfig):
-    if rc.output:
+    if not rc.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(rc.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output {rc.output!r}: {exc}") from exc
 
 
 def run(argv=None) -> int:
@@ -623,13 +618,13 @@ def run(argv=None) -> int:
                 f"--sweep works with {', '.join(_EVALUATORS)}, not {args.command}"
             )
         text, code = _HANDLERS[args.command](rc, args)
+        _deliver(text, rc)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
-    _deliver(text, rc)
     return code
 
 

@@ -586,6 +586,43 @@ def test_output_file(tmp_path, capsys):
     assert record["method"] == "closed-form"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_output_to_an_unwritable_path_is_a_configuration_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    assert run(["simulate", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot write output")
+    assert "Traceback" not in captured.err
+
+
+def test_closed_pipe_exits_cleanly(console_script):
+    # 8193 rows are about 1.1 MB, far past a pipe buffer, so the writer
+    # meets the closed pipe mid-table.  Unbuffered stdout would end in a
+    # short write, not a BrokenPipeError, so the child runs buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([console_script, "trajectory", "--n-samples", "8192"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"t,")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in stderr
+
+
+def test_table_text_cells():
+    floats = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1])
+    mixed = [True, np.bool_(False), 3, np.int64(-2), None, "closed-form", 1 / 3, np.float64(2.5)]
+    text = cli._table_text(["x", "y"], [floats, mixed], "machine")
+    expected = ["x,y", *(f"{cli._cell(a)},{cli._cell(b)}" for a, b in zip(floats, mixed))]
+    assert text == "\n".join(expected) + "\n"
+    assert expected[1:4] == ["0,true", "-0,false", "4.9406564584124654e-324,3"]
+    assert expected[5:8] == ["nan,nan", "inf,closed-form", "-inf,0.33333333333333331"]
+
+    human = cli._table_text(["name", "value"], [["a", "bb"], np.array([1.5, -0.25])], "human")
+    assert human == "name  value\na     1.5\nbb    -0.25\n"
+
+
 def test_design_by_index(capsys):
     assert run(["design", "--family", "cosinusoidal", "--index", "2"]) == 0
     record = json.loads(capsys.readouterr().out)

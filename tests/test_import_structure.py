@@ -19,6 +19,11 @@ PRODUCTION = [
     ["design", "--index", "1"],
     ["verify"],
     ["fig2", "--panel", "a"],
+    ["simulate", "--sweep", "rotation=0.05:0.5:4"],
+    ["decompose", "--sweep", "duration=4:8:3", "--format", "human"],
+    ["fig2", "--panel", "b"],
+    ["fig2", "--panel", "c", "--n-samples", "64"],
+    ["verify", "--format", "human"],
 ]
 # commands that take a quadrature or a scalar-minimiser route
 ORACLE = [
