@@ -26,6 +26,7 @@ from .errors import (
 from .model import (
     Branch,
     ProfileFamily,
+    SpectrumValue,
     SweepProfile,
     TrapConfig,
     eval_profile,
@@ -33,8 +34,8 @@ from .model import (
     make_profile,
     zero_profile,
 )
-from .spectrum import SpectrumValue, spectrum_closed_form, spectrum_derivative, spectrum_numeric
-from .evolution import BranchEvolution, alpha_at, phi_at, sample_trajectory
+from .spectrum import spectrum_closed_form
+from .evolution import BranchEvolution, sample_trajectory
 from .fock import FockState, coherence_fock, evolve_fock, evolve_two_component
 from .interferometer import (
     InterferometerResult,
@@ -45,7 +46,6 @@ from .interferometer import (
 from .geometry import (
     PhaseDecomposition,
     SchemeClass,
-    branch_geometric_phase,
     decompose,
     shoelace_area,
 )

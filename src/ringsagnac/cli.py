@@ -64,7 +64,7 @@ from .model import (
 )
 from .evolution import _sweep
 from .sensitivity import sensitivity_report
-from .spectrum import spectrum_closed_form, spectrum_derivative, spectrum_numeric
+from .spectrum import spectrum_closed_form
 
 _VERIFY_TOL = 1e-4
 # argparse takes a dash-led token for an option unless it matches its own
@@ -336,6 +336,8 @@ def _table_text(header, columns, fmt: str) -> str:
 # single-point evaluators (shared by plain runs and sweeps)
 
 def _eval_spectrum(rc: RunConfig) -> dict:
+    from .oracle import spectrum_derivative, spectrum_numeric  # keeps the import numpy-only
+
     omega = rc.trap.trap_frequency if rc.omega is None else rc.omega
     profile = rc.profile
     if profile.family is ProfileFamily.TABULATED:

@@ -40,32 +40,20 @@ in their coefficients, lambda = D (Omega +/- omega_P), so one set of
 tables serves both.  One stage computes these interval terms; _sweep runs
 them through the sample grid for full paths, and _sweep_ends sums them
 for the end values, which are all that decompose and the time-domain
-phase read.  Point evaluations (alpha_at, phi_at) instead use adaptive
-quadrature of the definitions, so the two routes stay independent checks
-of each other; scipy is imported on their first call.
+phase read.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    InsufficientResolution,
-    QuadratureNonConvergence,
-    TimeOutOfRange,
-)
-from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, lambda_drive
+from .errors import ConfigurationError, ConvergenceError, InsufficientResolution
+from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile
 
-__all__ = ["BranchEvolution", "alpha_at", "phi_at", "sample_trajectory"]
+__all__ = ["BranchEvolution", "sample_trajectory"]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
-_ALPHA_TOL = 1e-10
-_PHI_TOL = 1e-8
 MIN_SAMPLES = 16
 
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
@@ -112,101 +100,6 @@ class BranchEvolution:
     @property
     def final_phase(self) -> float:
         return float(self.phases[-1])
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, with scipy imported on the first point evaluation.
-
-    Roundoff chatter near the noise floor is expected, and a NaN integrand
-    comes back as a NaN error estimate; explicit error budgets downstream
-    are the real gate.
-    """
-    from scipy.integrate import IntegrationWarning, quad as scipy_quad
-
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(*args, **kwargs)
-
-
-def _cut_points(profile: SweepProfile, t: float) -> list[float]:
-    cuts = [b for b in profile.breakpoints() if b < t]
-    return [0.0, *cuts, t]
-
-
-def _moments_to(config, profile, branch, t) -> tuple[float, float]:
-    """Adaptive-quadrature C(t), S(t) with the error budget enforced."""
-    fn = lambda tau: lambda_drive(config, profile, branch, tau)
-    w0 = config.trap_frequency
-    edges = _cut_points(profile, t)
-    cos_total, sin_total, err = 0.0, 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, abserr = quad(fn, a, b, weight="cos", wvar=w0, **_QUAD_OPTS)
-        cos_total += val
-        err += abserr
-        val, abserr = quad(fn, a, b, weight="sin", wvar=w0, **_QUAD_OPTS)
-        sin_total += val
-        err += abserr
-    if not err <= _ALPHA_TOL:
-        raise QuadratureNonConvergence(
-            f"amplitude quadrature error {err:.3e} exceeds {_ALPHA_TOL:.1e}"
-        )
-    return cos_total, sin_total
-
-
-def _check_window(profile: SweepProfile, t: float):
-    if t < 0 or t > profile.duration:
-        raise TimeOutOfRange(f"t={t} outside [0, {profile.duration}]")
-
-
-def alpha_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) -> complex:
-    """Coherent amplitude at time t, by adaptive quadrature."""
-    _check_window(profile, t)
-    if t == 0.0:
-        return 0.0 + 0.0j
-    c, s = _moments_to(config, profile, branch, t)
-    w0 = config.trap_frequency
-    return -np.exp(-1j * w0 * t) * (c + 1j * s) / config.hbar
-
-
-def phi_at(config: TrapConfig, profile: SweepProfile, branch: Branch, t: float) -> float:
-    """Accumulated (unwrapped) phase at time t, by nested adaptive quadrature."""
-    _check_window(profile, t)
-    if t == 0.0:
-        return 0.0
-    w0 = config.trap_frequency
-    hbar = config.hbar
-    fn = lambda tau: lambda_drive(config, profile, branch, tau)
-    edges = _cut_points(profile, t)
-    # a NaN integrand runs the nested quadrature to its subdivision limit
-    # before the budget below rejects it; omega0 tau is largest at t
-    nodes = np.asarray(edges)
-    with np.errstate(all="ignore"):
-        factors = fn(nodes) * np.exp(1j * w0 * nodes)
-    if not np.all(np.isfinite(factors)):
-        raise QuadratureNonConvergence(f"phase integrand is not finite on [0, {t}]")
-
-    # cumulative moments at segment starts, then a local partial inside
-    c_start, s_start = 0.0, 0.0
-    total, err = 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        def integrand(tau, a=a, c0=c_start, s0=s_start):
-            c_loc = quad(fn, a, tau, weight="cos", wvar=w0, **_QUAD_OPTS)[0] if tau > a else 0.0
-            s_loc = quad(fn, a, tau, weight="sin", wvar=w0, **_QUAD_OPTS)[0] if tau > a else 0.0
-            return fn(tau) * (
-                np.sin(w0 * tau) * (c0 + c_loc) - np.cos(w0 * tau) * (s0 + s_loc)
-            )
-
-        val, abserr = quad(integrand, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)
-        total += val
-        err += abserr
-        c_start += quad(fn, a, b, weight="cos", wvar=w0, **_QUAD_OPTS)[0]
-        s_start += quad(fn, a, b, weight="sin", wvar=w0, **_QUAD_OPTS)[0]
-    if not err <= _PHI_TOL:
-        raise QuadratureNonConvergence(
-            f"phase quadrature error {err:.3e} exceeds {_PHI_TOL:.1e}"
-        )
-    # hbar**2 underflows to 0 for hbar below about 1e-162
-    return total / hbar / hbar
 
 
 def _drive_basis(profile: SweepProfile, edges: np.ndarray):

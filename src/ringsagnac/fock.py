@@ -268,7 +268,7 @@ def evolve_fock(
     """
     _validate(n_max, steps)
     t_end = profile.duration if until is None else float(until)
-    if t_end < 0 or t_end > profile.duration:
+    if not 0 <= t_end <= profile.duration:
         raise TimeOutOfRange(f"until={t_end} outside [0, {profile.duration}]")
     psi = _propagate(config, profile, (branch,), n_max, steps, t_end)
     if check_steps:

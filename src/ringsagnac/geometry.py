@@ -35,14 +35,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import BranchEvolution, _sweep_ends
+from .evolution import _sweep_ends
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 
 __all__ = [
     "PhaseDecomposition",
     "SchemeClass",
-    "branch_geometric_phase",
     "decompose",
     "shoelace_area",
 ]
@@ -53,7 +52,6 @@ _PATH_AGREEMENT_TOL = 1e-7
 _PATH_ROUNDING_TOL = 1e-12
 _SPECTRUM_ZERO_TOL = 1e-8
 _GEOMETRIC_FLOOR = 1e-12
-MIN_PATH_SAMPLES = 17
 
 
 class SchemeClass(str, Enum):
@@ -102,22 +100,6 @@ def shoelace_area(path) -> float:
         raise DegeneratePath("signed area needs at least 3 samples")
     x, y = pts.real, pts.imag
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def branch_geometric_phase(evolution: BranchEvolution) -> float:
-    """Geometric phase of one branch: line integral along the sampled path.
-
-    Composite Simpson over Im[alpha* alpha_dot] with the analytically
-    sampled velocity; this route is independent of the polygon-area one.
-    """
-    if len(evolution.times) < MIN_PATH_SAMPLES:
-        raise InsufficientResolution(
-            f"geometric phase needs at least {MIN_PATH_SAMPLES} path samples"
-        )
-    from scipy.integrate import simpson  # the cross-check route only
-
-    integrand = (np.conj(evolution.alphas) * evolution.alpha_dots).imag
-    return -float(simpson(integrand, x=evolution.times))
 
 
 def _swept_dynamic_phase(phase: float, mean_square: float, w0: float, T: float) -> float:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _sweep_ends
-from .model import Branch, SweepProfile, TrapConfig
-from .spectrum import SpectrumValue, _exact_spectrum
+from .model import Branch, SpectrumValue, SweepProfile, TrapConfig
+from .spectrum import _exact_spectrum
 
 __all__ = [
     "InterferometerResult",

@@ -23,6 +23,7 @@ from .errors import NegativeSample, NonPositiveDuration, ZeroProfile, Configurat
 __all__ = [
     "Branch",
     "ProfileFamily",
+    "SpectrumValue",
     "SweepProfile",
     "TrapConfig",
     "eval_profile",
@@ -126,6 +127,17 @@ class SweepProfile:
         if self.family is ProfileFamily.TABULATED:
             return tuple(self.grid[1:-1])
         return ()
+
+
+@dataclass(frozen=True)
+class SpectrumValue:
+    """Spectrum sample: frequency, complex value, and how it was obtained."""
+
+    omega: float
+    value: complex
+    # "closed-form" (analytic families), "exact piecewise-linear" (tabulated
+    # profiles, summed segment by segment), or "quadrature" (the oracle)
+    method: str
 
 
 def _check_duration(duration):

@@ -10,9 +10,7 @@ sqrt(pi/2).  The three analytic families have closed forms, and a
 tabulated profile, being piecewise linear, has an exact per-segment sum
 (Filon's method without its approximation).  The readout, the
 decomposition and the design search take W(omega0) and d Re W / d omega
-from that exact route.  Oscillatory-weight adaptive quadrature split at
-the profile kinks (spectrum_numeric, spectrum_derivative) is kept as the
-independent oracle and for the CLI spectrum command.
+from that exact route.
 
 Closed forms, with u = omega * T:
 
@@ -50,21 +48,14 @@ their removable point u = 2 pi is nu = 0, inside the small-theta series.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import ConfigurationError, QuadratureNonConvergence, UnsupportedFamily
-from .model import ProfileFamily, SweepProfile, eval_profile
+from .errors import ConfigurationError, UnsupportedFamily
+from .model import ProfileFamily, SpectrumValue, SweepProfile
 
-__all__ = [
-    "SpectrumValue",
-    "spectrum_closed_form",
-    "spectrum_derivative",
-    "spectrum_numeric",
-]
+__all__ = ["spectrum_closed_form"]
 
 HALF_PI_SQRT = np.sqrt(np.pi / 2)
 
@@ -73,75 +64,12 @@ HALF_PI_SQRT = np.sqrt(np.pi / 2)
 # point only changes rounding, not values.
 _FACTORED_WINDOW = 0.5
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
-_ABS_TOL = 1e-10
-
 # Below this |theta| the segment moments come from their Taylor series,
 # above it from the closed forms, whose cancellation error grows like
 # eps / theta^2 and is a few ulps at the switch.  Eight terms leave a
 # truncation error below 1e-19 there.
 _SERIES_SWITCH = 0.5
 _SERIES_TERMS = 8
-
-
-@dataclass(frozen=True)
-class SpectrumValue:
-    """Spectrum sample: frequency, complex value, and how it was obtained."""
-
-    omega: float
-    value: complex
-    # "closed-form" (analytic families), "exact piecewise-linear" (tabulated
-    # profiles, summed segment by segment), or "quadrature" (the oracle)
-    method: str
-
-
-def _segments(profile: SweepProfile) -> list[tuple[float, float]]:
-    edges = [0.0, *profile.breakpoints(), profile.duration]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, with scipy imported on the first oracle call.
-
-    The roundoff warning fires near the noise floor; the explicit error
-    budgets of the callers are the real gate.
-    """
-    from scipy.integrate import IntegrationWarning, quad as scipy_quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(*args, **kwargs)
-
-
-def _weighted_moment(profile: SweepProfile, omega: float, weight: str, fn) -> float:
-    """int_0^T fn(t) * {cos,sin}(omega t) dt with kink-aligned segments."""
-    total = 0.0
-    err = 0.0
-    for a, b in _segments(profile):
-        val, abserr = quad(fn, a, b, weight=weight, wvar=omega, **_QUAD_OPTS)
-        total += val
-        err += abserr
-    if not err <= _ABS_TOL:
-        raise QuadratureNonConvergence(
-            f"spectrum quadrature error {err:.3e} exceeds {_ABS_TOL:.1e}"
-        )
-    return total
-
-
-def spectrum_numeric(profile: SweepProfile, omega: float) -> SpectrumValue:
-    """Transform of the profile at one frequency, by adaptive quadrature.
-
-    Negative frequencies use the conjugate symmetry of transforms of real
-    functions.
-    """
-    if omega < 0:
-        flipped = spectrum_numeric(profile, -omega)
-        return SpectrumValue(float(omega), flipped.value.conjugate(), "quadrature")
-    fn = lambda t: eval_profile(profile, t)
-    re = _weighted_moment(profile, omega, "cos", fn)
-    im = -_weighted_moment(profile, omega, "sin", fn)
-    value = (re + 1j * im) / np.sqrt(2 * np.pi)
-    return SpectrumValue(float(omega), value, "quadrature")
 
 
 def _closed_flat(u: float) -> complex:
@@ -208,24 +136,6 @@ def spectrum_closed_form(family, duration: float, omega: float) -> SpectrumValue
     if omega < 0:
         value = value.conjugate()
     return SpectrumValue(float(omega), value, "closed-form")
-
-
-def spectrum_derivative(profile: SweepProfile, omega: float) -> float:
-    """d/d omega of Re W at the given frequency.
-
-    Uses the moment identity d_omega Re W = -(1/sqrt(2 pi)) *
-    int_0^T t omega_P(t) sin(omega t) dt, which follows from
-    differentiating under the integral; the sign flip for negative
-    frequencies comes with sin being odd.
-    """
-    sign = 1.0
-    if omega < 0:
-        omega, sign = -omega, -1.0
-    if omega == 0.0:
-        return 0.0
-    fn = lambda t: t * eval_profile(profile, t)
-    moment = _weighted_moment(profile, omega, "sin", fn)
-    return sign * (-moment / np.sqrt(2 * np.pi))
 
 
 def _series(power: int, odd: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from ringsagnac import (
     ProfileFamily,
     SchemeClass,
     TrapConfig,
-    branch_geometric_phase,
     decompose,
     design_time,
     evolve_fock,
@@ -27,9 +26,8 @@ from ringsagnac import (
     sensitivity_report,
     shoelace_area,
     spectrum_closed_form,
-    spectrum_derivative,
-    spectrum_numeric,
 )
+from ringsagnac.oracle import branch_geometric_phase, spectrum_derivative, spectrum_numeric
 
 NATURAL = TrapConfig()
 SAGNAC = 0.6283185307179586  # 2 pi * 0.1

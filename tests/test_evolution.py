@@ -18,14 +18,13 @@ from ringsagnac import (
     QuadratureNonConvergence,
     TimeOutOfRange,
     TrapConfig,
-    alpha_at,
+    evolve_fock,
     make_profile,
-    phi_at,
     sample_trajectory,
-    spectrum_numeric,
     zero_profile,
 )
 from ringsagnac.evolution import _sweep, _sweep_ends
+from ringsagnac.oracle import alpha_at, phi_at, spectrum_numeric
 
 
 @pytest.fixture
@@ -61,6 +60,18 @@ def test_time_window_enforced(natural, flat):
             alpha_at(natural, flat, Branch.CO, t)
         with pytest.raises(TimeOutOfRange):
             phi_at(natural, flat, Branch.CO, t)
+
+
+@pytest.mark.parametrize("at_time", [
+    pytest.param(lambda *args, t: alpha_at(*args, t), id="alpha_at"),
+    pytest.param(lambda *args, t: phi_at(*args, t), id="phi_at"),
+    pytest.param(lambda *args, t: evolve_fock(*args, until=t), id="evolve_fock"),
+])
+def test_nan_time_is_out_of_range(natural, flat, at_time):
+    # an input error, not a NaN amplitude, a convergence failure or
+    # advice to raise n_max
+    with pytest.raises(TimeOutOfRange):
+        at_time(natural, flat, Branch.CO, t=np.nan)
 
 
 def test_zero_drive_stays_at_vacuum():
@@ -294,11 +305,21 @@ def _imported_modules(name):
     return found
 
 
+_MODULES = sorted(path.stem for path in Path(ringsagnac.__file__).parent.glob("*.py"))
+
+
 @pytest.mark.parametrize(
     "module, forbidden",
-    [("evolution", {"spectrum", "interferometer", "geometry"}), ("spectrum", {"evolution"})],
+    [("evolution", {"spectrum", "interferometer", "geometry", "oracle"}),
+     ("spectrum", {"evolution", "oracle"}),
+     ("oracle", set(_MODULES) - {"model", "errors"}),
+     *((name, {"oracle"}) for name in _MODULES
+       if name not in ("cli", "evolution", "oracle", "spectrum"))],
 )
 def test_time_domain_and_spectral_routes_share_no_code(module, forbidden):
     # the path sweep and the spectrum check each other, so neither may
-    # import the other (or, for the sweep, what builds on the spectrum)
+    # import the other (or, for the sweep, what builds on the spectrum);
+    # the quadrature oracles check both, so they build on model and errors
+    # alone, and no module but the CLI (__init__ included) imports them
+    assert "oracle" in _MODULES
     assert _imported_modules(module) & forbidden == set()

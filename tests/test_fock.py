@@ -15,17 +15,16 @@ from ringsagnac import (
     TimeOutOfRange,
     TrapConfig,
     TruncationInsufficient,
-    alpha_at,
     coherence_fock,
     design_time,
     evolve_fock,
     evolve_two_component,
     lambda_drive,
     make_profile,
-    phi_at,
     readout,
     zero_profile,
 )
+from ringsagnac.oracle import alpha_at, phi_at
 
 
 def test_undriven_vacuum_picks_up_zero_point_phase():

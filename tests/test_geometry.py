@@ -13,16 +13,14 @@ from ringsagnac import (
     ProfileFamily,
     SchemeClass,
     TrapConfig,
-    alpha_at,
-    branch_geometric_phase,
     decompose,
     make_profile,
-    phi_at,
     sample_trajectory,
     shoelace_area,
     zero_profile,
 )
 from ringsagnac import geometry
+from ringsagnac.oracle import alpha_at, branch_geometric_phase, phi_at
 
 SAGNAC_NATURAL = 0.6283185307179586  # 2 pi * 0.1
 

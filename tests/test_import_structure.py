@@ -1,4 +1,7 @@
-"""Production routes load numpy only; scipy is imported by the oracle routes alone."""
+"""Production routes load numpy only; scipy is imported by the oracle routes alone.
+
+ringsagnac.oracle holds every quadrature route; no production step loads it.
+"""
 
 import json
 import os
@@ -34,12 +37,13 @@ ORACLE = [
 SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def loaded():
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return [scipy, "ringsagnac.oracle" in sys.modules]
 
 report = {}
 import ringsagnac as rs
-report["import ringsagnac"] = [0, scipy_modules()]
+report["import ringsagnac"] = [0, *loaded()]
 config = rs.TrapConfig()
 tabulated = rs.make_profile(rs.ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
 rs.readout(config, tabulated)
@@ -50,13 +54,13 @@ rs.sample_trajectory(config, tabulated, rs.Branch.CO, 256)
 rs.design_time("sinusoidal", config, 0)
 rs.coherence_fock(config, rs.make_profile(rs.ProfileFamily.FLAT, 6.283185307179586),
                   n_max=16, steps=256)
-report["library"] = [0, scipy_modules()]
+report["library"] = [0, *loaded()]
 import ringsagnac.cli
-report["import ringsagnac.cli"] = [0, scipy_modules()]
+report["import ringsagnac.cli"] = [0, *loaded()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ringsagnac.cli.run(argv)
-    report[" ".join(argv)] = [code, scipy_modules()]
+    report[" ".join(argv)] = [code, *loaded()]
 print(json.dumps(report))
 """
 
@@ -71,14 +75,15 @@ def _run(commands) -> dict:
 def test_production_routes_load_no_scipy():
     report = _run(PRODUCTION)
     assert len(report) == 3 + len(PRODUCTION)
-    for step, (code, scipy_loaded) in report.items():
+    for step, (code, scipy_loaded, oracle_loaded) in report.items():
         assert code == 0, step
         assert scipy_loaded == [], step
+        assert not oracle_loaded, step
 
 
 def test_oracle_commands_still_run():
     report = _run(ORACLE)
     for argv in ORACLE:
-        code, scipy_loaded = report[" ".join(argv)]
+        code, scipy_loaded, _ = report[" ".join(argv)]
         assert code == 0
         assert scipy_loaded

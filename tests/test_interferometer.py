@@ -10,7 +10,6 @@ from ringsagnac import (
     Branch,
     ProfileFamily,
     TrapConfig,
-    alpha_at,
     decompose,
     design_time,
     interferometer_phase_integral,
@@ -18,9 +17,8 @@ from ringsagnac import (
     readout,
     sagnac_phase,
     sensitivity_report,
-    spectrum_derivative,
-    spectrum_numeric,
 )
+from ringsagnac.oracle import alpha_at, spectrum_derivative, spectrum_numeric
 from ringsagnac.spectrum import _exact_spectrum
 
 SAGNAC_NATURAL = 0.6283185307179586  # 2 pi * 0.1

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import ringsagnac.evolution
-import ringsagnac.spectrum
+import ringsagnac.oracle
 from ringsagnac import (
     ConfigurationError,
     ProfileFamily,
@@ -18,9 +17,8 @@ from ringsagnac import (
     readout,
     sensitivity_report,
     spectrum_closed_form,
-    spectrum_derivative,
-    spectrum_numeric,
 )
+from ringsagnac.oracle import spectrum_derivative, spectrum_numeric
 from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _segment_kernels
 
 HALF_PI_SQRT = 1.2533141373155001  # sqrt(pi/2)
@@ -239,15 +237,25 @@ def test_exact_route_rejects_nonfinite_arguments():
         _exact_spectrum(make_profile(ProfileFamily.TABULATED, 2.0, samples=[1, 2]), 1e308)
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("oracle", [spectrum_numeric, spectrum_derivative])
+def test_quadrature_oracle_rejects_nonfinite_arguments(oracle, omega):
+    # an input error, as on the closed-form and exact routes, not a
+    # quadrature that failed to converge
+    for profile in (make_profile(ProfileFamily.FLAT, 2 * np.pi),
+                    make_profile(ProfileFamily.TABULATED, 2.0, samples=[1, 2])):
+        with pytest.raises(ConfigurationError):
+            oracle(profile, omega)
+
+
 def test_production_paths_never_run_quadrature(monkeypatch):
     # quadrature is the oracle only: readout, sensitivity, decompose, the
-    # time-domain phase and the design routines run with both the spectral
-    # and the time-domain quadrature disabled
+    # time-domain phase and the design routines run with the one quad
+    # wrapper, which the spectral and time-domain oracles share, disabled
     def refuse(*args, **kwargs):
         raise AssertionError("production path called quad")
 
-    monkeypatch.setattr(ringsagnac.spectrum, "quad", refuse)
-    monkeypatch.setattr(ringsagnac.evolution, "quad", refuse)
+    monkeypatch.setattr(ringsagnac.oracle, "quad", refuse)
     config = TrapConfig()
     tabulated = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
     for profile in (*(make_profile(family, 7.0) for family in ANALYTIC), tabulated):
