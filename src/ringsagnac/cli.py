@@ -107,7 +107,9 @@ _OPTIONS = (
     _Option("samples", "profile", tuple, sep=",", metavar="V1,V2,...",
             help="tabulated sweep rates, comma separated"),
     _Option("omega", None, float, help="evaluation frequency (spectrum)"),
-    _Option("n_samples", None, int, 4096, help="path sample count for trajectory-based commands"),
+    _Option("n_samples", None, int, 4096,
+            help="path sample count (trajectory, fig2 c); a cap on the sized "
+                 "sweep grid (decompose, fig2 f)"),
     _Option("n_max", None, int, 40, help="basis truncation (verify)"),
     _Option("steps", None, int, 4096, help="propagation steps (verify)"),
     _Option("index", None, int, help="scheme order (design)"),

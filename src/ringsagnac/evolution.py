@@ -41,10 +41,18 @@ tables serves both.  One stage computes these interval terms; _sweep runs
 them through the sample grid for full paths, and _sweep_ends sums them
 for the end values, which are all that decompose and the time-domain
 phase read.
+
+The rule is exact through degree 11, so the end values reach rounding
+once every interval has omega0 h <= 1.  _sweep_ends therefore sizes its
+own grid, max(MIN_SAMPLES, ceil(omega0 T)) intervals plus the kinks, and
+takes n_samples as a cap on that count; _sweep returns samples and keeps
+the uniform grid of n_samples intervals.  Both refuse an n_samples
+above _MAX_SAMPLES before building anything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,10 @@ from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile
 __all__ = ["BranchEvolution", "sample_trajectory"]
 
 MIN_SAMPLES = 16
+# the CLI trajectory at this many samples peaks at 770 MB of RSS (fig2 c at
+# 730 MB, an end-value sweep of as many intervals at 310 MB); beyond it the
+# paths and their text soon take gigabytes
+_MAX_SAMPLES = 2**20
 
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
 # analytic-per-interval integrands used here.
@@ -159,16 +171,13 @@ def _width_tables(hs: np.ndarray, w0: float, basis, n_basis: int):
 def _interval_terms(config: TrapConfig, profile: SweepProfile, branches, n_samples: int):
     """The stage both sweep consumers share: per-interval terms of every branch.
 
+    The grid is n_samples uniform intervals, a count the callers validate.
     Profile kinks are inserted into the internal integration grid so every
     elementary interval has an analytic integrand.  Returns the sample
     times ts, the integration edges, Y = exp(-i w0 a) Z(a) at every edge
     (branch, edge), and each interval's addition to the phase integral
     phi hbar^2 and to int |Z|^2 (branch, interval).
     """
-    if n_samples < 1:
-        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
-    if n_samples < MIN_SAMPLES:
-        raise InsufficientResolution(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     T = profile.duration
     w0 = config.trap_frequency
     ts = np.linspace(0.0, T, n_samples + 1)
@@ -202,6 +211,15 @@ def _interval_terms(config: TrapConfig, profile: SweepProfile, branches, n_sampl
     return ts, edges, y, d_phase, d_abs2
 
 
+def _check_samples(n_samples: int):
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
+    if n_samples > _MAX_SAMPLES:
+        raise ConfigurationError(f"n_samples must be at most {_MAX_SAMPLES}, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise InsufficientResolution(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+
+
 def _signs(branches) -> np.ndarray:
     return np.array([branch.sign for branch in branches], dtype=float)[:, None]
 
@@ -222,6 +240,7 @@ def _sweep(
     A sweep that overflows (durations or rotation rates near the float
     range) raises ConvergenceError instead of returning inf or NaN.
     """
+    _check_samples(n_samples)
     ts, edges, y, d_phase, d_abs2 = _interval_terms(config, profile, branches, n_samples)
     hbar = config.hbar
     runs = np.zeros((2, len(branches), len(edges)))
@@ -247,9 +266,16 @@ def _sweep_ends(
 
     The intervals of _sweep, summed instead of run through, with nothing
     gathered at the sample times: the end values are all that decompose
-    and the time-domain phase read.  Overflow raises ConvergenceError.
+    and the time-domain phase read.  The grid is sized from omega0 T, where
+    omega0 h <= 1 already reaches rounding: max(MIN_SAMPLES, ceil(omega0 T))
+    uniform intervals, capped at n_samples, plus the profile kinks.  Where
+    the cap binds, and for an omega0 T that is not finite, the grid is
+    _sweep's at n_samples.  Overflow raises ConvergenceError.
     """
-    y, d_phase, d_abs2 = _interval_terms(config, profile, branches, n_samples)[2:]
+    _check_samples(n_samples)
+    span = config.trap_frequency * profile.duration
+    count = max(MIN_SAMPLES, math.ceil(span)) if span < n_samples else n_samples
+    y, d_phase, d_abs2 = _interval_terms(config, profile, branches, count)[2:]
     hbar = config.hbar
     alphas = -y[:, -1] / hbar
     phases = d_phase.sum(axis=-1) / hbar / hbar

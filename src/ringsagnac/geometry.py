@@ -126,7 +126,13 @@ def _residual_angle(alpha0: complex, alpha1: complex) -> float:
 def decompose(
     config: TrapConfig, profile: SweepProfile, n_samples: int = 4096
 ) -> PhaseDecomposition:
-    """Full phase decomposition with spectral/path cross-validation."""
+    """Full phase decomposition with spectral/path cross-validation.
+
+    The path parts come from the end-value sweep, whose grid is sized from
+    omega0 T (max(16, ceil(omega0 T)) intervals plus the profile kinks);
+    n_samples caps that count, so any n_samples at or above it gives the
+    same bits.
+    """
     w0 = config.trap_frequency
     T = profile.duration
 

@@ -85,7 +85,8 @@ def interferometer_phase_integral(
     """Unwrapped phase from the time-domain branch evolutions.
 
     phi_0(T) - phi_1(T) plus the overlap angle Im[alpha_1* alpha_0];
-    independent of the spectral route.
+    independent of the spectral route.  The end-value sweep sizes its grid
+    from omega0 T, and n_samples caps its interval count.
     """
     (alpha0, phi0, _), (alpha1, phi1, _) = _sweep_ends(
         config, profile, (Branch.CO, Branch.COUNTER), n_samples)

@@ -128,13 +128,15 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
          "--trap-frequency", "1e308"],
         ["verify", "--steps", "20000000"],
         ["verify", "--n-max", "100000"],
+        *([*command, "--n-samples", str(ringsagnac.evolution._MAX_SAMPLES + 1)]
+          for command in (["trajectory"], ["fig2", "--panel", "c"], ["decompose"])),
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_nonfinite_input_rejected(capsys, argv):
-    # a non-finite input or derived scale, a sample count below one, or an
-    # oracle size whose tables would not fit in memory is a configuration
-    # error, never NaN output with exit 0 nor a traceback
+    # a non-finite input or derived scale, a sample count below one, or a
+    # sample count or oracle size whose arrays would not fit in memory is a
+    # configuration error, never NaN output with exit 0 nor a traceback
     _assert_one_line_failure(capsys, argv, 2, "configuration error:")
 
 

@@ -1,6 +1,7 @@
 """Coherent-state path of a single branch: quadrature route and sampled sweep."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -248,14 +249,38 @@ def test_off_grid_profile_nodes_split_sweep_intervals():
         assert not np.isin(nodes, ts).any()
 
 
-@pytest.mark.parametrize("profile, n_samples", SWEEP_CASES,
+def _record_grids(monkeypatch) -> list:
+    """Record (uniform count, intervals built) of every pass of the shared stage."""
+    grids = []
+    stage = ringsagnac.evolution._interval_terms
+
+    def counted(config, profile, branches, n_samples):
+        terms = stage(config, profile, branches, n_samples)
+        grids.append((n_samples, terms[3].shape[-1]))
+        return terms
+
+    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
+    return grids
+
+
+# omega0 T = 61.2 is above the count of 32 samples, so the cap binds
+CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
+
+
+@pytest.mark.parametrize("profile, n_samples",
+                         [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds")],
                          ids=lambda value: getattr(value, "family", value))
-def test_end_values_match_the_path_sweep(profile, n_samples):
+def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
     # the end values sum the path sweep's interval terms instead of running
-    # through them, so the two agree to rounding of the summation order
+    # through them, so on the grid the end-value sweep chose the two agree
+    # to rounding of the summation order
     branches = (Branch.CO, Branch.COUNTER)
-    paths = _sweep(DIMENSIONAL, profile, branches, n_samples)
+    grids = _record_grids(monkeypatch)
     ends = _sweep_ends(DIMENSIONAL, profile, branches, n_samples)
+    ((chosen, _),) = grids
+    span = DIMENSIONAL.trap_frequency * profile.duration
+    assert chosen == (n_samples if span >= n_samples else max(16, math.ceil(span)))
+    paths = _sweep(DIMENSIONAL, profile, branches, chosen)
     for (alpha, phase, square), ev in zip(ends, paths):
         assert alpha == ev.final_alpha
         assert abs(phase - ev.final_phase) <= 1e-12 * max(1.0, abs(ev.final_phase))
@@ -269,6 +294,36 @@ def test_end_values_keep_the_sweep_checks(natural, flat):
         _sweep_ends(natural, flat, (Branch.CO,), 8)
     with pytest.raises(ConvergenceError):
         _sweep_ends(TrapConfig(rotation=1e200), flat, (Branch.CO,), 16)
+
+
+@pytest.mark.parametrize("n_samples", [64, 4096])
+def test_end_value_sweep_takes_at_most_the_cap_plus_the_kinks(monkeypatch, n_samples):
+    # omega0 T = 6.3e4 asks for far more intervals than the cap allows; the
+    # grid is then the cap's uniform one, split at the profile's four kinks
+    fast = TrapConfig(trap_frequency=1e4)
+    profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi,
+                           samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
+    grids = _record_grids(monkeypatch)
+    _sweep_ends(fast, profile, (Branch.CO, Branch.COUNTER), n_samples)
+    ((count, intervals),) = grids
+    assert count == n_samples
+    assert intervals <= n_samples + 4
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(lambda config, profile, n: sample_trajectory(config, profile, Branch.CO, n),
+                 id="sample_trajectory"),
+    pytest.param(lambda config, profile, n: _sweep_ends(config, profile, (Branch.CO,), n),
+                 id="_sweep_ends"),
+])
+def test_sample_count_above_the_ceiling_is_a_configuration_error(monkeypatch, flat, sweep):
+    # refused before any interval is built; only the value one above the
+    # ceiling is tried, an accepted one that large would take gigabytes
+    limit = ringsagnac.evolution._MAX_SAMPLES
+    grids = _record_grids(monkeypatch)
+    with pytest.raises(ConfigurationError, match=f"at most {limit}"):
+        sweep(TrapConfig(), flat, limit + 1)
+    assert grids == []
 
 
 def test_width_tables_in_blocks_equal_one_block(monkeypatch):

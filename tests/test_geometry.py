@@ -14,6 +14,7 @@ from ringsagnac import (
     SchemeClass,
     TrapConfig,
     decompose,
+    interferometer_phase_integral,
     make_profile,
     sample_trajectory,
     shoelace_area,
@@ -219,3 +220,29 @@ def test_path_check_keeps_its_absolute_bound_at_moderate_phases(monkeypatch, con
     monkeypatch.setattr(geometry, "_residual_angle", lambda a0, a1: exact(a0, a1) + 2e-7)
     with pytest.raises(InsufficientResolution, match=r"tol 1\.0e-07"):
         decompose(config, profile)
+
+
+SCALED = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05)
+
+
+@pytest.mark.parametrize("config", [TrapConfig(), SCALED], ids=["natural", "scaled"])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        make_profile(ProfileFamily.FLAT, 7.3),
+        make_profile(ProfileFamily.SINUSOIDAL, 7.3),
+        make_profile(ProfileFamily.COSINUSOIDAL, 7.3),
+        make_profile(ProfileFamily.TABULATED, 9.1,
+                     samples=np.random.default_rng(23).uniform(0.1, 1.0, 9)),
+    ],
+    ids=lambda profile: profile.family.value,
+)
+def test_end_value_routes_are_unchanged_above_the_sized_grid(config, profile):
+    # omega0 T is at most 16, so the end-value sweep sizes its own grid below
+    # every count here, and n_samples only caps it: the outputs are the same
+    # bits at 64, 2048 and 4096 samples (repr tells -0.0 from 0.0)
+    assert config.trap_frequency * profile.duration < 64
+    decompositions = {repr(decompose(config, profile, n_samples=n)) for n in (64, 2048, 4096)}
+    assert len(decompositions) == 1
+    phases = {repr(interferometer_phase_integral(config, profile, n)) for n in (64, 2048, 4096)}
+    assert len(phases) == 1
