@@ -171,7 +171,9 @@ def decompose(
         if not gap <= path_tol <= phase_scale:
             raise InsufficientResolution(
                 f"path/spectral geometric parts disagree by {gap:.3e} "
-                f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e})"
+                f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e}) "
+                f"at omega0 T = {w0 * T:.3e} and n_samples = {n_samples}; the end "
+                f"values reach rounding once n_samples >= omega0 T"
             )
     dgd = gd[0] - gd[1]
 

@@ -38,19 +38,26 @@ where A = h fbar, B = h df / 2 and
     j1 = int_0^1 x sin(theta x) dx     = (sin(theta) - theta cos(theta))/theta^2
     q  = int_0^1 x^2 cos(theta x) dx.
 
-A tabulated profile is a sum of such segments with nu = omega.  The
-analytic profiles are, on each kink-free segment, constants times
-exp(0, +/- i 2 pi t / T), so the same moments at nu = omega -/+ 2 pi / T
-give their slope d Re W / d omega = Im(int t f exp(-i omega t) dt) / sqrt(2 pi);
-their removable point u = 2 pi is nu = 0, inside the small-theta series.
+A tabulated profile is a sum of such segments with nu = omega.  Its
+samples lie on a uniform grid, so every segment has the width
+h = T / (n - 1) and one theta = omega h / 2: m0, j1 and q are three
+scalars, evaluated once per call, and W and the slope moment are two sums
+over one phase vector exp(-i omega mid).  The analytic profiles are, on
+each kink-free segment, constants times exp(0, +/- i 2 pi t / T), so the
+same moments at nu = omega -/+ 2 pi / T, at most four single segments
+with a theta each, give their slope
+d Re W / d omega = Im(int t f exp(-i omega t) dt) / sqrt(2 pi); their
+removable point u = 2 pi is nu = 0, inside the small-theta series.  Below
+|theta| = _SERIES_SWITCH the kernels come from their Taylor series, by
+Horner's rule; above it from the closed forms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigurationError, UnsupportedFamily
 from .model import ProfileFamily, SpectrumValue, SweepProfile
@@ -138,99 +145,118 @@ def spectrum_closed_form(family, duration: float, omega: float) -> SpectrumValue
     return SpectrumValue(float(omega), value, "closed-form")
 
 
-def _series(power: int, odd: int) -> np.ndarray:
+def _series(power: int, odd: int) -> tuple[float, ...]:
     # int_0^1 x^power {cos, sin}(theta x) dx
     #   = sum_k (-1)^k theta^n / (n! (n + power + 1)),  n = 2k + odd,
-    # as coefficients of a polynomial in theta^2 (theta^odd factored out)
-    return np.array([(-1) ** k / (math.factorial(2 * k + odd) * (2 * k + odd + power + 1))
-                     for k in range(_SERIES_TERMS)])
+    # as coefficients of a polynomial in theta^2 (theta^odd factored out),
+    # highest power first for Horner's rule
+    return tuple((-1) ** k / (math.factorial(2 * k + odd) * (2 * k + odd + power + 1))
+                 for k in reversed(range(_SERIES_TERMS)))
 
 
-_M0, _J1, _Q = _series(0, 0), _series(1, 1), _series(2, 0)
+_SERIES = tuple(zip(_series(0, 0), _series(1, 1), _series(2, 0)))
 
 
-def _segment_kernels(theta: np.ndarray):
-    """m0, j1 and q of the module docstring at each theta."""
-    small = np.abs(theta) < _SERIES_SWITCH
-    t = np.where(small, 1.0, theta)  # keeps the closed forms off their 0/0 point
-    sin, cos = np.sin(t), np.cos(t)
-    m0 = sin / t
-    j1 = (m0 - cos) / t
-    q = (sin + 2 * (cos - m0) / t) / t
-    if small.any():
-        z = np.where(small, theta, 0.0)
-        z2 = z * z
-        m0 = np.where(small, polyval(z2, _M0), m0)
-        j1 = np.where(small, z * polyval(z2, _J1), j1)
-        q = np.where(small, polyval(z2, _Q), q)
+def _kernel(theta: float) -> tuple[float, float, float]:
+    """m0, j1 and q of the module docstring at one finite theta."""
+    if abs(theta) < _SERIES_SWITCH:
+        z2 = theta * theta
+        m0 = j1 = q = 0.0
+        for c_m0, c_j1, c_q in _SERIES:
+            m0 = m0 * z2 + c_m0
+            j1 = j1 * z2 + c_j1
+            q = q * z2 + c_q
+        return m0, theta * j1, q
+    sin, cos = math.sin(theta), math.cos(theta)
+    m0 = sin / theta
+    j1 = (m0 - cos) / theta
+    q = (sin + 2 * (cos - m0) / theta) / theta
     return m0, j1, q
 
 
-def _linear_moments(nu, a, b, fa, fb) -> tuple[complex, complex]:
-    """Sums of int_a^b f e^(-i nu t) dt and int_a^b t f e^(-i nu t) dt.
+def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, complex]:
+    """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile.
 
-    f is linear on each [a, b] with end values fa and fb; the arguments
-    broadcast, one entry per segment.  Only products of order h f are
-    formed, never h^2, so durations near the float range stay finite.
+    Every segment has the grid width h, so one kernel at theta = w h / 2
+    serves them all, and both integrals are sums over one phase vector.
+    Only products of order h f are formed, never h^2, so durations near
+    the float range stay finite.
     """
-    h = b - a
-    mid = a + h / 2
-    area = h * ((fa + fb) / 2)
-    tilt = h * ((fb - fa) / 2)
-    m0, j1, q = _segment_kernels(nu * (h / 2))
-    phase = np.exp(-1j * (nu * mid))
-    value = phase * (area * m0 - 1j * (tilt * j1))
-    moment = mid * value + phase * ((h / 2) * (tilt * q - 1j * (area * j1)))
-    return complex(value.sum()), complex(moment.sum())
+    f = np.asarray(profile.samples)
+    h = profile.duration / (f.size - 1)
+    half = h / 2
+    mid = h * np.arange(0.5, f.size - 1)
+    area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
+    m0, j1, q = _kernel(w * half)
+    odd = -1j * j1
+    phase = np.exp((-1j * w) * mid)
+    terms = area * m0 + odd * tilt
+    value = (phase * terms).sum()
+    moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
+    return complex(value), complex(moment)
 
 
-def _exponential_terms(profile: SweepProfile, omega: float):
-    """An analytic profile as _linear_moments arguments at frequency omega.
+def _exponential_rows(profile: SweepProfile, w: float):
+    """An analytic profile as constant pieces (nu, a, b, c) at frequency w.
 
-    On each kink-free segment the profile is a sum of constants c times
-    exp(i k t) with k in {0, +/- 2 pi / T}, so its moments are constant
-    pieces at the shifted frequency nu = omega - k.
+    On each kink-free segment [a, b] the profile is a sum of constants c
+    times exp(i k t) with k in {0, +/- 2 pi / T}, so its moments are those
+    of the constant c at the shifted frequency nu = w - k.
     """
     T = profile.duration
-    k = 2 * np.pi / T
+    k = 2 * math.pi / T
     if profile.family is ProfileFamily.FLAT:
-        rows = [(0.0, 0.0, T, np.pi / T)]
-    elif profile.family is ProfileFamily.COSINUSOIDAL:
+        return [(w, 0.0, T, math.pi / T)]
+    if profile.family is ProfileFamily.COSINUSOIDAL:
         # (pi/T) (1 - cos kt)
-        rows = [(0.0, 0.0, T, np.pi / T), (k, 0.0, T, -np.pi / (2 * T)),
-                (-k, 0.0, T, -np.pi / (2 * T))]
-    else:
-        # (pi^2/2T) |sin kt|, with sin kt = (e^(ikt) - e^(-ikt)) / 2i flipping
-        # sign at the kink T/2
-        c = -0.5j * np.pi**2 / (2 * T)
-        rows = [(k, 0.0, T / 2, c), (-k, 0.0, T / 2, -c),
-                (k, T / 2, T, -c), (-k, T / 2, T, c)]
-    shift, a, b, c = (np.array(column) for column in zip(*rows))
-    return omega - shift, a, b, c, c
+        return [(w, 0.0, T, math.pi / T), (w - k, 0.0, T, -math.pi / (2 * T)),
+                (w + k, 0.0, T, -math.pi / (2 * T))]
+    # (pi^2/2T) |sin kt|, with sin kt = (e^(ikt) - e^(-ikt)) / 2i flipping
+    # sign at the kink T/2
+    c = -0.5j * math.pi**2 / (2 * T)
+    return [(w - k, 0.0, T / 2, c), (w + k, 0.0, T / 2, -c),
+            (w - k, T / 2, T, -c), (w + k, T / 2, T, c)]
+
+
+def _analytic_moment(profile: SweepProfile, w: float) -> complex:
+    """int t omega_P e^(-i w t) dt of an analytic profile, one kernel per row."""
+    moment = 0j
+    for nu, a, b, c in _exponential_rows(profile, w):
+        h = b - a
+        theta = nu * (h / 2)
+        if not math.isfinite(theta):
+            # T so short that 2 pi / T overflows: the slope is not finite
+            return complex(math.nan, math.nan)
+        m0, j1, _ = _kernel(theta)
+        mid = a + h / 2
+        # a constant piece has B = 0 in the module docstring's moments
+        moment += cmath.exp(-1j * (nu * mid)) * (h * c) * (mid * m0 - 0.5j * h * j1)
+    return moment
 
 
 def _exact_spectrum(profile: SweepProfile, omega: float) -> tuple[SpectrumValue, float]:
     """W(omega) and d Re W / d omega without quadrature.
 
     W is the closed form for the analytic families and the exact segment
-    sum for tabulated profiles; the slope is always the segment sum of
-    Im(int t omega_P e^(-i omega t) dt) / sqrt(2 pi).  Both are evaluated
-    at |omega| and carried over by conjugate symmetry.
+    sum for tabulated profiles, whose segments share one width and so one
+    kernel evaluation; the slope is Im(int t omega_P e^(-i omega t) dt) /
+    sqrt(2 pi), from that same sum or, for an analytic profile, from at
+    most four constant pieces with a kernel each.  Both are evaluated at
+    |omega| and carried over by conjugate symmetry.
     """
     w = abs(omega)
     if not np.isfinite(w * profile.duration):
         raise ConfigurationError(f"omega * duration = {w * profile.duration} is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         if profile.family is ProfileFamily.TABULATED:
-            grid, f = profile.grid, np.asarray(profile.samples)
-            value, moment = _linear_moments(w, grid[:-1], grid[1:], f[:-1], f[1:])
+            value, moment = _tabulated_moments(profile, w)
             value /= np.sqrt(2 * np.pi)
             if omega < 0:
                 value = value.conjugate()
             sample = SpectrumValue(float(omega), value, "exact piecewise-linear")
         else:
             sample = spectrum_closed_form(profile.family, profile.duration, omega)
-            moment = _linear_moments(*_exponential_terms(profile, w))[1]
+            moment = _analytic_moment(profile, w)
         slope = (-1.0 if omega < 0 else 1.0) * moment.imag / np.sqrt(2 * np.pi)
     if not (np.isfinite(sample.value) and np.isfinite(slope)):
         raise ConfigurationError(f"spectrum at omega = {omega} is not finite")

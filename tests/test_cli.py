@@ -130,6 +130,10 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["verify", "--n-max", "100000"],
         *([*command, "--n-samples", str(ringsagnac.evolution._MAX_SAMPLES + 1)]
           for command in (["trajectory"], ["fig2", "--panel", "c"], ["decompose"])),
+        # 2 pi / T overflows, so the slope's kernel arguments are not finite
+        *([command, "--family", family, "--duration", "1e-320"]
+          for command in ("simulate", "sensitivity", "decompose")
+          for family in ("flat", "sinusoidal", "cosinusoidal")),
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -222,6 +222,17 @@ def test_path_check_keeps_its_absolute_bound_at_moderate_phases(monkeypatch, con
         decompose(config, profile)
 
 
+def test_unresolved_sweep_names_the_knob_that_resolves_it():
+    # omega0 T = 2 pi 1e4 against the default cap of 4096 intervals: the
+    # refusal names both, so the user can see that n_samples resolves it
+    profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi, samples=[0.3, 1.0, 0.6, 0.2])
+    with pytest.raises(InsufficientResolution) as raised:
+        decompose(TrapConfig(trap_frequency=1e4), profile)
+    message = str(raised.value)
+    assert "omega0 T = 6.283e+04" in message and "n_samples = 4096" in message
+    assert "n_samples >= omega0 T" in message
+
+
 SCALED = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05)
 
 

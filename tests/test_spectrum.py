@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ringsagnac.oracle
+import ringsagnac.spectrum
 from ringsagnac import (
     ConfigurationError,
     ProfileFamily,
@@ -19,7 +20,7 @@ from ringsagnac import (
     spectrum_closed_form,
 )
 from ringsagnac.oracle import spectrum_derivative, spectrum_numeric
-from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _segment_kernels
+from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _kernel
 
 HALF_PI_SQRT = 1.2533141373155001  # sqrt(pi/2)
 
@@ -190,17 +191,36 @@ def test_segment_kernels_on_both_sides_of_the_series_switch():
     # 20-node Gauss-Legendre rule, exact to rounding for these integrands
     x, w = np.polynomial.legendre.leggauss(20)
     x, w = (x + 1) / 2, w / 2
-    theta = np.array([0.0, 1e-3, _SERIES_SWITCH * (1 - 1e-9), _SERIES_SWITCH * (1 + 1e-9),
-                      -_SERIES_SWITCH * (1 + 1e-9), 3.0])
-    tx = np.outer(theta, x)
-    reference = (np.cos(tx) @ w, (x * np.sin(tx)) @ w, (x * x * np.cos(tx)) @ w)
-    for kernel, expected in zip(_segment_kernels(theta), reference):
-        assert np.max(np.abs(kernel - expected)) <= 1e-15
+    for theta in (0.0, 1e-3, _SERIES_SWITCH * (1 - 1e-9), _SERIES_SWITCH * (1 + 1e-9),
+                  -_SERIES_SWITCH * (1 + 1e-9), 3.0):
+        tx = theta * x
+        reference = (np.cos(tx) @ w, (x * np.sin(tx)) @ w, (x * x * np.cos(tx)) @ w)
+        for kernel, expected in zip(_kernel(theta), reference):
+            assert abs(kernel - expected) <= 1e-15
     # and keep their symmetry: m0 and q even, j1 odd
-    theta = np.array([0.3, -0.3, 2.0, -2.0])
-    m0, j1, q = _segment_kernels(theta)
-    assert m0[0] == m0[1] and q[0] == q[1] and j1[0] == -j1[1]
-    assert m0[2] == m0[3] and q[2] == q[3] and j1[2] == -j1[3]
+    for theta in (0.3, 2.0):
+        (m0, j1, q), (m0_minus, j1_minus, q_minus) = _kernel(theta), _kernel(-theta)
+        assert m0 == m0_minus and q == q_minus and j1 == -j1_minus
+
+
+@pytest.mark.parametrize("family,count", [("tabulated", 1), ("flat", 1), ("cosinusoidal", 3),
+                                          ("sinusoidal", 4)])
+def test_one_kernel_evaluation_per_segment_width(monkeypatch, family, count):
+    # a tabulated profile has one segment width, so one kernel serves all of
+    # its segments; an analytic slope takes one per constant piece, at most four
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return _kernel(theta)
+
+    monkeypatch.setattr(ringsagnac.spectrum, "_kernel", counted)
+    samples = [0.3, 1.0, 0.6, 0.2, 0.9, 0.4, 0.7, 0.5, 0.8, 0.1, 0.6, 0.3]
+    profile = make_profile(family, 7.0, samples if family == "tabulated" else None)
+    for omega in (1.0, -0.7, 0.0, 40.0):
+        calls.clear()
+        _exact_spectrum(profile, omega)
+        assert len(calls) == count
 
 
 ANALYTIC_U = [0.0, 2 * np.pi, 2 * np.pi + 1e-9, 2 * np.pi - 1e-9, 2 * np.pi * (1 + 1e-9)]
@@ -235,6 +255,15 @@ def test_exact_route_rejects_nonfinite_arguments():
             _exact_spectrum(make_profile(family, 2 * np.pi), 1e308)
     with pytest.raises(ConfigurationError):
         _exact_spectrum(make_profile(ProfileFamily.TABULATED, 2.0, samples=[1, 2]), 1e308)
+
+
+@pytest.mark.parametrize("family", ANALYTIC)
+def test_exact_route_rejects_a_duration_whose_harmonic_overflows(family):
+    # 2 pi / T and pi / T overflow, so the kernel arguments and the piece
+    # constants of the slope are not finite: the same configuration error as
+    # any other non-finite spectrum, never a math domain error
+    with pytest.raises(ConfigurationError, match="spectrum at omega = 1.0 is not finite"):
+        _exact_spectrum(make_profile(family, 1e-320), 1.0)
 
 
 @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 1e308])
