@@ -108,8 +108,8 @@ _OPTIONS = (
             help="tabulated sweep rates, comma separated"),
     _Option("omega", None, float, help="evaluation frequency (spectrum)"),
     _Option("n_samples", None, int, 4096,
-            help="path sample count (trajectory, fig2 c); a cap on the sized "
-                 "sweep grid (decompose, fig2 f)"),
+            help="path sample count (trajectory, fig2 c); checked but sizes "
+                 "nothing in decompose and fig2 f, whose end values are exact"),
     _Option("n_max", None, int, 40, help="basis truncation (verify)"),
     _Option("steps", None, int, 4096, help="propagation steps (verify)"),
     _Option("index", None, int, help="scheme order (design)"),

@@ -20,9 +20,9 @@ elementary interval [a, a + h] (profile kinks are interval edges) the
 drive is a short sum lambda(a + d) = sum_r c_r b_r(d): the basis is
 {1, d/h} for tabulated and flat profiles, which are affine there, and
 {1, cos kd, sin kd} with k = 2 pi / T for the trigonometric families.
-Factoring exp(i omega0 tau) = exp(i omega0 a) exp(i omega0 d) leaves the
-nested 6x6 Gauss-Legendre rule acting on tables that depend on h alone,
-built once per distinct interval width:
+Factoring exp(i omega0 tau) = exp(i omega0 a) exp(i omega0 d) leaves
+tables that depend on h alone, built once per distinct interval width by
+a nested 6x6 Gauss-Legendre rule:
 
     P_r(d) = int_0^d b_r(x) exp(i omega0 x) dx,   G_r = P_r(h),
     S_r    = int_0^h P_r(d) dd,
@@ -42,12 +42,34 @@ them through the sample grid for full paths, and _sweep_ends sums them
 for the end values, which are all that decompose and the time-domain
 phase read.
 
-The rule is exact through degree 11, so the end values reach rounding
-once every interval has omega0 h <= 1.  _sweep_ends therefore sizes its
-own grid, max(MIN_SAMPLES, ceil(omega0 T)) intervals plus the kinks, and
-takes n_samples as a cap on that count; _sweep returns samples and keeps
-the uniform grid of n_samples intervals.  Both refuse an n_samples
-above _MAX_SAMPLES before building anything.
+The rule is exact through degree 11, so it reaches rounding once
+omega0 h <= 1.  A wider interval gets its tables by scaling and doubling
+(scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+(2005), applied to these tables): the rule runs on w = h / 2^s with
+s = ceil(log2(nu h)), and s doublings carry the tables to h; nu is
+omega0, plus k for the trigonometric basis.  A shift
+acts linearly on the basis, b(w + x) = M b(x), with M = [[1, 0], [w/h, 1]]
+for {1, d/h} and a rotation by k w for {1, cos kd, sin kd}, so with
+e = exp(i omega0 w) one doubling is
+
+    G' = G + e M G,
+    S' = S + w G + e M S,
+    K' = K + M (Im[conj(e) conj(G) G^T] + K M^T),
+    L' = L + w Re[conj(G) G^T] + X + X^T + M L M^T,
+         X = Re[conj(G) (e M S)^T].
+
+Every interval is then exact to rounding at any nu h up to
+2^_MAX_DOUBLINGS; beyond it one ulp of nu h is a radian or more, and the
+sweep is refused before any table is built.
+
+_sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
+which is uniform for every family: the n - 1 segments of a tabulated
+profile, the two halves of the sinusoidal one, one interval otherwise.
+It builds one width table per call, and its n_samples is checked but
+sizes nothing.  _sweep keeps the uniform grid of n_samples intervals,
+split at the kinks, and doubles with the common s of its widest
+interval.  Both refuse an n_samples above _MAX_SAMPLES before building
+anything.
 """
 
 from __future__ import annotations
@@ -63,16 +85,20 @@ from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile
 __all__ = ["BranchEvolution", "sample_trajectory"]
 
 MIN_SAMPLES = 16
+# beyond nu h = 2^52 (nu = omega0 plus the basis frequency) one ulp of nu h
+# is a radian or more, so the turn of an interval carries no phase at all
+_MAX_DOUBLINGS = 52
 # the CLI trajectory at this many samples peaks at 770 MB of RSS (fig2 c at
-# 730 MB, an end-value sweep of as many intervals at 310 MB); beyond it the
-# paths and their text soon take gigabytes
+# 730 MB); beyond it the paths and their text soon take gigabytes
 _MAX_SAMPLES = 2**20
 
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
-# analytic-per-interval integrands used here.
+# analytic-per-interval integrands used here; nodes and weights on [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+_GL_X, _GL_W = (_GL_X + 1) / 2, _GL_W / 2
 # widths per block of the Gauss tables: a block's node arrays take about
-# 4 MB, and the corpus profiles (10 to 31 widths) are one block
+# 4 MB; a path sweep whose kinks make most interval widths distinct needs
+# several blocks
 _TABLE_BLOCK = 1024
 
 
@@ -114,14 +140,15 @@ class BranchEvolution:
         return float(self.phases[-1])
 
 
-def _drive_basis(profile: SweepProfile, edges: np.ndarray):
-    """Coefficients and basis with omega_P(a + d) = sum_r coef[r] basis(d, h)[r].
+def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None):
+    """Coefficients, basis and shift with omega_P(a + d) = sum_r coef[r] basis(d, h)[r].
 
-    Coefficients come from the profile at the edges for the affine families
-    and by angle addition for the trigonometric ones.
+    The affine families read their coefficients from values, the profile
+    at the interval edges; the trigonometric ones take them by angle
+    addition at the left edges a.  shift(w, h) is the matrix M, stacked as
+    (..., r, r) over the shape of w, with basis(w + x, h) = M basis(x, h).
     """
     T = profile.duration
-    a = edges[:-1]
     k = 2 * np.pi / T
     if profile.family is ProfileFamily.SINUSOIDAL:
         # |sin| flips sign at T/2, which is an edge
@@ -130,16 +157,77 @@ def _drive_basis(profile: SweepProfile, edges: np.ndarray):
     elif profile.family is ProfileFamily.COSINUSOIDAL:
         coef = np.pi / T * np.stack([np.ones_like(a), -np.cos(k * a), np.sin(k * a)])
     else:
-        values = eval_profile(profile, edges)
-        return (np.stack([values[:-1], np.diff(values)]),
-                lambda d, h: np.stack([np.ones_like(d), d / h]))
-    return coef, lambda d, h: np.stack([np.ones_like(d), np.cos(k * d), np.sin(k * d)])
+        def affine_shift(w, h):
+            M = np.zeros((*w.shape, 2, 2))
+            M[..., 0, 0] = M[..., 1, 1] = 1.0
+            M[..., 1, 0] = w / h
+            return M
+
+        return (np.array([values[:-1], np.diff(values)]),
+                lambda d, h: np.array([np.ones_like(d), d / h]), affine_shift)
+
+    def rotation(w, h):
+        M = np.zeros((*w.shape, 3, 3))
+        M[..., 0, 0] = 1.0
+        M[..., 1, 1] = M[..., 2, 2] = np.cos(k * w)
+        M[..., 2, 1] = np.sin(k * w)
+        M[..., 1, 2] = -M[..., 2, 1]
+        return M
+
+    return (coef, lambda d, h: np.array([np.ones_like(d), np.cos(k * d), np.sin(k * d)]),
+            rotation)
 
 
-def _width_tables(hs: np.ndarray, w0: float, basis, n_basis: int):
-    """G, S, K and L of the nested rule on [0, h], one column per width h.
+def _doublings(profile: SweepProfile, w0: float, h: float) -> int:
+    """Doublings s that bring an interval of width h to the rule's range.
 
-    Returns (Re G, Im G, Re S, Im S) stacked as (4, r, u) and (K, L) as
+    s = ceil(log2(nu h)), at least 0, where nu is the highest frequency in
+    an interval's integrand: omega0, plus k = 2 pi / T for the
+    trigonometric basis, whose half-period kink grid would otherwise leave
+    k w near pi.  A nu h above 2^_MAX_DOUBLINGS, or not finite, is refused
+    before any table is built.
+    """
+    nu = w0
+    if profile.family in (ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL):
+        nu = w0 + 2 * np.pi / profile.duration
+    span = nu * h
+    if not span <= 2.0**_MAX_DOUBLINGS:
+        raise InsufficientResolution(
+            f"the width tables cannot resolve omega0 h = {w0 * h:.3e} (nu h = {span:.3e} "
+            f"with the basis frequency): beyond 2^{_MAX_DOUBLINGS} one ulp of it is a "
+            f"radian or more"
+        )
+    return math.ceil(math.log2(span)) if span > 1.0 else 0
+
+
+def _doubled(G, S, K, L, w, h, w0: float, shift, doublings: int):
+    """The tables on [0, w 2^doublings] from those on [0, w] (module docstring).
+
+    Takes G and S as (u, r) and K and L as (u, r, r); returns them as
+    (r, u) and (r, r, u).  Every level's turn e and shift M are formed in
+    one pass before the loop.
+    """
+    ws = w * 2.0 ** np.arange(doublings)[:, None]                     # (s, u)
+    turns = np.exp(1j * w0 * ws)[..., None]
+    for w, e, M in zip(ws[..., None], turns, shift(ws, h)):
+        Mt = M.swapaxes(-1, -2)
+        eMS = e * (M @ S[..., None])[..., 0]
+        Gc = G.conj()[..., None]
+        outer = Gc * G[:, None]                              # conj(G_r) G_s
+        cross = (Gc * eMS[:, None]).real                     # X
+        K = K + M @ ((e.conj()[..., None] * outer).imag + K @ Mt)
+        L = L + w[..., None] * outer.real + cross + cross.swapaxes(-1, -2) + M @ L @ Mt
+        S = S + w * G + eMS
+        G = G + e * (M @ G[..., None])[..., 0]
+    return G.T, S.T, K.transpose(1, 2, 0), L.transpose(1, 2, 0)
+
+
+def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublings: int):
+    """G, S, K and L on [0, h], one column per width h.
+
+    The nested rule runs on w = h / 2^doublings and each doubling carries
+    the tables from [0, w] to [0, 2 w] (module docstring).  Returns
+    (Re G, Im G, Re S, Im S) stacked as (4, r, u) and (K, L) as
     (2, r, r, u).  The rule's (6, 6) node arrays are built for
     _TABLE_BLOCK widths at a time, so profiles whose kinks make most
     interval widths distinct stay within a fixed working set.
@@ -149,54 +237,47 @@ def _width_tables(hs: np.ndarray, w0: float, basis, n_basis: int):
     for start in range(0, len(hs), _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
         h = hs[block]
-        # outer nodes d_j on [0, h], inner nodes x on [0, d_j],
+        w = h / 2**doublings
+        # outer nodes d_j on [0, w], inner nodes x on [0, d_j],
         # P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
-        d = h[:, None] / 2 * (_GL_X + 1)                                 # (u, 6)
-        w = h[:, None] / 2 * _GL_W
-        x = d[:, :, None] / 2 * (_GL_X + 1)                              # (u, 6, 6)
-        v = d[:, :, None] / 2 * _GL_W
+        d = w[:, None] * _GL_X                                           # (u, 6)
+        weight = w[:, None] * _GL_W
+        x = d[:, :, None] * _GL_X                                        # (u, 6, 6)
+        v = d[:, :, None] * _GL_W
         turn_d = np.exp(1j * w0 * d)
         basis_d = basis(d, h[:, None])                                   # (r, u, 6)
         partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, h[:, None, None]))
-        G = np.einsum("uj,ruj->ru", w * turn_d, basis_d)
-        S = np.einsum("uj,ruj->ru", w, partial)
+        G = np.einsum("uj,ruj->ru", weight * turn_d, basis_d)
+        S = np.einsum("uj,ruj->ru", weight, partial)
+        K = np.einsum("uj,ruj,suj->rsu", weight, basis_d, (turn_d.conj() * partial).imag)
+        L = np.einsum("uj,ruj,suj->rsu", weight, partial.conj(), partial).real
+        if doublings:
+            G, S, K, L = _doubled(G.T, S.T, K.transpose(2, 0, 1), L.transpose(2, 0, 1),
+                                  w, h, w0, shift, doublings)
         vectors[..., block] = G.real, G.imag, S.real, S.imag
-        forms[0][..., block] = np.einsum("uj,ruj,suj->rsu", w, basis_d,
-                                         (turn_d.conj() * partial).imag)
-        forms[1][..., block] = np.einsum("uj,ruj,suj->rsu", w, partial.conj(), partial).real
+        forms[..., block] = K, L
     return vectors, forms
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _interval_terms(config: TrapConfig, profile: SweepProfile, branches, n_samples: int):
+def _interval_terms(config: TrapConfig, branches, edges, widths, coef, vectors, forms):
     """The stage both sweep consumers share: per-interval terms of every branch.
 
-    The grid is n_samples uniform intervals, a count the callers validate.
-    Profile kinks are inserted into the internal integration grid so every
-    elementary interval has an analytic integrand.  Returns the sample
-    times ts, the integration edges, Y = exp(-i w0 a) Z(a) at every edge
+    coef holds the drive coefficients per interval, and vectors and forms
+    the width tables, either one column per interval or a single column
+    for a grid of one width.  Returns Y = exp(-i w0 a) Z(a) at every edge
     (branch, edge), and each interval's addition to the phase integral
     phi hbar^2 and to int |Z|^2 (branch, interval).
     """
-    T = profile.duration
     w0 = config.trap_frequency
-    ts = np.linspace(0.0, T, n_samples + 1)
-    interior = [b for b in profile.breakpoints() if 0.0 < b < T]
-    edges = np.union1d(ts, np.asarray(interior)) if interior else ts
-    widths = np.diff(edges)
-
     # drive coefficients c[r, branch, interval] of lambda = D (Omega + sign omega_P)
-    coef, basis = _drive_basis(profile, edges)
     rotation = np.zeros((len(coef), 1, 1))
     rotation[0] = config.rotation
     c = config.drive_scale * (rotation + _signs(branches) * coef[:, None, :])
-    hs, which = np.unique(widths, return_inverse=True)
-    vectors, forms = _width_tables(hs, w0, basis, len(coef))
 
-    # per interval: sum_r c_r G_r, sum_r c_r S_r, c^T K c and c^T L c; take
-    # keeps the interval axis contiguous, which einsum needs to be fast
-    g_re, g_im, s_re, s_im = np.einsum("rkm,qrm->qkm", c, np.take(vectors, which, axis=-1))
-    k_form, l_form = np.einsum("rkm,qrsm,skm->qkm", c, np.take(forms, which, axis=-1), c)
+    # per interval: sum_r c_r G_r, sum_r c_r S_r, c^T K c and c^T L c
+    g_re, g_im, s_re, s_im = np.einsum("rk...,qr...->qk...", c, vectors)
+    k_form, l_form = np.einsum("rk...,qrs...,sk...->qk...", c, forms, c)
 
     # Z = C + i S runs over the edges; with Y = exp(-i w0 a) Z(a) each
     # interval adds -Im(Y conj(sum c G)) - c^T K c to the phase integral
@@ -208,7 +289,21 @@ def _interval_terms(config: TrapConfig, profile: SweepProfile, branches, n_sampl
     y_re, y_im = y.real[:, :-1], y.imag[:, :-1]
     d_phase = y_re * g_im - y_im * g_re - k_form
     d_abs2 = widths * (y_re**2 + y_im**2) + 2 * (y_re * s_re + y_im * s_im) + l_form
-    return ts, edges, y, d_phase, d_abs2
+    return y, d_phase, d_abs2
+
+
+def _kink_grid(profile: SweepProfile):
+    """Interval count of the uniform grid {0, kinks, T}, and the profile at its edges.
+
+    The values are read straight from the samples of a tabulated profile;
+    they are None for the trigonometric families, whose coefficients come
+    by angle addition.
+    """
+    if profile.family is ProfileFamily.TABULATED:
+        return len(profile.samples) - 1, np.asarray(profile.samples)
+    if profile.family is ProfileFamily.FLAT:
+        return 1, np.full(2, np.pi / profile.duration)
+    return len(profile.breakpoints()) + 1, None
 
 
 def _check_samples(n_samples: int):
@@ -225,7 +320,7 @@ def _signs(branches) -> np.ndarray:
 
 
 def _require_finite(T: float, *parts):
-    if not all(np.all(np.isfinite(part)) for part in parts):
+    if not all(np.isfinite(part).all() for part in parts):
         raise ConvergenceError(
             f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
         )
@@ -237,11 +332,27 @@ def _sweep(
 ) -> list[BranchEvolution]:
     """Paths of the given branches on the sample grid, from one interval pass.
 
-    A sweep that overflows (durations or rotation rates near the float
+    The grid is n_samples uniform intervals; profile kinks are inserted
+    into it so every elementary interval has an analytic integrand.  A
+    sweep that overflows (durations or rotation rates near the float
     range) raises ConvergenceError instead of returning inf or NaN.
     """
     _check_samples(n_samples)
-    ts, edges, y, d_phase, d_abs2 = _interval_terms(config, profile, branches, n_samples)
+    T = profile.duration
+    w0 = config.trap_frequency
+    ts = np.linspace(0.0, T, n_samples + 1)
+    interior = [b for b in profile.breakpoints() if 0.0 < b < T]
+    edges = np.union1d(ts, np.asarray(interior)) if interior else ts
+    widths = np.diff(edges)
+    hs, which = np.unique(widths, return_inverse=True)
+    doublings = _doublings(profile, w0, hs[-1])
+    values = eval_profile(profile, edges)
+    coef, basis, shift = _drive_basis(profile, edges[:-1], values)
+    vectors, forms = _width_tables(hs, w0, basis, shift, len(coef), doublings)
+    # take keeps the interval axis contiguous, which einsum needs to be fast
+    y, d_phase, d_abs2 = _interval_terms(
+        config, branches, edges, widths, coef,
+        np.take(vectors, which, axis=-1), np.take(forms, which, axis=-1))
     hbar = config.hbar
     runs = np.zeros((2, len(branches), len(edges)))
     np.cumsum(d_phase, axis=-1, out=runs[0, :, 1:])
@@ -249,11 +360,11 @@ def _sweep(
 
     idx = np.searchsorted(edges, ts)
     alphas = -y[:, idx] / hbar
-    lam_ts = config.drive_scale * (config.rotation + _signs(branches) * eval_profile(profile, ts))
-    alpha_dots = -1j * config.trap_frequency * alphas - lam_ts / hbar
+    lam_ts = config.drive_scale * (config.rotation + _signs(branches) * values[idx])
+    alpha_dots = -1j * w0 * alphas - lam_ts / hbar
     # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
     phases, abs2 = runs[:, :, idx] / hbar / hbar
-    _require_finite(profile.duration, alphas, alpha_dots, phases, abs2)
+    _require_finite(T, alphas, alpha_dots, phases, abs2)
     return [BranchEvolution(branch, ts, *row)
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
 
@@ -264,23 +375,29 @@ def _sweep_ends(
 ) -> list[tuple[complex, float, float]]:
     """(alpha(T), phi(T), int_0^T |alpha|^2 dt) of each given branch.
 
-    The intervals of _sweep, summed instead of run through, with nothing
-    gathered at the sample times: the end values are all that decompose
-    and the time-domain phase read.  The grid is sized from omega0 T, where
-    omega0 h <= 1 already reaches rounding: max(MIN_SAMPLES, ceil(omega0 T))
-    uniform intervals, capped at n_samples, plus the profile kinks.  Where
-    the cap binds, and for an omega0 T that is not finite, the grid is
-    _sweep's at n_samples.  Overflow raises ConvergenceError.
+    The interval terms of _sweep, summed instead of run through, on the
+    kink grid {0, kinks, T} alone: its intervals share the width
+    h = T / count, so one table, doubled until it spans h, serves them all
+    and the end values are exact to rounding at any omega0 h.  n_samples
+    is checked as _sweep checks it, but sizes nothing.  Overflow raises
+    ConvergenceError.
     """
     _check_samples(n_samples)
-    span = config.trap_frequency * profile.duration
-    count = max(MIN_SAMPLES, math.ceil(span)) if span < n_samples else n_samples
-    y, d_phase, d_abs2 = _interval_terms(config, profile, branches, count)[2:]
+    T = profile.duration
+    w0 = config.trap_frequency
+    count, values = _kink_grid(profile)
+    h = T / count
+    doublings = _doublings(profile, w0, h)
+    edges = h * np.arange(count + 1.0)
+    edges[-1] = T
+    coef, basis, shift = _drive_basis(profile, edges[:-1], values)
+    vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+    y, d_phase, d_abs2 = _interval_terms(config, branches, edges, h, coef, vectors, forms)
     hbar = config.hbar
     alphas = -y[:, -1] / hbar
     phases = d_phase.sum(axis=-1) / hbar / hbar
     abs2 = d_abs2.sum(axis=-1) / hbar / hbar
-    _require_finite(profile.duration, alphas, phases, abs2)
+    _require_finite(T, alphas, phases, abs2)
     return [(complex(a), float(p), float(m)) for a, p, m in zip(alphas, phases, abs2)]
 
 

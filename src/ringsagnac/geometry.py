@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import _sweep_ends
+from .evolution import _doublings, _kink_grid, _sweep_ends
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 
@@ -128,10 +128,10 @@ def decompose(
 ) -> PhaseDecomposition:
     """Full phase decomposition with spectral/path cross-validation.
 
-    The path parts come from the end-value sweep, whose grid is sized from
-    omega0 T (max(16, ceil(omega0 T)) intervals plus the profile kinks);
-    n_samples caps that count, so any n_samples at or above it gives the
-    same bits.
+    The path parts come from the end-value sweep on the kink grid
+    {0, kinks, T}, exact to rounding at any omega0 h.  n_samples is
+    checked as the path sweep checks it, but sizes nothing, so every
+    accepted value gives the same bits.
     """
     w0 = config.trap_frequency
     T = profile.duration
@@ -169,11 +169,12 @@ def decompose(
         path_tol = max(_PATH_AGREEMENT_TOL, _PATH_ROUNDING_TOL * size)
         phase_scale = max(1.0, abs(phi_s))
         if not gap <= path_tol <= phase_scale:
+            h = T / _kink_grid(profile)[0]
             raise InsufficientResolution(
                 f"path/spectral geometric parts disagree by {gap:.3e} "
                 f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e}) "
-                f"at omega0 T = {w0 * T:.3e} and n_samples = {n_samples}; the end "
-                f"values reach rounding once n_samples >= omega0 T"
+                f"at omega0 h = {w0 * h:.3e} on the kink grid, whose width table "
+                f"took {_doublings(profile, w0, h)} doublings"
             )
     dgd = gd[0] - gd[1]
 

@@ -85,8 +85,9 @@ def interferometer_phase_integral(
     """Unwrapped phase from the time-domain branch evolutions.
 
     phi_0(T) - phi_1(T) plus the overlap angle Im[alpha_1* alpha_0];
-    independent of the spectral route.  The end-value sweep sizes its grid
-    from omega0 T, and n_samples caps its interval count.
+    independent of the spectral route.  The end values come from the kink
+    grid, exact to rounding at any omega0 h; n_samples is checked as the
+    path sweep checks it, but sizes nothing.
     """
     (alpha0, phi0, _), (alpha1, phi1, _) = _sweep_ends(
         config, profile, (Branch.CO, Branch.COUNTER), n_samples)

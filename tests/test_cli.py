@@ -157,23 +157,57 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["trajectory", "--duration", "1e300", "--format", "human"],
         ["trajectory", "--rotation", "1e200"],
         ["fig2", "--panel", "c", "--rotation", "1e300"],
-        ["decompose", "--trap-frequency", "1e6"],
         ["decompose", "--rotation", "1e150"],
         ["sensitivity", "--hbar", "1e-300"],
         ["sensitivity", "--radius", "1e150"],
-        ["design", "--family", "sinusoidal", "--index", "100000000"],
-        ["design", "--family", "flat", "--index", "100000000"],
+        ["design", "--family", "flat", "--index", "2000000000000000"],
+        # 2 pi / T overflows, so the trigonometric basis frequency is inf
+        ["trajectory", "--family", "sinusoidal", "--duration", "1e-320"],
+        ["fig2", "--panel", "c", "--duration", "1e-320"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # a NaN error estimate fails the budget instead of passing it; decompose
     # gets its spectrum exactly, and an overflowing path sweep is refused
-    # instead of handing on inf or NaN; an under-resolved sweep fails the
-    # path/spectral agreement check, and so does a rotation so fast that the
-    # branch difference is lost in the rounding of the branch phases; a
-    # Fisher information that overflows is refused too
+    # instead of handing on inf or NaN; an interval with omega0 h beyond the
+    # doubling ceiling is refused before its tables are built; a rotation so
+    # fast that the branch difference is lost in the rounding of the branch
+    # phases fails the path/spectral agreement check; a Fisher information
+    # that overflows is refused too
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
+
+
+FAST_TRAPS = [
+    (["decompose", "--trap-frequency", "1e6"], "pure-geometric"),
+    (["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
+      "--trap-frequency", "1e4"], "unconventional-geometric"),
+    (["design", "--family", "flat", "--index", "3000"], "pure-geometric"),
+    (["design", "--family", "flat", "--index", "10000"], "pure-geometric"),
+    (["design", "--family", "flat", "--index", "100000000"], "pure-geometric"),
+    # its spectral dgg (2e-9) is rounding that grows like eps omega0 T, so
+    # its label is not asserted
+    (["design", "--family", "sinusoidal", "--index", "100000000"], None),
+]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv, label", FAST_TRAPS,
+                         ids=[" ".join(argv) for argv, _ in FAST_TRAPS])
+def test_fast_traps_decompose(capsys, argv, label):
+    # the end values are exact at any omega0 h, so fast traps decompose with
+    # the path and spectral geometric parts agreeing to rounding, and the
+    # label follows the physics: kappa = 1 for the flat designs
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    dec = record.get("decomposition", record)
+    assert abs(dec["delta_geometric_path"] - dec["delta_geometric"]) <= 1e-8
+    assert label is None or dec["scheme_class"] == label
+    if label == "pure-geometric":
+        assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Coherent-state path of a single branch: quadrature route and sampled sweep."""
 
 import ast
+import dataclasses
+import io
 import math
 from pathlib import Path
 
@@ -24,7 +26,14 @@ from ringsagnac import (
     sample_trajectory,
     zero_profile,
 )
-from ringsagnac.evolution import _sweep, _sweep_ends
+import ringsagnac.cli
+from ringsagnac.evolution import (
+    _drive_basis,
+    _kink_grid,
+    _sweep,
+    _sweep_ends,
+    _width_tables,
+)
 from ringsagnac.oracle import alpha_at, phi_at, spectrum_numeric
 
 
@@ -250,20 +259,32 @@ def test_off_grid_profile_nodes_split_sweep_intervals():
 
 
 def _record_grids(monkeypatch) -> list:
-    """Record (uniform count, intervals built) of every pass of the shared stage."""
+    """Record the interval count of every pass of the shared interval stage."""
     grids = []
     stage = ringsagnac.evolution._interval_terms
 
-    def counted(config, profile, branches, n_samples):
-        terms = stage(config, profile, branches, n_samples)
-        grids.append((n_samples, terms[3].shape[-1]))
-        return terms
+    def counted(config, branches, edges, *tables):
+        grids.append(len(edges) - 1)
+        return stage(config, branches, edges, *tables)
 
     monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
     return grids
 
 
-# omega0 T = 61.2 is above the count of 32 samples, so the cap binds
+def _record_tables(monkeypatch) -> list:
+    """Record (widths, doublings) of every width-table build."""
+    builds = []
+    build = ringsagnac.evolution._width_tables
+
+    def counted(hs, w0, basis, shift, n_basis, doublings):
+        builds.append((len(hs), doublings))
+        return build(hs, w0, basis, shift, n_basis, doublings)
+
+    monkeypatch.setattr(ringsagnac.evolution, "_width_tables", counted)
+    return builds
+
+
+# omega0 T = 61.2 is above the 32 samples, so the path sweep doubles its tables
 CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
 
 
@@ -271,18 +292,16 @@ CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 
                          [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds")],
                          ids=lambda value: getattr(value, "family", value))
 def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
-    # the end values sum the path sweep's interval terms instead of running
-    # through them, so on the grid the end-value sweep chose the two agree
-    # to rounding of the summation order
+    # the end values sum the interval terms of the kink grid alone, the path
+    # sweep runs them through its grid of n_samples intervals; both are exact
+    # to rounding at any omega0 h, so their final values agree to rounding
     branches = (Branch.CO, Branch.COUNTER)
     grids = _record_grids(monkeypatch)
     ends = _sweep_ends(DIMENSIONAL, profile, branches, n_samples)
-    ((chosen, _),) = grids
-    span = DIMENSIONAL.trap_frequency * profile.duration
-    assert chosen == (n_samples if span >= n_samples else max(16, math.ceil(span)))
-    paths = _sweep(DIMENSIONAL, profile, branches, chosen)
+    assert grids == [len(profile.breakpoints()) + 1]
+    paths = _sweep(DIMENSIONAL, profile, branches, n_samples)
     for (alpha, phase, square), ev in zip(ends, paths):
-        assert alpha == ev.final_alpha
+        assert abs(alpha - ev.final_alpha) <= 1e-12 * max(1.0, abs(ev.final_alpha))
         assert abs(phase - ev.final_phase) <= 1e-12 * max(1.0, abs(ev.final_phase))
         assert abs(square - ev.abs2_integrals[-1]) <= 1e-12 * max(1.0, ev.abs2_integrals[-1])
 
@@ -298,16 +317,97 @@ def test_end_values_keep_the_sweep_checks(natural, flat):
 
 @pytest.mark.parametrize("n_samples", [64, 4096])
 def test_end_value_sweep_takes_at_most_the_cap_plus_the_kinks(monkeypatch, n_samples):
-    # omega0 T = 6.3e4 asks for far more intervals than the cap allows; the
-    # grid is then the cap's uniform one, split at the profile's four kinks
+    # omega0 T = 6.3e4, yet the end values take the five intervals of the
+    # kink grid alone, and n_samples changes no bit of them
     fast = TrapConfig(trap_frequency=1e4)
     profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi,
                            samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
+    branches = (Branch.CO, Branch.COUNTER)
     grids = _record_grids(monkeypatch)
-    _sweep_ends(fast, profile, (Branch.CO, Branch.COUNTER), n_samples)
-    ((count, intervals),) = grids
-    assert count == n_samples
-    assert intervals <= n_samples + 4
+    ends = _sweep_ends(fast, profile, branches, n_samples)
+    assert grids == [5]
+    assert ends == _sweep_ends(fast, profile, branches, 16)
+
+
+FAMILY_CASES = [make_profile(family, 7.3) for family in
+                (ProfileFamily.FLAT, ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL)]
+FAMILY_CASES.append(OFF_GRID)
+
+
+@pytest.mark.parametrize("config", [TrapConfig(), DIMENSIONAL], ids=["natural", "scaled"])
+@pytest.mark.parametrize("span", [7.3, 1e3, 1e5])
+@pytest.mark.parametrize("profile", FAMILY_CASES, ids=lambda profile: profile.family.value)
+def test_end_values_match_a_resolved_path_sweep(config, span, profile):
+    # the kink grid doubles its tables up to omega0 h = span; the path sweep
+    # at n_samples >= (omega0 + 2 pi / T) T needs no doubling.  Both round
+    # omega0 t to about eps omega0 T, which bounds their gap beyond 1e-12
+    config = dataclasses.replace(config, trap_frequency=span / profile.duration)
+    n_samples = max(16, math.ceil(span + 2 * np.pi))
+    branches = (Branch.CO, Branch.COUNTER)
+    tol = 1e-12 + np.finfo(float).eps * span
+    paths = _sweep(config, profile, branches, n_samples)
+    for (alpha, phase, square), ev in zip(_sweep_ends(config, profile, branches, 16), paths):
+        assert abs(alpha - ev.final_alpha) <= tol * max(1.0, abs(ev.final_alpha))
+        assert abs(phase - ev.final_phase) <= tol * max(1.0, abs(ev.final_phase))
+        assert abs(square - ev.abs2_integrals[-1]) <= tol * max(1.0, ev.abs2_integrals[-1])
+
+
+@pytest.mark.parametrize("config", [TrapConfig(), TrapConfig(trap_frequency=1e4)],
+                         ids=["natural", "fast"])
+@pytest.mark.parametrize("profile", FAMILY_CASES, ids=lambda profile: profile.family.value)
+def test_end_value_sweep_builds_one_table(monkeypatch, config, profile):
+    # the kink grid is uniform, so one width table serves every interval
+    builds = _record_tables(monkeypatch)
+    _sweep_ends(config, profile, (Branch.CO, Branch.COUNTER), 4096)
+    assert len(builds) == 1 and builds[0][0] == 1
+
+
+@pytest.mark.parametrize("profile", [OFF_GRID, make_profile(ProfileFamily.COSINUSOIDAL, 7.3)],
+                         ids=["affine", "trigonometric"])
+def test_one_doubling_matches_the_plain_rule(profile):
+    # on [0, 2 w] with (omega0 + k) 2 w <= 1 the rule is exact to rounding, so
+    # the tables of [0, w] doubled once must give the same, to the rounding
+    # of the few products of table size that one doubling adds
+    count, values = _kink_grid(profile)
+    coef, basis, shift = _drive_basis(profile, np.zeros(count), values)
+    hs, w0 = np.array([0.3, 0.55]), 0.8
+    assert (w0 + 2 * np.pi / profile.duration) * hs.max() <= 1
+    plain = _width_tables(hs, w0, basis, shift, len(coef), 0)
+    doubled = _width_tables(hs, w0, basis, shift, len(coef), 1)
+    for exact, table in zip(plain, doubled):
+        np.testing.assert_allclose(table, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(lambda config, profile: sample_trajectory(config, profile, Branch.CO, 4096),
+                 id="sample_trajectory"),
+    pytest.param(lambda config, profile: _sweep_ends(config, profile, (Branch.CO,), 4096),
+                 id="_sweep_ends"),
+])
+@pytest.mark.parametrize("duration", [1e300, 2.0**53 * 4096 * 1.01])
+def test_doubling_ceiling_is_refused_before_any_table(monkeypatch, sweep, duration):
+    # beyond omega0 h = 2^52 one ulp of omega0 h is a radian; such an
+    # interval is refused before its table, and its 1000 doublings, are built
+    builds = _record_tables(monkeypatch)
+    with pytest.raises(InsufficientResolution, match="omega0 h"):
+        sweep(TrapConfig(), make_profile(ProfileFamily.FLAT, duration))
+    assert builds == []
+
+
+def test_fast_trap_path_matches_the_fine_run(capsys):
+    # omega0 h = 15 on 4096 samples: the doubled tables make every sample
+    # exact, so the coarse run equals the 65536-sample run at the shared
+    # times, to the rounding of omega0 t
+    runs = []
+    for n_samples in (4096, 65536):
+        assert ringsagnac.cli.run(["trajectory", "--trap-frequency", "1e4",
+                                   "--n-samples", str(n_samples)]) == 0
+        out = capsys.readouterr().out
+        runs.append(np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1))
+    coarse, fine = runs[0], runs[1][::16]
+    np.testing.assert_array_equal(coarse[:, 0], fine[:, 0])
+    tol = 1e-12 + np.finfo(float).eps * 1e4 * 2 * np.pi
+    np.testing.assert_allclose(coarse[:, 1:], fine[:, 1:], rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("sweep", [

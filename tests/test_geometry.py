@@ -222,15 +222,21 @@ def test_path_check_keeps_its_absolute_bound_at_moderate_phases(monkeypatch, con
         decompose(config, profile)
 
 
-def test_unresolved_sweep_names_the_knob_that_resolves_it():
-    # omega0 T = 2 pi 1e4 against the default cap of 4096 intervals: the
-    # refusal names both, so the user can see that n_samples resolves it
+def test_unresolved_sweep_names_the_knob_that_resolves_it(monkeypatch):
+    # omega0 T = 2 pi 1e4: the kink grid of three intervals has omega0 h =
+    # 2.1e4, which its width table reaches in 15 doublings, and decomposes to
+    # rounding; a gap forced past the tolerance is refused with both numbers
+    config = TrapConfig(trap_frequency=1e4)
     profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi, samples=[0.3, 1.0, 0.6, 0.2])
+    dec = decompose(config, profile)
+    assert abs(dec.delta_geometric_path - dec.delta_geometric) <= 1e-8
+    exact = geometry._residual_angle
+    monkeypatch.setattr(geometry, "_residual_angle", lambda a0, a1: exact(a0, a1) + 2e-7)
     with pytest.raises(InsufficientResolution) as raised:
-        decompose(TrapConfig(trap_frequency=1e4), profile)
+        decompose(config, profile)
     message = str(raised.value)
-    assert "omega0 T = 6.283e+04" in message and "n_samples = 4096" in message
-    assert "n_samples >= omega0 T" in message
+    assert "omega0 h = 2.094e+04" in message and "15 doublings" in message
+    assert "n_samples" not in message
 
 
 SCALED = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05)
@@ -249,9 +255,9 @@ SCALED = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation
     ids=lambda profile: profile.family.value,
 )
 def test_end_value_routes_are_unchanged_above_the_sized_grid(config, profile):
-    # omega0 T is at most 16, so the end-value sweep sizes its own grid below
-    # every count here, and n_samples only caps it: the outputs are the same
-    # bits at 64, 2048 and 4096 samples (repr tells -0.0 from 0.0)
+    # the end values come from the kink grid, so n_samples sizes nothing: the
+    # outputs are the same bits at 64, 2048 and 4096 samples (repr tells -0.0
+    # from 0.0)
     assert config.trap_frequency * profile.duration < 64
     decompositions = {repr(decompose(config, profile, n_samples=n)) for n in (64, 2048, 4096)}
     assert len(decompositions) == 1

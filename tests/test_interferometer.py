@@ -170,9 +170,9 @@ def _count_sweeps(monkeypatch) -> list:
     calls = []
     stage = ringsagnac.evolution._interval_terms
 
-    def counted(config, profile, branches, n_samples):
+    def counted(config, branches, *terms):
         calls.append(tuple(branches))
-        return stage(config, profile, branches, n_samples)
+        return stage(config, branches, *terms)
 
     monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
     return calls
