@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, InsufficientResolution
-from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile
+from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, flat_rate
 
 __all__ = ["BranchEvolution", "sample_trajectory"]
 
@@ -302,8 +302,16 @@ def _kink_grid(profile: SweepProfile):
     if profile.family is ProfileFamily.TABULATED:
         return len(profile.samples) - 1, np.asarray(profile.samples)
     if profile.family is ProfileFamily.FLAT:
-        return 1, np.full(2, np.pi / profile.duration)
+        return 1, np.full(2, flat_rate(profile.duration))
     return len(profile.breakpoints()) + 1, None
+
+
+def _end_grid_text(config: TrapConfig, profile: SweepProfile) -> str:
+    """omega0 h of the kink grid and the doublings of its table, for refusals."""
+    w0 = config.trap_frequency
+    h = profile.duration / _kink_grid(profile)[0]
+    return (f"omega0 h = {w0 * h:.3e} on the kink grid, whose width table took "
+            f"{_doublings(profile, w0, h)} doublings")
 
 
 def _check_samples(n_samples: int):

@@ -24,7 +24,13 @@ kappa = sqrt(pi/2) / xi0, which classifies a scheme as pure-geometric
 
 Both routes to dgg are computed here: the spectral form (reported) and
 the sampled-path form (cross-check), so the decomposition is verified
-rather than assumed.
+rather than assumed.  A part "vanishes" at 1e-8 max(1, |phi_I|).  The
+label is given only where the routes resolve it.  Each part is known to
+the gap between its two routes: the path dgd to phi_I - dgg_spectral, and
+dgg_spectral to dgg_path plus the rounding eps omega0 T of the phase
+omega0 t, which xi carries.  When |dgd| or |dgg| lies within its spread of
+the threshold, decompose refuses instead of labelling, and kappa is given
+only when |dgg| clears its spread.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import _doublings, _kink_grid, _sweep_ends
+from .evolution import _end_grid_text, _sweep_ends
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 
@@ -52,6 +58,7 @@ _PATH_AGREEMENT_TOL = 1e-7
 _PATH_ROUNDING_TOL = 1e-12
 _SPECTRUM_ZERO_TOL = 1e-8
 _GEOMETRIC_FLOOR = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class SchemeClass(str, Enum):
@@ -68,7 +75,7 @@ class PhaseDecomposition:
     delta_geometric carries the spectral-form value; the sampled-path
     evaluation is kept in delta_geometric_path as the independent check.
     kappa is None unless the scheme meets the spectrum-zero premise and
-    has a nonzero geometric part.
+    has a geometric part that clears its spread (module docstring).
     """
 
     phase: float
@@ -131,7 +138,9 @@ def decompose(
     The path parts come from the end-value sweep on the kink grid
     {0, kinks, T}, exact to rounding at any omega0 h.  n_samples is
     checked as the path sweep checks it, but sizes nothing, so every
-    accepted value gives the same bits.
+    accepted value gives the same bits.  Raises InsufficientResolution
+    when the routes disagree or cannot resolve the label (module
+    docstring).
     """
     w0 = config.trap_frequency
     T = profile.duration
@@ -169,16 +178,25 @@ def decompose(
         path_tol = max(_PATH_AGREEMENT_TOL, _PATH_ROUNDING_TOL * size)
         phase_scale = max(1.0, abs(phi_s))
         if not gap <= path_tol <= phase_scale:
-            h = T / _kink_grid(profile)[0]
             raise InsufficientResolution(
                 f"path/spectral geometric parts disagree by {gap:.3e} "
                 f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e}) "
-                f"at omega0 h = {w0 * h:.3e} on the kink grid, whose width table "
-                f"took {_doublings(profile, w0, h)} doublings"
+                f"at {_end_grid_text(config, profile)}"
             )
     dgd = gd[0] - gd[1]
 
     tol = 1e-8 * max(1.0, abs(phase))
+    # each part is known to the gap between its two routes: dgd (path) to
+    # phi_I - dgg_spectral, and dgg_spectral to dgg_path plus its own rounding
+    # of omega0 t, eps omega0 T rad at t = T, which enters xi as it is
+    dynamic_spread = abs(dgd + dgg_spectral - phase)
+    spread = gap + np.sqrt(2 / np.pi) * abs(phi_s) * _EPS * w0 * T
+    for name, part, margin in (("dgd", dgd, dynamic_spread), ("dgg", dgg_spectral, spread)):
+        if abs(abs(part) - tol) <= margin:
+            raise InsufficientResolution(
+                f"the scheme class is not resolved: |{name}| = {abs(part):.3e} lies within "
+                f"{margin:.1e} of the threshold {tol:.1e}, at {_end_grid_text(config, profile)}"
+            )
     dynamic_vanishes = abs(dgd) <= tol
     geometric_vanishes = abs(dgg_spectral) <= tol
     if dynamic_vanishes and geometric_vanishes:
@@ -191,7 +209,7 @@ def decompose(
         label = SchemeClass.UNCONVENTIONAL
 
     kappa = None
-    if abs(w_val) <= _SPECTRUM_ZERO_TOL and abs(dgg_spectral) > _GEOMETRIC_FLOOR:
+    if abs(w_val) <= _SPECTRUM_ZERO_TOL and abs(dgg_spectral) > _GEOMETRIC_FLOOR + spread:
         kappa = float(np.sqrt(np.pi / 2) / xi0)
 
     return PhaseDecomposition(

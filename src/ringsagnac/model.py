@@ -27,6 +27,7 @@ __all__ = [
     "SweepProfile",
     "TrapConfig",
     "eval_profile",
+    "flat_rate",
     "lambda_drive",
     "make_profile",
     "zero_profile",
@@ -192,13 +193,18 @@ def zero_profile(duration) -> SweepProfile:
     return SweepProfile(ProfileFamily.TABULATED, float(duration), samples=(0.0, 0.0))
 
 
+def flat_rate(duration: float) -> float:
+    """omega_P of the flat family: half a revolution spread evenly over T."""
+    return SWEEP_TOTAL_ANGLE / duration
+
+
 def eval_profile(profile: SweepProfile, t):
     """omega_P(t); zero outside [0, T].  Accepts scalars or arrays."""
     t_arr = np.asarray(t, dtype=float)
     T = profile.duration
     inside = (t_arr >= 0.0) & (t_arr <= T)
     if profile.family is ProfileFamily.FLAT:
-        out = np.where(inside, np.pi / T, 0.0)
+        out = np.where(inside, flat_rate(T), 0.0)
     elif profile.family is ProfileFamily.SINUSOIDAL:
         out = np.where(inside, np.pi**2 * np.abs(np.sin(2 * np.pi * t_arr / T)) / (2 * T), 0.0)
     elif profile.family is ProfileFamily.COSINUSOIDAL:

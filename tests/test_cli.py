@@ -161,6 +161,10 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["sensitivity", "--hbar", "1e-300"],
         ["sensitivity", "--radius", "1e150"],
         ["design", "--family", "flat", "--index", "2000000000000000"],
+        # a spectral geometric part that is rounding of omega0 t, within its
+        # spread of the classification threshold
+        ["decompose", "--family", "sinusoidal", "--trap-frequency", "1e8"],
+        ["design", "--family", "sinusoidal", "--index", "100000000"],
         # 2 pi / T overflows, so the trigonometric basis frequency is inf
         ["trajectory", "--family", "sinusoidal", "--duration", "1e-320"],
         ["fig2", "--panel", "c", "--duration", "1e-320"],
@@ -173,8 +177,9 @@ def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # instead of handing on inf or NaN; an interval with omega0 h beyond the
     # doubling ceiling is refused before its tables are built; a rotation so
     # fast that the branch difference is lost in the rounding of the branch
-    # phases fails the path/spectral agreement check; a Fisher information
-    # that overflows is refused too
+    # phases fails the path/spectral agreement check; a scheme class that
+    # the routes cannot resolve is not given; a Fisher information that
+    # overflows is refused too
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
 
 
@@ -185,9 +190,9 @@ FAST_TRAPS = [
     (["design", "--family", "flat", "--index", "3000"], "pure-geometric"),
     (["design", "--family", "flat", "--index", "10000"], "pure-geometric"),
     (["design", "--family", "flat", "--index", "100000000"], "pure-geometric"),
-    # its spectral dgg (2e-9) is rounding that grows like eps omega0 T, so
-    # its label is not asserted
-    (["design", "--family", "sinusoidal", "--index", "100000000"], None),
+    # its spectral dgg (3e-10) is rounding of omega0 t, clear of the
+    # threshold but not of its spread, so kappa is not given
+    (["design", "--family", "sinusoidal", "--index", "1000000"], "dynamic"),
 ]
 
 
@@ -205,9 +210,11 @@ def test_fast_traps_decompose(capsys, argv, label):
     record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     dec = record.get("decomposition", record)
     assert abs(dec["delta_geometric_path"] - dec["delta_geometric"]) <= 1e-8
-    assert label is None or dec["scheme_class"] == label
+    assert dec["scheme_class"] == label
     if label == "pure-geometric":
         assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
+    if label == "dynamic":
+        assert dec["kappa"] is None
 
 
 @pytest.mark.parametrize(

@@ -239,6 +239,25 @@ def test_unresolved_sweep_names_the_knob_that_resolves_it(monkeypatch):
     assert "n_samples" not in message
 
 
+@pytest.mark.parametrize("forced, refused", [(2e-9, False), (5e-8, True)])
+def test_a_label_inside_the_route_spread_is_refused(monkeypatch, forced, refused):
+    # the flat scheme has dgd = 0; an error forced into the co branch's path
+    # dynamic phase shows as the gap between dgd and phi_I - dgg_spectral,
+    # and where that gap reaches the 1e-8 threshold it is unclear whether
+    # dgd vanishes, so the scheme class is refused rather than given
+    config = TrapConfig()
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    exact = geometry._swept_dynamic_phase
+    offsets = iter((forced, 0.0))
+    monkeypatch.setattr(geometry, "_swept_dynamic_phase",
+                        lambda *args: exact(*args) + next(offsets))
+    if not refused:
+        assert decompose(config, profile).scheme_class is SchemeClass.PURE_GEOMETRIC
+        return
+    with pytest.raises(InsufficientResolution, match=r"\|dgd\| = .* of the threshold 1\.0e-08"):
+        decompose(config, profile)
+
+
 SCALED = TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05)
 
 
