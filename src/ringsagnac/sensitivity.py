@@ -83,6 +83,8 @@ def delta_omega_point(contrast: float, phase: float, slope: float) -> float:
     """Uncertainty for explicitly given readout values (not a profile)."""
     if not 0 < contrast <= 1:
         raise ValueError("contrast must be in (0, 1]")
+    if not (np.isfinite(phase) and np.isfinite(slope)):
+        raise ValueError("phase and slope must be finite")
     excess = (1 - contrast * contrast) / (contrast * contrast)
     return _delta_omega_raw(excess, phase, slope)[0]
 

@@ -8,12 +8,14 @@ import pytest
 import ringsagnac.cli
 from ringsagnac import (
     Branch,
+    ConfigurationError,
     ProfileFamily,
     TrapConfig,
     decompose,
     design_time,
     interferometer_phase_integral,
     make_profile,
+    qfi,
     readout,
     sagnac_phase,
     sensitivity_report,
@@ -145,24 +147,82 @@ def test_readout_is_the_only_exact_spectrum_caller():
     assert not hasattr(ringsagnac, "_exact_spectrum")
 
 
+def _chain(config, profile):
+    """The corpus op: every public layer on the same two objects."""
+    readout(config, profile)
+    sensitivity_report(config, profile)
+    decompose(config, profile, n_samples=256)
+
+
+def _report_then_qfi(config, profile):
+    # qfi needs an integer number of trap periods
+    periodic = make_profile(ProfileFamily.TABULATED, 2 * np.pi, samples=profile.samples)
+    sensitivity_report(config, periodic)
+    qfi(config, periodic)
+
+
 @pytest.mark.parametrize(
     ("call", "expected"),
     [
         (readout, 1),
         (sensitivity_report, 1),
         (decompose, 1),
-        (lambda config, profile: design_time(ProfileFamily.FLAT, config, 1), 2),
+        (lambda config, profile: design_time(ProfileFamily.FLAT, config, 1), 1),
+        (_chain, 1),
+        (_report_then_qfi, 1),
+        (lambda config, profile: ringsagnac.cli.run(["verify", "--steps", "1024"]), 3),
     ],
-    ids=["readout", "sensitivity_report", "decompose", "design_time"],
+    ids=["readout", "sensitivity_report", "decompose", "design_time", "chain",
+         "qfi-after-report", "cli-verify"],
 )
 def test_one_spectrum_evaluation_per_call(natural, monkeypatch, call, expected):
-    # W(omega0) and its slope are sampled once per readout or decomposition
-    # and every derived quantity reuses that sample; design_time reads out
-    # once for its flags and once inside the decomposition
+    # W(omega0) and its slope are sampled once per (config, profile) pair
+    # and every derived quantity reuses that sample: design_time reads out
+    # for its flags and its decomposition reads the same result, and verify
+    # evaluates once per scheme
     profile = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
     calls = _count_spectrum_calls(monkeypatch)
     call(natural, profile)
     assert calls == [natural.trap_frequency] * expected
+
+
+def test_readout_memo_keeps_the_sign_of_zero(monkeypatch):
+    # equal configs that hash alike, whose phases differ in sign
+    plus, minus = TrapConfig(rotation=0.0), TrapConfig(rotation=-0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    profile = make_profile(ProfileFamily.FLAT, 5.0)
+    calls = _count_spectrum_calls(monkeypatch)
+    for config, sign in ((plus, 1.0), (minus, -1.0), (plus, 1.0)):
+        result = readout(config, profile)
+        assert result.phase == 0.0 and np.copysign(1.0, result.phase) == sign
+        assert result.sagnac == 0.0 and np.copysign(1.0, result.sagnac) == sign
+    assert len(calls) == 3
+
+
+def test_readout_memo_matches_by_identity(natural, monkeypatch):
+    first = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
+    twin = make_profile(ProfileFamily.TABULATED, 6.1, samples=[0.2, 1.0, 0.4, 0.8])
+    assert first == twin and first is not twin
+    calls = _count_spectrum_calls(monkeypatch)
+    result = readout(natural, first)
+    assert readout(natural, first) is result
+    assert len(calls) == 1
+    again = readout(natural, twin)
+    assert again is not result and again == result
+    assert len(calls) == 2
+
+
+def test_readout_memo_stores_no_exception(natural, monkeypatch):
+    bad = make_profile(ProfileFamily.FLAT, 1e-320)
+    good = make_profile(ProfileFamily.FLAT, 5.0)
+    calls = _count_spectrum_calls(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            readout(natural, bad)
+    assert len(calls) == 2
+    result = readout(natural, good)
+    assert len(calls) == 3
+    assert result.spectrum == _exact_spectrum(good, natural.trap_frequency)[0]
 
 
 def _count_sweeps(monkeypatch) -> list:

@@ -107,6 +107,17 @@ def test_point_formula_branches():
             delta_omega_point(bad, 0.3, 1.0)
 
 
+@pytest.mark.parametrize(
+    ("phase", "slope"),
+    [(np.nan, 2.0), (np.inf, 2.0), (0.3, np.nan), (0.3, np.inf)],
+    ids=["nan-phase", "inf-phase", "nan-slope", "inf-slope"],
+)
+def test_point_uncertainty_rejects_non_finite_readout(phase, slope):
+    # these gave nan, nan with a sin warning, nan, and an impossible 0.0
+    with pytest.raises(ValueError, match="finite"):
+        delta_omega_point(0.8, phase, slope)
+
+
 def test_uncertainty_against_finite_difference(natural):
     # independent route: propagate a small rotation change through the
     # full readout and compare delta P / |dP/dOmega| at unit variance
