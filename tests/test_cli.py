@@ -217,6 +217,32 @@ def test_fast_traps_decompose(capsys, argv, label):
         assert dec["kappa"] is None
 
 
+@pytest.mark.parametrize("frequency", ["3.5e14", "7e14"])
+def test_deepest_doublings_decompose(capsys, frequency):
+    # omega0 h = 2.2e15 and 4.4e15 on the flat kink grid: the width table is
+    # doubled 51 and 52 times, the most below the 2^52 ceiling, and the
+    # command still exits 0 with standard JSON
+    assert run(["decompose", "--family", "flat", "--trap-frequency", frequency]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert record["scheme_class"] == "pure-geometric"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 50 doublings, yet the unconventional tabulated scheme's routes part
+    (["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
+      "--trap-frequency", "3.5e14"], "path/spectral geometric parts disagree"),
+    # omega0 h = 6.3e15, above the 2^52 ceiling
+    (["decompose", "--family", "flat", "--trap-frequency", "1e15"],
+     "the width tables cannot resolve omega0 h"),
+], ids=["tabulated-3.5e14", "flat-1e15"])
+def test_deepest_doublings_refusals(capsys, argv, message):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"convergence error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

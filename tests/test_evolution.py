@@ -28,6 +28,8 @@ from ringsagnac import (
 )
 import ringsagnac.cli
 from ringsagnac.evolution import (
+    _affine_width_table,
+    _doublings,
     _drive_basis,
     _kink_grid,
     _sweep,
@@ -272,15 +274,25 @@ def _record_grids(monkeypatch) -> list:
 
 
 def _record_tables(monkeypatch) -> list:
-    """Record (widths, doublings) of every width-table build."""
+    """Record (widths, doublings, builder) of every width-table build.
+
+    The builders are the array one, _width_tables, and the scalar kernel
+    for one affine width, _affine_width_table.
+    """
     builds = []
     build = ringsagnac.evolution._width_tables
+    build_affine = ringsagnac.evolution._affine_width_table
 
     def counted(hs, w0, basis, shift, n_basis, doublings):
-        builds.append((len(hs), doublings))
+        builds.append((len(hs), doublings, "_width_tables"))
         return build(hs, w0, basis, shift, n_basis, doublings)
 
+    def counted_affine(h, w0, doublings):
+        builds.append((1, doublings, "_affine_width_table"))
+        return build_affine(h, w0, doublings)
+
     monkeypatch.setattr(ringsagnac.evolution, "_width_tables", counted)
+    monkeypatch.setattr(ringsagnac.evolution, "_affine_width_table", counted_affine)
     return builds
 
 
@@ -356,10 +368,13 @@ def test_end_values_match_a_resolved_path_sweep(config, span, profile):
                          ids=["natural", "fast"])
 @pytest.mark.parametrize("profile", FAMILY_CASES, ids=lambda profile: profile.family.value)
 def test_end_value_sweep_builds_one_table(monkeypatch, config, profile):
-    # the kink grid is uniform, so one width table serves every interval
+    # the kink grid is uniform, so one width table serves every interval;
+    # the affine families take it from the scalar kernel
     builds = _record_tables(monkeypatch)
     _sweep_ends(config, profile, (Branch.CO, Branch.COUNTER), 4096)
     assert len(builds) == 1 and builds[0][0] == 1
+    affine = profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED)
+    assert builds[0][2] == ("_affine_width_table" if affine else "_width_tables")
 
 
 @pytest.mark.parametrize("profile", [OFF_GRID, make_profile(ProfileFamily.COSINUSOIDAL, 7.3)],
@@ -376,6 +391,28 @@ def test_one_doubling_matches_the_plain_rule(profile):
     doubled = _width_tables(hs, w0, basis, shift, len(coef), 1)
     for exact, table in zip(plain, doubled):
         np.testing.assert_allclose(table, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("config", [TrapConfig(), DIMENSIONAL], ids=["natural", "scaled"])
+@pytest.mark.parametrize("span", [1e-3, 0.7, 1.0, 1.9, 3.0, 37.0, 1e3, 1e5])
+@pytest.mark.parametrize("profile", [make_profile(ProfileFamily.FLAT, 7.3), OFF_GRID],
+                         ids=["flat", "tabulated"])
+def test_affine_width_table_matches_the_array_tables(config, span, profile):
+    # the scalar kernel of the affine kink grid against the array builder,
+    # at omega0 h = span (0 to 17 doublings): the same rule and doublings
+    # summed in another order, so they agree to a few ulps of the largest
+    # entry without doubling, and to the end-value bound 1e-12 + eps nu h
+    # with it
+    w0 = config.trap_frequency
+    h = span / w0
+    doublings = _doublings(profile, w0, h)
+    count, values = _kink_grid(profile)
+    coef, basis, shift = _drive_basis(profile, np.zeros(count), values)
+    reference = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+    tol = 1e-15 if doublings == 0 else 1e-12 + np.finfo(float).eps * span
+    for exact, table in zip(reference, _affine_width_table(h, w0, doublings)):
+        assert table.shape == exact.shape
+        np.testing.assert_allclose(table, exact, rtol=0, atol=tol * np.abs(exact).max())
 
 
 @pytest.mark.parametrize("sweep", [
