@@ -299,7 +299,7 @@ def _affine_width_table(h: float, w0: float, doublings: int):
             q0 += a0 * turn
             q1 += a1 * turn
         turn = rect(1.0, theta * x)
-        back0 = (turn.conjugate() * q0).imag
+        back0 = (turn.conjugate() * q0).imag          # Im(conj(T_j) Q_pj)
         back1 = (turn.conjugate() * q1).imag
         g0 += c0 * turn
         g1 += c1 * turn
