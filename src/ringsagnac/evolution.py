@@ -90,7 +90,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, InsufficientResolution
-from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, flat_rate
+from .model import (
+    Branch,
+    ProfileFamily,
+    SweepProfile,
+    TrapConfig,
+    _check_count,
+    eval_profile,
+    flat_rate,
+)
 
 __all__ = ["BranchEvolution", "sample_trajectory"]
 
@@ -403,6 +411,7 @@ def _end_grid_text(config: TrapConfig, profile: SweepProfile) -> str:
 
 
 def _check_samples(n_samples: int):
+    _check_count("n_samples", n_samples)
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
     if n_samples > _MAX_SAMPLES:

@@ -13,6 +13,7 @@ revolution: the integral of omega_P over [0, T] equals pi.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,6 +140,18 @@ class SpectrumValue:
     # "closed-form" (analytic families), "exact piecewise-linear" (tabulated
     # profiles, summed segment by segment), or "quadrature" (the oracle)
     method: str
+
+
+def _check_count(name: str, value):
+    """Refuse a count that is not an integer, naming the parameter.
+
+    operator.index accepts Python and numpy integers and refuses floats,
+    even integral ones, which would otherwise fail deep inside numpy.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_duration(duration):

@@ -115,6 +115,26 @@ def test_sample_count_below_one_is_a_configuration_error(natural, flat, n_sample
         sample_trajectory(natural, flat, Branch.CO, n_samples)
 
 
+@pytest.mark.parametrize("n_samples", [64.0, 64.5, "64", None])
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda config, profile, n: sample_trajectory(config, profile, Branch.CO, n),
+                 id="sample_trajectory"),
+    pytest.param(lambda config, profile, n: ringsagnac.decompose(config, profile, n_samples=n),
+                 id="decompose"),
+    pytest.param(lambda config, profile, n: ringsagnac.interferometer_phase_integral(
+        config, profile, n_samples=n), id="interferometer_phase_integral"),
+])
+def test_non_integer_sample_count_is_a_configuration_error(natural, flat, route, n_samples):
+    # refused up front, naming the parameter, even when the value is integral
+    with pytest.raises(ConfigurationError, match="n_samples must be an integer"):
+        route(natural, flat, n_samples)
+
+
+def test_numpy_integer_sample_count_is_accepted(natural, flat):
+    path = sample_trajectory(natural, flat, Branch.CO, np.int64(64))
+    np.testing.assert_array_equal(path.alphas, sample_trajectory(natural, flat, Branch.CO, 64).alphas)
+
+
 def test_nan_error_estimate_fails_the_budget(flat):
     # omega0 T overflows, quad returns NaN with a NaN error estimate
     extreme = TrapConfig(trap_frequency=1e308)

@@ -190,21 +190,48 @@ class _CountingExp:
 def test_complex_exponentials_per_pass(natural, random_profile, monkeypatch, shape):
     # both branches share one sweep kick factor per split step, and a held
     # run takes one phase table of at most a chunk's rows plus one offset row
-    # per chunk; the rest is the per-call rotation factor and half body step
+    # per chunk; the rest is the per-call rotation factor and half body step.
+    # Every factor is a unit phase from real angles, and np.exp is never called
     if shape == "flat":
         profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
     else:
         profile = random_profile(np.random.default_rng(3))
     n_max, steps = 40, 1024
+    angles = []
+
+    def counting_phase(angle):
+        assert np.isrealobj(angle)
+        angles.append(np.size(angle))
+        return real_phase(angle)
+
+    real_phase = fock._unit_phase
+    monkeypatch.setattr(fock, "_unit_phase", counting_phase)
     counting = _CountingExp()
     monkeypatch.setattr(fock, "np", counting)
     coherence_fock(natural, profile, n_max=n_max, steps=steps)
+    assert counting.elements == 0
     if shape == "flat":
         rows = fock._CHUNK + steps // fock._CHUNK
-        assert counting.elements == rows * 2 * n_max + 2 * n_max
+        assert sum(angles) == rows * 2 * n_max + 2 * n_max
     else:
         assert _held_runs(natural, profile, steps) == 0
-        assert counting.elements == steps * n_max + 2 * n_max
+        assert sum(angles) == steps * n_max + 2 * n_max
+
+
+def test_unit_phase_matches_complex_exponential():
+    # cos x - i sin x against np.exp(-1j x), part by part, to one ulp, from
+    # signed zeros and subnormals up to angles of 1e6
+    rng = np.random.default_rng(5)
+    magnitudes = np.concatenate((
+        [0.0, 5e-324, 1e-300, np.pi / 2, np.pi, 2 * np.pi, 1e6],
+        rng.uniform(0.5, 1.0, 4000) * np.logspace(-20, 6, 4000),
+    ))
+    angles = np.concatenate((magnitudes, -magnitudes))
+    got = fock._unit_phase(angles.reshape(2, -1)).ravel()
+    expected = np.exp(-1j * angles)
+    for part in ("real", "imag"):
+        value, exact = getattr(got, part), getattr(expected, part)
+        assert np.all(np.abs(value - exact) <= np.spacing(np.abs(exact)))
 
 
 @pytest.mark.parametrize("n_max", [40, 80])
@@ -383,6 +410,24 @@ def test_parameter_floors(natural):
         evolve_fock(natural, profile, Branch.CO, until=7.0)
     with pytest.raises(TimeOutOfRange):
         evolve_fock(natural, profile, Branch.CO, until=-0.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_max", 40.0), ("n_max", 40.5), ("steps", 1024.0), ("steps", "1024"), ("steps", None),
+])
+def test_non_integer_counts_are_configuration_errors(natural, name, value):
+    # refused up front, naming the parameter, even when the value is integral
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    for call in (evolve_fock, coherence_fock, evolve_two_component):
+        args = (natural, profile, Branch.CO) if call is evolve_fock else (natural, profile)
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            call(*args, **{name: value})
+
+
+def test_numpy_integer_counts_are_accepted(natural):
+    profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
+    value = coherence_fock(natural, profile, n_max=np.int64(40), steps=np.int32(256))
+    assert value == coherence_fock(natural, profile, n_max=40, steps=256)
 
 
 def test_two_component_block_structure(natural):
