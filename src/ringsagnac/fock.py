@@ -13,44 +13,54 @@ One pass propagates every branch at once: each branch is one row of a
 (branches, n_max) array, its vacuum holding equal weight, and all rows see
 one joint generator.  The steps fall into segments:
 
-* A step whose drive equals a neighbour's lies in a held run.  One
-  Hermitian eigendecomposition (numpy's eigh) of the joint generator,
-  cleaned to orthonormal eigenvectors, serves the whole run, and the state
-  j steps in is V diag(exp(-i j dt E / hbar)) V^H psi, evaluated in closed
-  form, so a constant drive is propagated exactly.  One phase table,
-  exp(-i j dt E / hbar) for j up to the chunk length, serves every chunk of
-  the run; a chunk first turns the coefficients V^H psi by its own offset
-  from the run's start.
+* A step whose drive equals a neighbour's lies in a held run.  The run is
+  taken in the real gauge psi~_n = i^(-n) psi_n, where the joint generator,
+  hbar omega0 (n + 1/2) - lambda (a + a^dag) on each branch's block, is real
+  symmetric.  One real eigendecomposition (numpy's eigh) of it, as one
+  matrix, cleaned to orthonormal eigenvectors V, serves every run of the pass
+  with the same drive, and the state j steps in is
+  V diag(exp(-i j dt E / hbar)) V^T psi~, evaluated in closed form, so a
+  constant drive is propagated exactly; the factors i^n that map it back are
+  exact.  One phase table, exp(-i j dt E / hbar) for j up to the chunk
+  length, serves every chunk of the run; a chunk first turns the
+  coefficients V^T psi~ by its own offset from the run's start, and maps them
+  to its states with one real product on their (re, im) pairs.
 * Every other step is Strang-split (Feit, Fleck & Steiger 1982): half a
   body step, which is diagonal, the drive kick in the eigenbasis of
   i(a - a^dag), and half a body step.  Both are unitary; the step is second
   order.  The eigensystem of i(a - a^dag) depends on n_max alone and is
-  cached, read-only.  Since lambda = D (Omega + sign omega_P), the kick on
-  the drive eigenvalues l is exp(-i dt D Omega l / hbar), one factor per
-  call, times exp(-i dt D omega_P(t) l / hbar)^sign, one factor per step
-  shared by every branch, the counter branch taking its conjugate.  The
+  cached, read-only, its levels l made exactly antisymmetric.  Since
+  lambda = D (Omega + sign omega_P), the kick on the levels is
+  exp(-i dt D Omega l / hbar), one factor per call, times
+  exp(-i dt D omega_P(t) l / hbar)^sign, one factor per step shared by every
+  branch.  The sweep factor takes cosines and sines on the non-negative half
+  of the levels only; the other half are their mirrored conjugates, and the
+  counter branch's factor, the conjugate, is the co branch's reversed.  The
   pass stays in the coordinates phi = psi T, T = diag(half body) V*, where a
-  step is phi <- (phi * kick) (F T) with F = V^T diag(half body): one matrix
-  product covers every row.  The loop over a chunk's steps allocates
-  nothing: each step multiplies its kick row by phi in place and writes the
-  product with F T, taken in real form on the (re, im) pairs of the row,
-  into the one state buffer of the pass.
+  step is phi <- (phi * sweep factor) (F T) with F = R V^T diag(half body)
+  and R the diagonal rotation factor: one matrix product covers every row.
+  The loop over a chunk's steps allocates nothing: each step multiplies its
+  kick row by phi in place and writes the product with F T, taken in real
+  form on the (re, im) pairs of the row, into the one state buffer of the
+  pass.
 
 Every phase factor exp(-i x), of the half body step, the kicks and the
 held-run phase tables alike, is built by _unit_phase as cos x - i sin x from
-the real angle x, never by np.exp of a complex argument; the counter branch
-gets its conjugate sweep factor by flipping the sign of the sine.
+the real angle x, never by np.exp of a complex argument.
 
-Segments are walked in chunks of at most _CHUNK steps.  Each chunk builds its
-own kicks or turns its coefficients, maps its states back to the number
-basis with one matrix product, and checks the tail mass of every branch
-block after every step, naming the first failing step; the final norm is
-checked too.  The spin label never appears in H, which is why propagating
-the two components separately must agree with propagating them jointly;
-evolve_two_component exercises exactly that.  Split steps act on each row
-alike, so on a varying drive that agreement holds by construction; on a
-held drive the joint generator is diagonalised as one unstructured matrix,
-and the block structure is an outcome.
+Segments are walked in chunks of at most _CHUNK steps, and the tail mass of
+every branch block is checked after every step, naming the first failing
+step; the final norm is checked too.  A split chunk maps its kicked rows
+phi * sweep factor through the top-decile columns of F alone and takes each
+block's total from the row's own norm, since F is unitary; only the segment's
+last row is mapped back in full.  A held chunk checks its real-gauge states,
+whose masses are those of the number-basis states.  The spin label never
+appears in H, which is why propagating the two components separately must
+agree with propagating them jointly; evolve_two_component exercises exactly
+that.  Split steps act on each row alike, so on a varying drive that
+agreement holds by construction; on a held drive the joint generator is
+diagonalised as one unstructured matrix, and the block structure is an
+outcome.
 """
 
 from __future__ import annotations
@@ -121,10 +131,13 @@ def _operators(n_max: int):
 def _drive_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenvalues and eigenvectors of i(a - a^dag) at n_max levels.
 
-    They depend on n_max alone; the cache holds four sizes, 17 MB at the
-    512-level ceiling.
+    The spectrum is symmetric about 0; eigh pairs its levels only to a few
+    ulps, so they are made exactly antisymmetric, (l - l reversed) / 2.  They
+    depend on n_max alone; the cache holds four sizes, 17 MB at the 512-level
+    ceiling.
     """
     levels, vecs = np.linalg.eigh(_operators(n_max)[1])
+    levels = 0.5 * (levels - levels[::-1])
     levels.flags.writeable = vecs.flags.writeable = False
     return levels, vecs
 
@@ -168,17 +181,40 @@ def _held_basis(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vecs
 
 
-def _check_tails(states: np.ndarray, first: int):
+def _real_generator(energy: float, drives: np.ndarray, n_max: int) -> np.ndarray:
+    """The joint generator of a held drive in the real gauge psi~_n = i^(-n) psi_n.
+
+    There each branch's block, energy (n + 1/2) + i lambda (a - a^dag) in the
+    number basis, is energy (n + 1/2) - lambda (a + a^dag): real symmetric.
+    The blocks sit in one matrix, diagonalised as a whole.
+    """
+    size = len(drives) * n_max
+    generator = np.zeros((size, size))
+    diagonal = energy * (np.arange(n_max) + 0.5)
+    rungs = np.sqrt(np.arange(1.0, n_max))
+    for row, lam in enumerate(drives):
+        block = np.arange(row * n_max, (row + 1) * n_max)
+        generator[block, block] = diagonal
+        generator[block[:-1], block[1:]] = generator[block[1:], block[:-1]] = -lam * rungs
+    return generator
+
+
+def _mass(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis, summed on the (re, im) pairs."""
+    pairs = amplitudes.view(float)
+    return np.vecdot(pairs, pairs)
+
+
+def _check_tails(rows: np.ndarray, tail: np.ndarray, first: int):
     """Raise unless every block of every state keeps its tail mass in tolerance.
 
-    `states` is (steps, blocks, n_max), the state after step `first` first.
+    `rows` is (steps, blocks, n_max), the state after step `first` first, in
+    coordinates that a unitary map takes to the number basis, so each row's
+    norm is its block's; `tail` holds the number-basis amplitudes of the top
+    decile of each row, up to unit factors.
     """
-    n_max = states.shape[-1]
-    # top decile of the ladder, but never an empty window
-    tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
-    mass = states.real**2 + states.imag**2
     # tail mass of each block's normalised state, worst block per step
-    tails = np.max(mass[..., tail_from:].sum(axis=-1) / mass.sum(axis=-1), axis=-1)
+    tails = np.max(_mass(tail) / _mass(rows), axis=-1)
     failing = np.flatnonzero(~(tails <= _TAIL_TOL))
     if failing.size:
         k = failing[0]
@@ -191,7 +227,6 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     """Equal-weight vacuum blocks, one row per branch, under one joint generator."""
     hbar = config.hbar
     w0 = config.trap_frequency
-    body, drive = _operators(n_max)
     dt = t_end / steps
     mids = (np.arange(steps) + 0.5) * dt
     # lambda = D (Omega + sign omega_P) from one profile evaluation, formed as
@@ -204,12 +239,17 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     repeats = np.concatenate(([False], np.all(lams[:, 1:] == lams[:, :-1], axis=0)))
     held = repeats | np.append(repeats[1:], False)
     starts = np.flatnonzero(held & ~repeats | ~held & np.concatenate(([True], held[:-1])))
-    # split steps run in the coordinates phi = psi to_eigen, where a step is
-    # phi <- (phi * kick) split_step; the half body steps sit in the basis changes
+    # a kick exp(-i dt lambda levels / hbar) is the rotation factor, the same
+    # on every step and branch, times the sweep factor of its step.  Split
+    # steps run in the coordinates phi = psi to_eigen, where a step is
+    # phi <- (phi * sweep factor) split_step; the half body steps and the
+    # rotation factor sit in the basis changes
     levels, vecs = _drive_eigensystem(n_max)
-    half_body = _unit_phase(0.5 * dt * w0 * np.diagonal(body).real)
+    rate = dt / hbar * config.drive_scale
+    rotation_kick = _unit_phase(rate * config.rotation * levels)
+    half_body = _unit_phase(0.5 * dt * w0 * (np.arange(n_max) + 0.5))
     to_eigen = half_body[:, None] * vecs.conj()
-    from_eigen = vecs.T * half_body
+    from_eigen = rotation_kick[:, None] * vecs.T * half_body
     split_step = from_eigen @ to_eigen
     # each step takes its product with split_step in real form, on the
     # interleaved (re, im) pairs of the complex rows: (x + iy)(A + iB) =
@@ -220,13 +260,20 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     split_real[0::2, 0::2] = split_real[1::2, 1::2] = split_step.real
     split_real[0::2, 1::2] = split_step.imag
     split_real[1::2, 0::2] = -split_step.imag
-    # a kick exp(-i dt lambda levels / hbar) is the rotation factor of every
-    # step times the sweep factor of its step, whose sine flips sign on the
-    # counter branch
-    rate = dt / hbar * config.drive_scale
-    rotation_kick = _unit_phase(rate * config.rotation * levels)
+    # the tail check reads the top decile of the ladder, never an empty window;
+    # the map back is unitary, so a kicked row's own norm is its block's total
+    tail_from = min(int(np.ceil(0.9 * n_max)), n_max - 1)
+    from_tail = np.ascontiguousarray(from_eigen[:, tail_from:])
+    half = n_max // 2  # the levels from half on are the non-negative ones
+    # held runs take the real gauge psi~_n = i^(-n) psi_n; the factors i^n,
+    # read from a table by n mod 4, are exact, and the tail masses are the
+    # same in either basis
+    gauge = np.tile(np.array([1, 1j, -1, -1j])[np.arange(n_max) % 4], (len(branches), 1))
+    bases = {}  # held-run eigensystems by drive, for this call
 
-    size = len(branches) * n_max
+    # a chunk's states, one row per step and branch: the kicked rows of split
+    # steps, the real-gauge states of held ones
+    chunk_rows = np.empty((min(steps, _CHUNK), len(branches), n_max), dtype=complex)
     psi = np.zeros((len(branches), n_max), dtype=complex)
     psi[:, 0] = 1 / np.sqrt(len(branches))
     phi = np.empty_like(psi)  # the split steps' state, overwritten in place
@@ -234,37 +281,51 @@ def _propagate(config, profile, branches, n_max, steps, t_end) -> np.ndarray:
     for begin, end in zip(starts, np.append(starts[1:], steps)):
         in_run = held[begin]
         if in_run:
-            generator = np.zeros((size, size), dtype=complex)
-            for row, lam in enumerate(lams[:, begin]):
-                block = slice(row * n_max, (row + 1) * n_max)
-                generator[block, block] = hbar * w0 * body + lam * drive
-            energies, basis = _held_basis(generator)
-            coeffs = basis.conj().T @ psi.ravel()
-            # row j - 1 holds exp(-i j dt E / hbar), j steps into a chunk
+            drive = lams[:, begin]
+            key = drive.tobytes()
+            if key not in bases:
+                bases[key] = _held_basis(_real_generator(hbar * w0, drive, n_max))
+            energies, basis = bases[key]
+            coeffs = basis.T @ (psi * gauge.conj()).ravel()
+            # column j - 1 holds exp(-i j dt E / hbar), j steps into a chunk;
+            # each chunk turns it into `turned` and maps that into `states`,
+            # buffers the run keeps, since fresh ones cost page faults
             j = np.arange(1, min(end - begin, _CHUNK) + 1)
-            phases = _unit_phase(np.outer(j * (dt / hbar), energies))
+            phases = _unit_phase(np.outer(energies, j * (dt / hbar)))
+            turned = np.empty_like(phases)
+            states = np.empty((len(energies), 2 * len(j)))
         else:
             np.dot(psi, to_eigen, out=phi)
         for first in range(begin, end, _CHUNK):
-            last = min(first + _CHUNK, end)
+            count = min(first + _CHUNK, end) - first
+            rows = chunk_rows[:count]
             if in_run:
                 # the chunk's offset from the run's start moves its coefficients:
-                # V diag(exp(-i (first - begin + j) dt E / hbar)) V^H psi
+                # V diag(exp(-i (first - begin + j) dt E / hbar)) V^T psi~, one
+                # column per step, taken as one real product on the (re, im) pairs
                 offset = _unit_phase(((first - begin) * (dt / hbar)) * energies)
-                states = (phases[: last - first] * (coeffs * offset)) @ basis.T
+                np.multiply(phases[:, :count], (coeffs * offset)[:, None], out=turned[:, :count])
+                np.matmul(basis, turned[:, :count].view(float), out=states[:, : 2 * count])
+                np.copyto(rows.reshape(count, -1), states[:, : 2 * count].view(complex).T)
+                _check_tails(rows, rows[..., tail_from:], first)
             else:
-                sweep_kick = _unit_phase(rate * np.outer(sweep[first:last], levels))
-                kicked = np.empty((last - first, len(branches), n_max), dtype=complex)
-                kicked.real = sweep_kick.real[:, None]
-                np.multiply(signs[:, None], sweep_kick.imag[:, None], out=kicked.imag)
-                kicked *= rotation_kick
-                for row, row_real in zip(kicked, kicked.view(float)):
+                # the sweep factors of the co branch: the upper half of the levels
+                # from their angles, the lower half as mirrored conjugates
+                upper = _unit_phase(rate * np.outer(sweep[first:first + count], levels[half:]))
+                for branch, sign in enumerate(signs):
+                    # the counter branch takes the conjugates: the co row reversed
+                    row = rows[:, branch] if sign > 0 else rows[:, branch, ::-1]
+                    np.conjugate(upper[:, ::-1][:, :half], out=row[:, :half])
+                    row[:, half:] = upper
+                for row, row_real in zip(rows, rows.view(float)):
                     np.multiply(row, phi, out=row)
                     np.dot(row_real, split_real, out=phi_real)
-                states = kicked.reshape(-1, n_max) @ from_eigen
-            states = states.reshape(last - first, len(branches), n_max)
-            _check_tails(states, first)
-        psi = states[-1].copy()  # not a view that keeps the chunk alive
+                tail = rows.reshape(-1, n_max) @ from_tail
+                _check_tails(rows, tail.reshape(count, len(branches), -1), first)
+        if in_run:
+            psi = rows[-1] * gauge
+        else:
+            psi = rows[-1] @ from_eigen
     if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:
         raise ConvergenceError("propagation lost unitarity beyond tolerance")
     return psi

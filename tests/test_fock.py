@@ -82,12 +82,24 @@ def test_two_component_truncation_guard_trips(natural):
         evolve_two_component(natural, profile, n_max=8, steps=512)
 
 
-def _held_runs(config, profile, steps):
-    """Maximal runs of two or more steps whose midpoint drives repeat on both branches."""
+def _held_drives(config, profile, steps):
+    """Midpoint drives, one column per step, and the flags of held steps."""
     mids = (np.arange(steps) + 0.5) * profile.duration / steps
     lams = np.array([lambda_drive(config, profile, branch, mids) for branch in Branch])
     repeats = np.all(lams[:, 1:] == lams[:, :-1], axis=0)
+    return lams, repeats
+
+
+def _held_runs(config, profile, steps):
+    """Maximal runs of two or more steps whose midpoint drives repeat on both branches."""
+    _, repeats = _held_drives(config, profile, steps)
     return int(np.sum(repeats & ~np.concatenate(([False], repeats[:-1]))))
+
+
+def _distinct_held_drives(config, profile, steps):
+    """Distinct drives among the held runs."""
+    lams, repeats = _held_drives(config, profile, steps)
+    return len({tuple(lams[:, k]) for k in np.flatnonzero(repeats)})
 
 
 @pytest.mark.parametrize(
@@ -100,10 +112,11 @@ def _held_runs(config, profile, steps):
     ids=["flat-512", "sinusoidal-100", "tabulated-512"],
 )
 def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, profile, steps):
-    # one eigendecomposition per held run, however long; every other step is
-    # split and takes none.  Flat K=1 is one run; the plateau of the tabulated
-    # shape is one run; the sinusoidal L=0 drive repeats only where symmetric
-    # midpoints straddle a crest, so its count is taken from the drives
+    # one eigendecomposition per distinct held drive of a pass, however long
+    # its runs; every other step is split and takes none.  Flat K=1 is one
+    # run; the plateau of the tabulated shape is one run; the sinusoidal L=0
+    # drive repeats only where symmetric midpoints straddle a crest, and its
+    # two crests repeat one drive
     calls = []
 
     def counting_basis(generator):
@@ -113,11 +126,10 @@ def test_step_exponential_reused_while_drive_is_constant(natural, monkeypatch, p
     real_basis = fock._held_basis
     monkeypatch.setattr(fock, "_held_basis", counting_basis)
     evolve_two_component(natural, profile, n_max=40, steps=steps)
-    expected = _held_runs(natural, profile, steps)
-    assert len(calls) == expected
-    assert expected < steps // 10
-    if profile.family is not ProfileFamily.SINUSOIDAL:
-        assert expected == 1
+    expected = _distinct_held_drives(natural, profile, steps)
+    assert len(calls) == expected == 1
+    runs = _held_runs(natural, profile, steps)
+    assert runs == (2 if profile.family is ProfileFamily.SINUSOIDAL else 1)
 
 
 @pytest.mark.parametrize("size", [40, 80])
@@ -148,12 +160,15 @@ def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
     dt = profile.duration / steps
     wanted = (1, 255, 256, 257, 511, 512, 513, 3841, 4096)
     seen = {}
+    # held states reach the tail check in the real gauge psi~_n = i^(-n) psi_n;
+    # the factors i^n map them back exactly
+    gauge = np.tile(np.array([1, 1j, -1, -1j])[np.arange(40) % 4], len(branches))
 
-    def recording_check(states, first):
+    def recording_check(rows, tail, first):
         for j in wanted:
-            if first < j <= first + len(states):
-                seen[j] = states[j - 1 - first].ravel()
-        real_check(states, first)
+            if first < j <= first + len(rows):
+                seen[j] = rows[j - 1 - first].ravel() * gauge
+        real_check(rows, tail, first)
 
     real_check = fock._check_tails
     monkeypatch.setattr(fock, "_check_tails", recording_check)
@@ -189,7 +204,7 @@ class _CountingExp:
 @pytest.mark.parametrize("shape", ["tabulated", "flat"])
 def test_complex_exponentials_per_pass(natural, random_profile, monkeypatch, shape):
     # both branches share one sweep kick factor per split step, and a held
-    # run takes one phase table of at most a chunk's rows plus one offset row
+    # run takes one phase table of at most a chunk's columns plus one offset
     # per chunk; the rest is the per-call rotation factor and half body step.
     # Every factor is a unit phase from real angles, and np.exp is never called
     if shape == "flat":
@@ -214,8 +229,10 @@ def test_complex_exponentials_per_pass(natural, random_profile, monkeypatch, sha
         rows = fock._CHUNK + steps // fock._CHUNK
         assert sum(angles) == rows * 2 * n_max + 2 * n_max
     else:
+        # the sweep factors take angles on the upper half of the drive levels
+        # only; the lower half are their mirrored conjugates
         assert _held_runs(natural, profile, steps) == 0
-        assert sum(angles) == steps * n_max + 2 * n_max
+        assert sum(angles) == steps * (n_max - n_max // 2) + 2 * n_max
 
 
 def test_unit_phase_matches_complex_exponential():
@@ -243,6 +260,74 @@ def test_held_step_is_unitary_to_rounding(n_max):
     for lam in np.linspace(-1.5, 1.5, 13):
         _, vecs = fock._held_basis(body + lam * drive)
         assert np.abs(vecs.conj().T @ vecs - np.eye(n_max)).max() <= 2e-15
+
+
+@pytest.mark.parametrize("n_max", [8, 9, 40, 41, 512])
+def test_drive_levels_are_exactly_antisymmetric(n_max):
+    # the sweep factors of the lower half of the levels are taken as mirrored
+    # conjugates of the upper half, which needs l_k = -l_(n-1-k) exactly; eigh
+    # pairs them only to a few ulps, and the cached levels stay that close
+    levels, _ = fock._drive_eigensystem(n_max)
+    assert np.array_equal(levels, -levels[::-1])
+    raw = np.linalg.eigh(fock._operators(n_max)[1])[0]
+    assert np.abs(levels - raw).max() <= 4 * np.spacing(np.abs(raw).max())
+
+
+@pytest.mark.parametrize("n_max", [40, 80])
+@pytest.mark.parametrize("drives", [(0.63, -0.48), (-1.2, 0.35)])
+@pytest.mark.parametrize("dt", [0.01, 1.0])
+def test_real_gauge_basis_matches_dense_exponential(n_max, drives, dt):
+    # a held run diagonalises the joint generator in the real gauge
+    # psi~_n = i^(-n) psi_n as one real symmetric matrix; its eigenvectors,
+    # mapped back by the factors i^n, must give the step of the complex
+    # number-basis generator that scipy's Pade exponential takes
+    linalg = pytest.importorskip("scipy.linalg")
+    energies, basis = fock._held_basis(fock._real_generator(1.0, np.array(drives), n_max))
+    assert np.isrealobj(basis)
+    gauge = np.tile(np.array([1, 1j, -1, -1j])[np.arange(n_max) % 4], len(drives))
+    vecs = gauge[:, None] * basis
+    body, drive = fock._operators(n_max)
+    generator = linalg.block_diag(*(body + lam * drive for lam in drives))
+    step = (vecs * np.exp(-1j * dt * energies)) @ vecs.conj().T
+    assert np.abs(step - linalg.expm(-1j * dt * generator)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", ["tabulated", "cosinusoidal-2"])
+def test_split_tail_fractions_match_fully_mapped_states(random_profile, monkeypatch, shape):
+    # a split chunk maps its kicked rows to the top-decile levels only and
+    # takes each block's total from the row's own norm.  Map every row in
+    # full instead, row diag(exp(-i dt D Omega l / hbar)) V^T diag(half body),
+    # and the tail fractions must agree.  The drive is strong enough that the
+    # tabulated run leaks past the tolerance, so the fractions are not all
+    # rounding noise; the cosinusoidal step count leaves no held run
+    config = SCALED
+    if shape == "tabulated":
+        profile, steps = random_profile(np.random.default_rng(3)), 1024
+    else:
+        profile, steps = design_time("cosinusoidal", config, 2).profile, 1025
+    assert _held_runs(config, profile, steps) == 0
+    n_max = 40
+    dt = profile.duration / steps
+    levels, vecs = fock._drive_eigensystem(n_max)
+    rotation = np.exp(-1j * dt / config.hbar * config.drive_scale * config.rotation * levels)
+    half_body = np.exp(-0.5j * dt * config.trap_frequency * (np.arange(n_max) + 0.5))
+    full_map = rotation[:, None] * vecs.T * half_body
+    tail_from = 36
+    checked, fractions = [], []
+
+    def comparing_check(rows, tail, first):
+        full = rows @ full_map
+        expected = fock._mass(full[..., tail_from:]) / fock._mass(full)
+        got = fock._mass(tail) / fock._mass(rows)
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+        checked.append(len(rows))
+        fractions.append(expected)
+
+    monkeypatch.setattr(fock, "_check_tails", comparing_check)
+    fock._propagate(config, profile, tuple(Branch), n_max, steps, profile.duration)
+    assert sum(checked) == steps
+    if shape == "tabulated":
+        assert max(f.max() for f in fractions) > fock._TAIL_TOL
 
 
 def _reference_run(config, profile, branch, n_max, steps):
