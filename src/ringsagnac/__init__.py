@@ -15,7 +15,6 @@ from .errors import (
     NegativeSample,
     NonPositiveDuration,
     NoZeroInBracket,
-    QfiFormulaInvalid,
     QuadratureNonConvergence,
     StepCountInsufficient,
     TimeOutOfRange,
@@ -37,24 +36,9 @@ from .model import (
 from .spectrum import spectrum_closed_form
 from .evolution import BranchEvolution, sample_trajectory
 from .fock import FockState, coherence_fock, evolve_fock, evolve_two_component
-from .interferometer import (
-    InterferometerResult,
-    interferometer_phase_integral,
-    readout,
-    sagnac_phase,
-)
-from .geometry import (
-    PhaseDecomposition,
-    SchemeClass,
-    decompose,
-    shoelace_area,
-)
+from .interferometer import InterferometerResult, readout, sagnac_phase
+from .geometry import PhaseDecomposition, SchemeClass, decompose
 from .design import SchemeSpec, design_time, find_zero_time
-from .sensitivity import (
-    SensitivityReport,
-    delta_omega_point,
-    qfi,
-    sensitivity_report,
-)
+from .sensitivity import SensitivityReport, sensitivity_report
 
 __version__ = "0.1.0"

@@ -555,7 +555,6 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
         return _table_text(header, [*columns, -columns[3], -columns[4]], "machine"), 0
     dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
     record = {
-        "samples": rc.n_samples + 1,
         "area_measure": dec.delta_geometric_path / 2,
         "half_sagnac": sagnac_phase(rc.trap) / 2,
         "kappa": dec.kappa,

@@ -56,11 +56,6 @@ class KappaUndefined(ConfigurationError):
     or the spectrum-zero premise does not hold."""
 
 
-class QfiFormulaInvalid(ConfigurationError):
-    """The Fisher-information formula requires an integer number of trap
-    periods; other interrogation times are not covered."""
-
-
 class NoZeroInBracket(ConfigurationError):
     """The bracket holds no spectrum zero to the required depth."""
 

@@ -39,8 +39,7 @@ a few scalar products per interval and branch.  The branches differ only
 in their coefficients, lambda = D (Omega +/- omega_P), so one set of
 tables serves both.  One stage computes these interval terms; _sweep runs
 them through the sample grid for full paths, and _sweep_ends sums them
-for the end values, which are all that decompose and the time-domain
-phase read.
+for the end values, which are all that decompose reads.
 
 The rule is exact through degree 11, so it reaches rounding once
 omega0 h <= 1.  A wider interval gets its tables by scaling and doubling
@@ -65,11 +64,11 @@ sweep is refused before any table is built.
 _sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
 which is uniform for every family: the n - 1 segments of a tabulated
 profile, the two halves of the sinusoidal one, one interval otherwise.
-It builds one width table per call, and its n_samples is checked but
-sizes nothing.  _sweep keeps the uniform grid of n_samples intervals,
-split at the kinks, and doubles with the common s of its widest
-interval.  Both refuse an n_samples above _MAX_SAMPLES before building
-anything.
+It builds one width table per call and takes no sample count; decompose
+checks its n_samples as _sweep does, but nothing is sized by it.  _sweep
+keeps the uniform grid of n_samples intervals, split at the kinks, and
+doubles with the common s of its widest interval.  _check_samples
+refuses an n_samples above _MAX_SAMPLES before anything is built.
 
 Two builders make the tables.  _width_tables works on arrays of widths
 and any basis; _affine_width_table writes the rule and the doublings out
@@ -476,7 +475,7 @@ def _sweep(
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep_ends(
-    config: TrapConfig, profile: SweepProfile, branches, n_samples: int
+    config: TrapConfig, profile: SweepProfile, branches
 ) -> list[tuple[complex, float, float]]:
     """(alpha(T), phi(T), int_0^T |alpha|^2 dt) of each given branch.
 
@@ -486,10 +485,9 @@ def _sweep_ends(
     and the end values are exact to rounding at any omega0 h.  The table
     of an affine grid (tabulated and flat profiles, whose edge values come
     from _kink_grid) is the scalar _affine_width_table; the trigonometric
-    grids take _width_tables (module docstring).  n_samples is checked as
-    _sweep checks it, but sizes nothing.  Overflow raises ConvergenceError.
+    grids take _width_tables (module docstring).  Overflow raises
+    ConvergenceError.
     """
-    _check_samples(n_samples)
     T = profile.duration
     w0 = config.trap_frequency
     count, values = _kink_grid(profile)

@@ -40,17 +40,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePath, InsufficientResolution, KappaUndefined
-from .evolution import _end_grid_text, _sweep_ends
+from .errors import InsufficientResolution, KappaUndefined
+from .evolution import _check_samples, _end_grid_text, _sweep_ends
 from .interferometer import readout
 from .model import Branch, SweepProfile, TrapConfig
 
-__all__ = [
-    "PhaseDecomposition",
-    "SchemeClass",
-    "decompose",
-    "shoelace_area",
-]
+__all__ = ["PhaseDecomposition", "SchemeClass", "decompose"]
 
 # absolute; beyond it decompose accepts rounding of the branch phases, a
 # fraction _PATH_ROUNDING_TOL of their size (measured gaps: up to 50 ulps)
@@ -100,15 +95,6 @@ class PhaseDecomposition:
         return self.kappa
 
 
-def shoelace_area(path) -> float:
-    """Signed polygon area of complex samples; positive counter-clockwise."""
-    pts = np.asarray(path, dtype=complex)
-    if pts.ndim != 1 or pts.size < 3:
-        raise DegeneratePath("signed area needs at least 3 samples")
-    x, y = pts.real, pts.imag
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _swept_dynamic_phase(phase: float, mean_square: float, w0: float, T: float) -> float:
     # gamma_d from the sweep-carried |alpha|^2 integral, which is
     # kink-aligned and far below 1e-8 error
@@ -153,8 +139,9 @@ def decompose(
     xi = xi0 - w0 * T * w_val.imag
     dgg_spectral = np.sqrt(2 / np.pi) * phi_s * xi
 
+    _check_samples(n_samples)
     (alpha0, phi0, square0), (alpha1, phi1, square1) = _sweep_ends(
-        config, profile, (Branch.CO, Branch.COUNTER), n_samples)
+        config, profile, (Branch.CO, Branch.COUNTER))
     # an overflow in the path parts carries inf or NaN into a NaN gap, which
     # fails the check below like any other disagreement
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,8 +31,10 @@ so ``readout``, ``sensitivity_report`` and ``decompose`` on one pair share
 one evaluation.  The match is by identity, not equality: configs with
 rotation 0.0 and -0.0 compare equal but give phases of opposite sign.
 Both inputs are frozen and the memo holds them, so an identity match is
-exact; a call that raises stores nothing.  The spectral route and the
-time-domain route are implemented separately and serve as cross-checks.
+exact; a call that raises stores nothing.  The time-domain value of the
+phase, phi_0 - phi_1 + Im[alpha_1* alpha_0] from the branch sweep, is
+delta_dynamic + delta_geometric_path of ``decompose``; the two routes
+share no code and serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -41,18 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _sweep_ends
-from .model import Branch, SpectrumValue, SweepProfile, TrapConfig
+from .model import SpectrumValue, SweepProfile, TrapConfig
 from .spectrum import _exact_spectrum
 
 __all__ = [
     "InterferometerResult",
-    "interferometer_phase_integral",
     "readout",
     "sagnac_phase",
 ]
-
-DEFAULT_PATH_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -83,22 +81,6 @@ class InterferometerResult:
 def sagnac_phase(config: TrapConfig) -> float:
     """Rotation-induced phase 2 pi m r^2 Omega / hbar; sign follows Omega."""
     return 2 * np.pi * config.mass * config.radius**2 * config.rotation / config.hbar
-
-
-def interferometer_phase_integral(
-    config: TrapConfig, profile: SweepProfile, n_samples: int = DEFAULT_PATH_SAMPLES
-) -> float:
-    """Unwrapped phase from the time-domain branch evolutions.
-
-    phi_0(T) - phi_1(T) plus the overlap angle Im[alpha_1* alpha_0];
-    independent of the spectral route.  The end values come from the kink
-    grid, exact to rounding at any omega0 h; n_samples is checked as the
-    path sweep checks it, but sizes nothing.
-    """
-    (alpha0, phi0, _), (alpha1, phi1, _) = _sweep_ends(
-        config, profile, (Branch.CO, Branch.COUNTER), n_samples)
-    overlap_angle = (np.conj(alpha1) * alpha0).imag
-    return phi0 - phi1 + overlap_angle
 
 
 # the last (config, profile, result) of readout; the placeholders match no input

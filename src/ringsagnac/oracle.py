@@ -4,8 +4,10 @@ spectrum_numeric and spectrum_derivative integrate the sweep transform
 and its moment identity by oscillatory-weight adaptive quadrature split
 at the profile kinks; alpha_at and phi_at integrate the amplitude and
 phase definitions of evolution at one time; branch_geometric_phase takes
-Simpson's rule along a sampled path.  The spectral and time-domain loops
-share only the scipy call, its options and the kink edges.
+Simpson's rule along a sampled path, and shoelace_area the signed polygon
+area it must equal, times -2, for a closed path.  The spectral and
+time-domain loops share only the scipy call, its options and the kink
+edges.
 
 Import rule: this module imports only model and errors from the package,
 and no library module imports it, so `import ringsagnac` loads neither it
@@ -21,6 +23,7 @@ from scipy.integrate import IntegrationWarning, quad as scipy_quad, simpson
 
 from .errors import (
     ConfigurationError,
+    DegeneratePath,
     InsufficientResolution,
     QuadratureNonConvergence,
     TimeOutOfRange,
@@ -198,3 +201,12 @@ def branch_geometric_phase(evolution) -> float:
         )
     integrand = (np.conj(evolution.alphas) * evolution.alpha_dots).imag
     return -float(simpson(integrand, x=evolution.times))
+
+
+def shoelace_area(path) -> float:
+    """Signed polygon area of complex samples; positive counter-clockwise."""
+    pts = np.asarray(path, dtype=complex)
+    if pts.ndim != 1 or pts.size < 3:
+        raise DegeneratePath("signed area needs at least 3 samples")
+    x, y = pts.real, pts.imag
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

@@ -16,7 +16,9 @@ and ``readout`` carries it as ``phase_slope``, from the same W(omega0)
 as the contrast and phase.
 
 The bound saturates at full contrast, which is what makes the designed
-spectrum-zero schemes optimal.
+spectrum-zero schemes optimal.  ``sensitivity_report`` gives the bound as
+``qfi`` only at integer trap periods; elsewhere ``qfi`` is None and
+``qfi_valid`` is False.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, QfiFormulaInvalid
+from .errors import ConvergenceError
 from .model import SweepProfile, TrapConfig
 from .interferometer import readout
 
-__all__ = [
-    "SensitivityReport",
-    "delta_omega_point",
-    "qfi",
-    "sensitivity_report",
-]
+__all__ = ["SensitivityReport", "sensitivity_report"]
 
 _TIME_TOL = 1e-8
 _CONTRAST_TOL = 1e-8
@@ -57,15 +54,6 @@ def _integer_periods(config: TrapConfig, profile: SweepProfile) -> bool:
     return abs(cycles - round(cycles)) * 2 * np.pi <= _TIME_TOL and round(cycles) >= 1
 
 
-def qfi(config: TrapConfig, profile: SweepProfile) -> float:
-    """Quantum Fisher information; only established for integer trap periods."""
-    if not _integer_periods(config, profile):
-        raise QfiFormulaInvalid(
-            "Fisher-information formula requires an integer number of trap periods"
-        )
-    return sensitivity_report(config, profile).qfi
-
-
 def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, bool]:
     """(uncertainty, limit_evaluated) from |C|^-2 - 1, phase, and slope."""
     s = np.sin(phase)
@@ -77,16 +65,6 @@ def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, 
             return 1.0 / abs(slope), True
         return np.inf, False
     return float(np.sqrt(excess + s * s) / abs(slope * s)), False
-
-
-def delta_omega_point(contrast: float, phase: float, slope: float) -> float:
-    """Uncertainty for explicitly given readout values (not a profile)."""
-    if not 0 < contrast <= 1:
-        raise ValueError("contrast must be in (0, 1]")
-    if not (np.isfinite(phase) and np.isfinite(slope)):
-        raise ValueError("phase and slope must be finite")
-    excess = (1 - contrast * contrast) / (contrast * contrast)
-    return _delta_omega_raw(excess, phase, slope)[0]
 
 
 def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:

@@ -783,6 +783,25 @@ def test_fig2_area_measures(capsys):
 
 
 @pytest.mark.parametrize(
+    ("panel", "expected"),
+    [
+        ("c", "area_measure = 0.38757845850374784\nhalf_sagnac = 0.31415926535897931\n"
+              "kappa = 0.81056946913870209\nscheme_class = unconventional-geometric\n"),
+        ("f", "area_measure = 0.31415926535897926\nhalf_sagnac = 0.31415926535897931\n"
+              "kappa = 0.99999999999999978\nscheme_class = pure-geometric\n"),
+    ],
+)
+def test_fig2_human_record_has_no_sample_count(capsys, panel, expected):
+    # the record reads decompose, whose end values come from the kink grid,
+    # so a sample count would describe nothing; the other fields keep their
+    # bytes, at any n_samples
+    for n_samples in ("64", "4096"):
+        assert run(["fig2", "--panel", panel, "--format", "human",
+                    "--n-samples", n_samples]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
     "profile",
     [{"family": "flat"}, {"family": "tabulated", "samples": [0.5, 1, 0.5]}],
     ids=["family", "family-and-samples"],

@@ -121,8 +121,6 @@ def test_sample_count_below_one_is_a_configuration_error(natural, flat, n_sample
                  id="sample_trajectory"),
     pytest.param(lambda config, profile, n: ringsagnac.decompose(config, profile, n_samples=n),
                  id="decompose"),
-    pytest.param(lambda config, profile, n: ringsagnac.interferometer_phase_integral(
-        config, profile, n_samples=n), id="interferometer_phase_integral"),
 ])
 def test_non_integer_sample_count_is_a_configuration_error(natural, flat, route, n_samples):
     # refused up front, naming the parameter, even when the value is integral
@@ -329,7 +327,7 @@ def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
     # to rounding at any omega0 h, so their final values agree to rounding
     branches = (Branch.CO, Branch.COUNTER)
     grids = _record_grids(monkeypatch)
-    ends = _sweep_ends(DIMENSIONAL, profile, branches, n_samples)
+    ends = _sweep_ends(DIMENSIONAL, profile, branches)
     assert grids == [len(profile.breakpoints()) + 1]
     paths = _sweep(DIMENSIONAL, profile, branches, n_samples)
     for (alpha, phase, square), ev in zip(ends, paths):
@@ -339,26 +337,27 @@ def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
 
 
 def test_end_values_keep_the_sweep_checks(natural, flat):
-    with pytest.raises(ConfigurationError):
-        _sweep_ends(natural, flat, (Branch.CO,), 0)
+    # decompose checks the n_samples it does not use as the path sweep does
+    for n_samples in (0, -5):
+        with pytest.raises(ConfigurationError):
+            ringsagnac.decompose(natural, flat, n_samples=n_samples)
     with pytest.raises(InsufficientResolution):
-        _sweep_ends(natural, flat, (Branch.CO,), 8)
+        ringsagnac.decompose(natural, flat, n_samples=8)
     with pytest.raises(ConvergenceError):
-        _sweep_ends(TrapConfig(rotation=1e200), flat, (Branch.CO,), 16)
+        _sweep_ends(TrapConfig(rotation=1e200), flat, (Branch.CO,))
 
 
 @pytest.mark.parametrize("n_samples", [64, 4096])
 def test_end_value_sweep_takes_at_most_the_cap_plus_the_kinks(monkeypatch, n_samples):
-    # omega0 T = 6.3e4, yet the end values take the five intervals of the
-    # kink grid alone, and n_samples changes no bit of them
+    # omega0 T = 6.3e4, yet decompose sweeps the five intervals of the kink
+    # grid alone, and n_samples changes no bit of its result
     fast = TrapConfig(trap_frequency=1e4)
     profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi,
                            samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
-    branches = (Branch.CO, Branch.COUNTER)
     grids = _record_grids(monkeypatch)
-    ends = _sweep_ends(fast, profile, branches, n_samples)
+    dec = ringsagnac.decompose(fast, profile, n_samples=n_samples)
     assert grids == [5]
-    assert ends == _sweep_ends(fast, profile, branches, 16)
+    assert repr(dec) == repr(ringsagnac.decompose(fast, profile, n_samples=16))
 
 
 FAMILY_CASES = [make_profile(family, 7.3) for family in
@@ -378,7 +377,7 @@ def test_end_values_match_a_resolved_path_sweep(config, span, profile):
     branches = (Branch.CO, Branch.COUNTER)
     tol = 1e-12 + np.finfo(float).eps * span
     paths = _sweep(config, profile, branches, n_samples)
-    for (alpha, phase, square), ev in zip(_sweep_ends(config, profile, branches, 16), paths):
+    for (alpha, phase, square), ev in zip(_sweep_ends(config, profile, branches), paths):
         assert abs(alpha - ev.final_alpha) <= tol * max(1.0, abs(ev.final_alpha))
         assert abs(phase - ev.final_phase) <= tol * max(1.0, abs(ev.final_phase))
         assert abs(square - ev.abs2_integrals[-1]) <= tol * max(1.0, ev.abs2_integrals[-1])
@@ -391,7 +390,7 @@ def test_end_value_sweep_builds_one_table(monkeypatch, config, profile):
     # the kink grid is uniform, so one width table serves every interval;
     # the affine families take it from the scalar kernel
     builds = _record_tables(monkeypatch)
-    _sweep_ends(config, profile, (Branch.CO, Branch.COUNTER), 4096)
+    _sweep_ends(config, profile, (Branch.CO, Branch.COUNTER))
     assert len(builds) == 1 and builds[0][0] == 1
     affine = profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED)
     assert builds[0][2] == ("_affine_width_table" if affine else "_width_tables")
@@ -438,7 +437,7 @@ def test_affine_width_table_matches_the_array_tables(config, span, profile):
 @pytest.mark.parametrize("sweep", [
     pytest.param(lambda config, profile: sample_trajectory(config, profile, Branch.CO, 4096),
                  id="sample_trajectory"),
-    pytest.param(lambda config, profile: _sweep_ends(config, profile, (Branch.CO,), 4096),
+    pytest.param(lambda config, profile: _sweep_ends(config, profile, (Branch.CO,)),
                  id="_sweep_ends"),
 ])
 @pytest.mark.parametrize("duration", [1e300, 2.0**53 * 4096 * 1.01])
@@ -470,8 +469,8 @@ def test_fast_trap_path_matches_the_fine_run(capsys):
 @pytest.mark.parametrize("sweep", [
     pytest.param(lambda config, profile, n: sample_trajectory(config, profile, Branch.CO, n),
                  id="sample_trajectory"),
-    pytest.param(lambda config, profile, n: _sweep_ends(config, profile, (Branch.CO,), n),
-                 id="_sweep_ends"),
+    pytest.param(lambda config, profile, n: ringsagnac.decompose(config, profile, n_samples=n),
+                 id="decompose"),
 ])
 def test_sample_count_above_the_ceiling_is_a_configuration_error(monkeypatch, flat, sweep):
     # refused before any interval is built; only the value one above the

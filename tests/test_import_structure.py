@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import ringsagnac
@@ -26,6 +27,9 @@ PRODUCTION = [
     ["decompose", "--sweep", "duration=4:8:3", "--format", "human"],
     ["fig2", "--panel", "b"],
     ["fig2", "--panel", "c", "--n-samples", "64"],
+    ["fig2", "--panel", "d"],
+    ["fig2", "--panel", "e"],
+    ["fig2", "--panel", "f", "--format", "human"],
     ["verify", "--format", "human"],
 ]
 # commands that take a quadrature or a scalar-minimiser route
@@ -49,7 +53,6 @@ tabulated = rs.make_profile(rs.ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 
 rs.readout(config, tabulated)
 rs.sensitivity_report(config, tabulated)
 rs.decompose(config, tabulated, n_samples=256)
-rs.interferometer_phase_integral(config, tabulated, 256)
 rs.sample_trajectory(config, tabulated, rs.Branch.CO, 256)
 rs.design_time("sinusoidal", config, 0)
 rs.coherence_fock(config, rs.make_profile(rs.ProfileFamily.FLAT, 6.283185307179586),
@@ -87,3 +90,27 @@ def test_oracle_commands_still_run():
         code, scipy_loaded, _ = report[" ".join(argv)]
         assert code == 0
         assert scipy_loaded
+
+
+# the public top-level API; a name added or removed must be listed here
+PUBLIC_NAMES = [
+    "Branch", "BranchEvolution", "ConfigurationError", "ConvergenceError",
+    "DegeneratePath", "FockState", "InsufficientResolution", "InterferometerResult",
+    "InvalidIndex", "KappaUndefined", "NegativeSample", "NoZeroInBracket",
+    "NonPositiveDuration", "PhaseDecomposition", "ProfileFamily",
+    "QuadratureNonConvergence", "SchemeClass", "SchemeSpec", "SensitivityReport",
+    "SpectrumValue", "StepCountInsufficient", "SweepProfile", "TimeOutOfRange",
+    "TrapConfig", "TruncationInsufficient", "UnsupportedFamily", "ZeroProfile",
+    "coherence_fock", "decompose", "design_time", "eval_profile", "evolve_fock",
+    "evolve_two_component", "find_zero_time", "lambda_drive", "make_profile",
+    "readout", "sagnac_phase", "sample_trajectory", "sensitivity_report",
+    "spectrum_closed_form", "zero_profile",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules become attributes of the package once imported, so they
+    # are left out; everything else without a leading underscore is API
+    public = sorted(name for name, value in vars(ringsagnac).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == PUBLIC_NAMES

@@ -6,14 +6,12 @@ import pytest
 from ringsagnac import (
     ConvergenceError,
     ProfileFamily,
-    QfiFormulaInvalid,
     TrapConfig,
-    delta_omega_point,
     make_profile,
-    qfi,
     readout,
     sensitivity_report,
 )
+from ringsagnac.sensitivity import _delta_omega_raw
 
 TWO_PI = 2 * np.pi
 
@@ -41,7 +39,7 @@ def test_slope_and_qfi_at_design_points(natural):
     ):
         profile = make_profile(family, T)
         assert readout(natural, profile).phase_slope == pytest.approx(TWO_PI, rel=1e-12)
-        assert qfi(natural, profile) == pytest.approx(TWO_PI**2, rel=1e-12)
+        assert sensitivity_report(natural, profile).qfi == pytest.approx(TWO_PI**2, rel=1e-12)
 
 
 def test_degraded_point(natural):
@@ -56,9 +54,8 @@ def test_degraded_point(natural):
 
 
 def test_qfi_requires_integer_periods(natural):
-    profile = make_profile(ProfileFamily.FLAT, 5.0)
-    with pytest.raises(QfiFormulaInvalid):
-        qfi(natural, profile)
+    report = sensitivity_report(natural, make_profile(ProfileFamily.FLAT, 5.0))
+    assert report.qfi is None and not report.qfi_valid
 
 
 def test_overflowing_fisher_information_is_refused():
@@ -69,8 +66,6 @@ def test_overflowing_fisher_information_is_refused():
     assert np.isfinite(readout(tiny, profile).phase)
     with pytest.raises(ConvergenceError):
         sensitivity_report(tiny, profile)
-    with pytest.raises(ConvergenceError):
-        qfi(tiny, profile)
     # off the integer-period grid there is no QFI, and the lost signal is
     # an infinite uncertainty with zero Fisher information
     off_grid = sensitivity_report(tiny, make_profile(ProfileFamily.FLAT, 5.0))
@@ -89,33 +84,25 @@ def test_limit_point():
     assert report.delta_omega == pytest.approx(1 / TWO_PI, rel=1e-12)
 
 
+def _excess(contrast: float) -> float:
+    """|C|^-2 - 1, the first argument of the uncertainty formula."""
+    return 1 / contrast**2 - 1
+
+
 def test_point_formula_branches():
     # zero slope: no information at all
-    assert delta_omega_point(1.0, 0.3, 0.0) == np.inf
+    assert _delta_omega_raw(_excess(1.0), 0.3, 0.0) == (np.inf, False)
     # fringe extremum with degraded contrast: first-order blind spot
-    assert delta_omega_point(0.5, 0.0, 2.0) == np.inf
+    assert _delta_omega_raw(_excess(0.5), 0.0, 2.0) == (np.inf, False)
     # fringe extremum at full contrast: limit value
-    assert delta_omega_point(1.0, 0.0, 2.0) == pytest.approx(0.5, rel=1e-12)
+    value, limit = _delta_omega_raw(_excess(1.0), 0.0, 2.0)
+    assert limit and value == pytest.approx(0.5, rel=1e-12)
     # generic point against the explicit formula
-    contrast, phase, slope = 0.8, 0.7, 2.0
-    excess = 1 / contrast**2 - 1
+    excess, phase, slope = _excess(0.8), 0.7, 2.0
     s = np.sin(phase)
     expected = np.sqrt(excess + s * s) / abs(slope * s)
-    assert delta_omega_point(contrast, phase, slope) == pytest.approx(expected, rel=1e-12)
-    for bad in (0.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
-            delta_omega_point(bad, 0.3, 1.0)
-
-
-@pytest.mark.parametrize(
-    ("phase", "slope"),
-    [(np.nan, 2.0), (np.inf, 2.0), (0.3, np.nan), (0.3, np.inf)],
-    ids=["nan-phase", "inf-phase", "nan-slope", "inf-slope"],
-)
-def test_point_uncertainty_rejects_non_finite_readout(phase, slope):
-    # these gave nan, nan with a sin warning, nan, and an impossible 0.0
-    with pytest.raises(ValueError, match="finite"):
-        delta_omega_point(0.8, phase, slope)
+    value, limit = _delta_omega_raw(excess, phase, slope)
+    assert not limit and value == pytest.approx(expected, rel=1e-12)
 
 
 def test_uncertainty_against_finite_difference(natural):

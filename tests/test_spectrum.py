@@ -13,7 +13,6 @@ from ringsagnac import (
     decompose,
     design_time,
     find_zero_time,
-    interferometer_phase_integral,
     make_profile,
     readout,
     sensitivity_report,
@@ -278,9 +277,10 @@ def test_quadrature_oracle_rejects_nonfinite_arguments(oracle, omega):
 
 
 def test_production_paths_never_run_quadrature(monkeypatch):
-    # quadrature is the oracle only: readout, sensitivity, decompose, the
-    # time-domain phase and the design routines run with the one quad
-    # wrapper, which the spectral and time-domain oracles share, disabled
+    # quadrature is the oracle only: readout, sensitivity, decompose (whose
+    # path parts give the time-domain phase) and the design routines run
+    # with the one quad wrapper, which the spectral and time-domain oracles
+    # share, disabled
     def refuse(*args, **kwargs):
         raise AssertionError("production path called quad")
 
@@ -291,7 +291,6 @@ def test_production_paths_never_run_quadrature(monkeypatch):
         readout(config, profile)
         sensitivity_report(config, profile)
         decompose(config, profile, n_samples=256)
-        interferometer_phase_integral(config, profile, 256)
     for family, index in (("flat", 1), ("sinusoidal", 0), ("cosinusoidal", 2)):
         design_time(family, config, index)
     shape = make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.4, 1.0, 1.0, 0.4])
