@@ -108,8 +108,8 @@ _OPTIONS = (
             help="tabulated sweep rates, comma separated"),
     _Option("omega", None, float, help="evaluation frequency (spectrum)"),
     _Option("n_samples", None, int, 4096,
-            help="path sample count (trajectory, fig2 c); checked but sizes "
-                 "nothing in decompose and fig2 f, whose end values are exact"),
+            help="path intervals; sizes trajectory and the fig2 c/f tables, while "
+                 "decompose and the human fig2 record only check it"),
     _Option("n_max", None, int, 40, help="basis truncation (verify)"),
     _Option("steps", None, int, 4096, help="propagation steps (verify)"),
     _Option("index", None, int, help="scheme order (design)"),
@@ -468,8 +468,7 @@ def _cmd_trajectory(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_design(rc: RunConfig, args) -> tuple[str, int]:
     family = rc.profile.family
     if rc.bracket is not None:
-        shape = rc.profile if family is ProfileFamily.TABULATED else family
-        zero_time = find_zero_time(shape, rc.trap, rc.bracket)
+        zero_time = find_zero_time(rc.profile, rc.trap, rc.bracket)
         profile = make_profile(family, zero_time, samples=rc.profile.samples)
         record = {
             "family": family.value,

@@ -48,7 +48,7 @@ class SchemeSpec:
     decomposition: PhaseDecomposition
 
 
-def _verified_scheme(family, config, duration, index=None) -> SchemeSpec:
+def _verified_scheme(family, config, duration, index) -> SchemeSpec:
     profile = make_profile(family, duration)
     result = readout(config, profile)
     spectrum_zero = bool(abs(result.spectrum.value) <= _SPECTRUM_ZERO_TOL)
@@ -92,22 +92,19 @@ def design_time(family, config: TrapConfig, index: int) -> SchemeSpec:
         duration = 2 * index * np.pi / w0
     else:
         raise UnsupportedFamily("design rules exist only for the analytic families")
-    return _verified_scheme(family, config, duration, index=index)
+    return _verified_scheme(family, config, duration, index)
 
 
-def _profile_for_duration(family_or_shape, duration) -> SweepProfile:
-    if isinstance(family_or_shape, SweepProfile):
-        shape = family_or_shape
-        if shape.family is ProfileFamily.TABULATED:
-            # same sample shape stretched to the new window, renormalized
-            return make_profile(ProfileFamily.TABULATED, duration, samples=shape.samples)
-        return make_profile(shape.family, duration)
-    return make_profile(family_or_shape, duration)
+def _profile_for_duration(shape: SweepProfile, duration) -> SweepProfile:
+    # the shape stretched to the new window; tabulated samples renormalized
+    return make_profile(shape.family, duration, samples=shape.samples)
 
 
-def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
+def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     """Interrogation time in the bracket where the spectrum vanishes.
 
+    shape is a profile whose family, and samples for a tabulated one, are
+    stretched to each candidate window; its own duration is not used.
     Minimizes |W(omega0)|^2 over the bracket (both real and imaginary
     parts must vanish for full contrast): a coarse scan localizes the
     dip, then bounded golden-section/parabolic refinement polishes it.
@@ -126,7 +123,7 @@ def find_zero_time(family_or_shape, config: TrapConfig, bracket) -> float:
     w0 = config.trap_frequency
 
     def objective(duration: float) -> float:
-        profile = _profile_for_duration(family_or_shape, duration)
+        profile = _profile_for_duration(shape, duration)
         return abs(readout(config, profile).spectrum.value) ** 2
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)

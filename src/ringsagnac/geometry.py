@@ -29,8 +29,10 @@ label is given only where the routes resolve it.  Each part is known to
 the gap between its two routes: the path dgd to phi_I - dgg_spectral, and
 dgg_spectral to dgg_path plus the rounding eps omega0 T of the phase
 omega0 t, which xi carries.  When |dgd| or |dgg| lies within its spread of
-the threshold, decompose refuses instead of labelling, and kappa is given
-only when |dgg| clears its spread.
+the threshold, decompose refuses instead of labelling.  kappa follows the
+label: it is given exactly when the scheme is pure- or
+unconventional-geometric and |W(omega0)| <= 1e-8, so a "dynamic" or
+"undefined" scheme never carries one.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = ["PhaseDecomposition", "SchemeClass", "decompose"]
 _PATH_AGREEMENT_TOL = 1e-7
 _PATH_ROUNDING_TOL = 1e-12
 _SPECTRUM_ZERO_TOL = 1e-8
-_GEOMETRIC_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
 
 
@@ -69,8 +70,8 @@ class PhaseDecomposition:
 
     delta_geometric carries the spectral-form value; the sampled-path
     evaluation is kept in delta_geometric_path as the independent check.
-    kappa is None unless the scheme meets the spectrum-zero premise and
-    has a geometric part that clears its spread (module docstring).
+    kappa is None unless the scheme is pure- or unconventional-geometric
+    and meets the spectrum-zero premise (module docstring).
     """
 
     phase: float
@@ -186,17 +187,12 @@ def decompose(
             )
     dynamic_vanishes = abs(dgd) <= tol
     geometric_vanishes = abs(dgg_spectral) <= tol
-    if dynamic_vanishes and geometric_vanishes:
-        label = SchemeClass.UNDEFINED
-    elif dynamic_vanishes:
-        label = SchemeClass.PURE_GEOMETRIC
-    elif geometric_vanishes:
-        label = SchemeClass.DYNAMIC
+    if geometric_vanishes:
+        label = SchemeClass.UNDEFINED if dynamic_vanishes else SchemeClass.DYNAMIC
     else:
-        label = SchemeClass.UNCONVENTIONAL
-
+        label = SchemeClass.PURE_GEOMETRIC if dynamic_vanishes else SchemeClass.UNCONVENTIONAL
     kappa = None
-    if abs(w_val) <= _SPECTRUM_ZERO_TOL and abs(dgg_spectral) > _GEOMETRIC_FLOOR + spread:
+    if not geometric_vanishes and abs(w_val) <= _SPECTRUM_ZERO_TOL:
         kappa = float(np.sqrt(np.pi / 2) / xi0)
 
     return PhaseDecomposition(

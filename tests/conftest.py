@@ -21,3 +21,15 @@ def random_profile():
         return make_profile(ProfileFamily.TABULATED, duration, samples=values)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def rubidium():
+    """The paper's regime: 87Rb in SI units on a 100 um ring at the Earth's
+    rotation rate; call it with the trap frequency in Hz."""
+
+    def make(hertz: float) -> TrapConfig:
+        return TrapConfig(mass=86.909 * 1.66053906660e-27, hbar=1.054571817e-34,
+                          trap_frequency=2 * np.pi * hertz, radius=1e-4, rotation=7.292e-5)
+
+    return make

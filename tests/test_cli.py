@@ -190,8 +190,8 @@ FAST_TRAPS = [
     (["design", "--family", "flat", "--index", "3000"], "pure-geometric"),
     (["design", "--family", "flat", "--index", "10000"], "pure-geometric"),
     (["design", "--family", "flat", "--index", "100000000"], "pure-geometric"),
-    # its spectral dgg (3e-10) is rounding of omega0 t, clear of the
-    # threshold but not of its spread, so kappa is not given
+    # its spectral dgg (3e-10) is rounding of omega0 t, below the threshold
+    # by more than its spread: dynamic, so kappa is not given
     (["design", "--family", "sinusoidal", "--index", "1000000"], "dynamic"),
 ]
 
@@ -215,6 +215,21 @@ def test_fast_traps_decompose(capsys, argv, label):
         assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
     if label == "dynamic":
         assert dec["kappa"] is None
+
+
+def test_si_design_kappa_follows_label(capsys, rubidium):
+    # 87Rb on a 100 um ring at the Earth's rate, 1 kHz trap, M = 1000: the
+    # geometric part phi_S / (1 - M^2) is about -6e-9, so a kappa of about
+    # -1e6 printed beside a "dynamic" label would contradict it
+    config = rubidium(1e3)
+    flags = [f"--{name.replace('_', '-')}={getattr(config, name)!r}"
+             for name in ("mass", "hbar", "trap_frequency", "radius", "rotation")]
+    assert run(["design", "--family", "cosinusoidal", "--index", "1000", *flags]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    dec = record["decomposition"]
+    geometric = dec["scheme_class"] in ("pure-geometric", "unconventional-geometric")
+    # so a "dynamic" label prints kappa null
+    assert (dec["kappa"] is not None) == (geometric and record["spectrum_zero"])
 
 
 @pytest.mark.parametrize("frequency", ["3.5e14", "7e14"])
@@ -422,6 +437,13 @@ def test_argparse_failures(capsys):
     assert run([]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_n_samples_help_names_what_it_sizes(capsys):
+    assert run(["fig2", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("sizes trajectory and the fig2 c/f tables, while decompose and the human "
+            "fig2 record only check it") in text
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from ringsagnac import (
     design_time,
     find_zero_time,
     make_profile,
+    readout,
 )
 
 
@@ -80,31 +81,57 @@ def test_design_tabulated_unsupported(natural):
         design_time(ProfileFamily.TABULATED, natural, 1)
 
 
-@pytest.mark.parametrize(
-    "family,bracket,expected",
-    [
-        (ProfileFamily.FLAT, (5.0, 7.0), 2 * np.pi),
-        (ProfileFamily.SINUSOIDAL, (5.0, 7.0), 2 * np.pi),
-        (ProfileFamily.COSINUSOIDAL, (11.0, 14.0), 4 * np.pi),
-    ],
+ZERO_SEARCHES = (
+    (ProfileFamily.FLAT, None, (5.0, 7.0), 2 * np.pi),
+    (ProfileFamily.SINUSOIDAL, None, (5.0, 7.0), 2 * np.pi),
+    (ProfileFamily.COSINUSOIDAL, None, (11.0, 14.0), 4 * np.pi),
+    # a constant tabulated rate is the flat profile once stretched
+    (ProfileFamily.TABULATED, (1.0, 1.0), (5.0, 7.0), 2 * np.pi),
 )
-def test_find_zero_time(natural, family, bracket, expected):
-    assert find_zero_time(family, natural, bracket) == pytest.approx(expected, abs=1e-8)
 
 
-def test_find_zero_time_accepts_profile_shape(natural):
-    # passing a profile reuses its shape, stretched to each candidate window
-    shape = make_profile(ProfileFamily.FLAT, 1.0)
-    assert find_zero_time(shape, natural, (5.0, 7.0)) == pytest.approx(2 * np.pi, abs=1e-8)
+@pytest.mark.parametrize(
+    "family,samples,bracket,expected",
+    ZERO_SEARCHES,
+    ids=[f"{family.value}-bracket{i}-{expected!r}"
+         for i, (family, _, _, expected) in enumerate(ZERO_SEARCHES)],
+)
+def test_find_zero_time(natural, family, samples, bracket, expected):
+    # the shape's own duration is not used: it is stretched to each candidate
+    shape = make_profile(family, 1.0, samples=samples)
+    assert find_zero_time(shape, natural, bracket) == pytest.approx(expected, abs=1e-8)
 
 
 def test_find_zero_time_no_zero(natural):
     # the flat spectrum has no zero below u = 2 pi
     with pytest.raises(NoZeroInBracket):
-        find_zero_time(ProfileFamily.FLAT, natural, (2.0, 4.0))
+        find_zero_time(make_profile(ProfileFamily.FLAT, 1.0), natural, (2.0, 4.0))
 
 
 def test_find_zero_time_bracket_validation(natural):
     for bad in ((-1.0, 5.0), (5.0, 5.0), (0.0, 5.0), (7.0, 5.0)):
         with pytest.raises(ConfigurationError):
-            find_zero_time(ProfileFamily.FLAT, natural, bad)
+            find_zero_time(make_profile(ProfileFamily.FLAT, 1.0), natural, bad)
+
+
+@pytest.mark.parametrize("hertz", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("family", ["flat", "sinusoidal", "cosinusoidal"])
+def test_kappa_follows_label_in_si_regime(rubidium, family, hertz):
+    # the design index equals the trap frequency in Hz, so T is 1-2 s; the
+    # cosinusoidal label at 1 and 10 kHz turns on whether the vanishing
+    # threshold scales with |phi_S|, so only the invariant is asserted there
+    config = rubidium(hertz)
+    spec = design_time(family, config, int(hertz))
+    dec = spec.decomposition
+    geometric = dec.scheme_class in (SchemeClass.PURE_GEOMETRIC, SchemeClass.UNCONVENTIONAL)
+    spectrum_zero = abs(readout(config, spec.profile).spectrum.value) <= 1e-8
+    assert (dec.kappa is not None) == (geometric and spectrum_zero)
+    if family == "flat":
+        assert dec.scheme_class is SchemeClass.PURE_GEOMETRIC
+        assert dec.kappa == pytest.approx(1.0, abs=1e-9)
+    elif family == "sinusoidal":
+        assert dec.scheme_class is SchemeClass.DYNAMIC
+        assert dec.kappa is None
+    elif hertz == 1e2:
+        assert dec.scheme_class is SchemeClass.UNCONVENTIONAL
+        assert dec.kappa == pytest.approx(1 - 100**2, rel=1e-9)

@@ -46,6 +46,16 @@ def test_flat_coherence_matches_closed_readout(natural):
     assert np.angle(coherence) == pytest.approx(result.principal_arg, abs=1e-10)
 
 
+def test_si_regime_coherence_matches_closed_readout(rubidium):
+    # the paper's regime: cosinusoidal M = 1000 at a 1 kHz 87Rb trap, T = 1 s
+    config = rubidium(1e3)
+    scheme = design_time(ProfileFamily.COSINUSOIDAL, config, 1000)
+    coherence = coherence_fock(config, scheme.profile, n_max=40, steps=65536)
+    result = readout(config, scheme.profile)
+    assert abs(abs(coherence) - result.contrast) < 1e-4
+    assert abs(np.angle(coherence / np.exp(1j * result.principal_arg))) < 1e-4
+
+
 def test_mean_amplitude_matches_coherent_route(natural):
     profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
     state = evolve_fock(natural, profile, Branch.CO, n_max=40, steps=2048, until=np.pi)
