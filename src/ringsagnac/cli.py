@@ -255,13 +255,13 @@ def _build_config(given: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _cell(value) -> str:
+def _cell(value, missing: str = "nan") -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if value is None:
-        return "nan"
+        return missing
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
@@ -299,10 +299,10 @@ def _human_lines(record: dict, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines.extend(_human_lines(value, prefix=f"{label}."))
         elif isinstance(value, (list, tuple)):
-            joined = ", ".join(_cell(v) for v in value)
+            joined = ", ".join(_cell(v, "null") for v in value)
             lines.append(f"{label} = [{joined}]")
         else:
-            lines.append(f"{label} = {_cell(value)}")
+            lines.append(f"{label} = {_cell(value, 'null')}")
     return lines
 
 
@@ -318,11 +318,13 @@ def _table_text(header, columns, fmt: str) -> str:
     """A table given column by column: CSV (machine) or aligned text (human)."""
     # a float array column keeps its floats, and "%.17g" % x is _cell's text
     # for every float; any other column is written cell by cell
+    # a missing value is null, as in the JSON, but nan in a CSV number column
+    missing = "nan" if fmt == "machine" else "null"
     specs, values = [], []
     for column in columns:
         floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
         specs.append("%.17g" if floats else "%s")
-        values.append(column.tolist() if floats else [_cell(item) for item in column])
+        values.append(column.tolist() if floats else [_cell(item, missing) for item in column])
     if fmt == "machine":
         # no header or cell holds a comma, a quote or a line break, so the
         # CSV needs no quoting

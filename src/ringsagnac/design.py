@@ -15,6 +15,7 @@ rather than assumed from the rules above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,23 +101,88 @@ def _profile_for_duration(shape: SweepProfile, duration) -> SweepProfile:
     return make_profile(shape.family, duration, samples=shape.samples)
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int) -> tuple:
+    """(x, f(x)) at a minimum of f on [lo, hi] by Brent's fmin.
+
+    Golden-section steps, with a parabola through the three best points
+    taken when it falls inside the bracket and shrinks the step enough.
+    It stops when the bracket is within 2 tol of the best point, where
+    tol = sqrt(eps) |x| + xatol / 3, or after maxiter evaluations.  The
+    constants, tests and steps are those of scipy's bounded
+    minimize_scalar, so both return the same x and f(x).
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # x the best point so far, w the second best, v the one before w
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step, and the one before it
+    calls = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
+            if parabolic:
+                d = p / q
+                u = x + d
+                if (u - a) < tol2 or (b - u) < tol2:
+                    d = tol1 if xm - x >= 0 else -tol1
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            d = golden * e
+        u = x + (-1.0 if d < 0 else 1.0) * max(abs(d), tol1)
+        fu = f(u)
+        calls += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        if calls >= maxiter:
+            return x, fx
+
+
 def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     """Interrogation time in the bracket where the spectrum vanishes.
 
     shape is a profile whose family, and samples for a tabulated one, are
     stretched to each candidate window; its own duration is not used.
     Minimizes |W(omega0)|^2 over the bracket (both real and imaginary
-    parts must vanish for full contrast): a coarse scan localizes the
-    dip, then bounded golden-section/parabolic refinement polishes it.
+    parts must vanish for full contrast): a 128-point scan localizes the
+    dip, then Brent's bounded minimiser (golden sections and parabolic
+    steps, _bounded_brent) polishes it within the scan cells beside the
+    best point.
 
     That refinement stops near sqrt(eps) |T|, not at its xatol of
-    1e-10 2 pi / omega0: scipy's bounded Brent adds sqrt(eps) |x| to the
-    tolerance.  On the palindromic shape (0.4, 1, 1, 0.4) over (7, 8.5) at
-    natural units it returns T = 7.644884517626601 with |W| = 6.3e-9,
+    1e-10 2 pi / omega0: Brent's stopping tolerance adds sqrt(eps) |T| to
+    xatol / 3.  On the palindromic shape (0.4, 1, 1, 0.4) over (7, 8.5) at
+    natural units it returns T = 7.6448845176266005 with |W| = 6.3e-9,
     while |W| falls below 2e-16 at 7.644884568650893, 5.1e-8 further on.
     """
-    from scipy.optimize import minimize_scalar  # loaded by the bracket search alone
-
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise ConfigurationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
@@ -131,14 +197,9 @@ def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     best = int(np.argmin(values))
     lo_ref = grid[max(best - 1, 0)]
     hi_ref = grid[min(best + 1, _SCAN_POINTS - 1)]
-    result = minimize_scalar(
-        objective,
-        bounds=(lo_ref, hi_ref),
-        method="bounded",
-        options={"xatol": 1e-10 * 2 * np.pi / w0, "maxiter": 400},
-    )
-    if result.fun > _OBJECTIVE_FLOOR:
+    x, fx = _bounded_brent(objective, lo_ref, hi_ref, 1e-10 * 2 * np.pi / w0, 400)
+    if not fx <= _OBJECTIVE_FLOOR:
         raise NoZeroInBracket(
-            f"best |W(omega0)|^2 in bracket is {result.fun:.3e}, above {_OBJECTIVE_FLOOR:.1e}"
+            f"best |W(omega0)|^2 in bracket is {fx:.3e}, above {_OBJECTIVE_FLOOR:.1e}"
         )
-    return float(result.x)
+    return float(x)

@@ -39,10 +39,12 @@ share no code and serve as cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .model import SpectrumValue, SweepProfile, TrapConfig
 from .spectrum import _exact_spectrum
 
@@ -103,6 +105,11 @@ def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:
     w0 = config.trap_frequency
     spectrum, spectrum_slope = _exact_spectrum(profile, w0)
     scale = -2 * config.radius * np.sqrt(np.pi * config.mass * w0 / config.hbar)
+    if not math.isfinite(scale):
+        # inf times a zero part of W would be NaN
+        raise ConfigurationError(
+            "2 r sqrt(pi m omega0 / hbar) is not finite for these trap parameters"
+        )
     d_alpha = scale * spectrum.value.conjugate() * np.exp(-1j * w0 * profile.duration)
     contrast = float(np.exp(-abs(d_alpha) ** 2 / 2))
     sagnac = sagnac_phase(config)

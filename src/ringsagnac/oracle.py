@@ -1,17 +1,19 @@
 """Quadrature oracles: the routes that check the library from outside.
 
 spectrum_numeric and spectrum_derivative integrate the sweep transform
-and its moment identity by oscillatory-weight adaptive quadrature split
-at the profile kinks; alpha_at and phi_at integrate the amplitude and
-phase definitions of evolution at one time; branch_geometric_phase takes
-Simpson's rule along a sampled path, and shoelace_area the signed polygon
-area it must equal, times -2, for a closed path.  The spectral and
-time-domain loops share only the scipy call, its options and the kink
-edges.
+and its moment identity by a composite Gauss-Legendre rule on panels
+aligned to the profile kinks, with a halving error estimate; alpha_at and
+phi_at integrate the amplitude and phase definitions of evolution at one
+time by scipy's oscillatory-weight adaptive quadrature; branch_geometric_phase
+takes Simpson's rule along a sampled path, and shoelace_area the signed
+polygon area it must equal, times -2, for a closed path.  The spectral
+and time-domain routes share only the kink edges.
 
 Import rule: this module imports only model and errors from the package,
-and no library module imports it, so `import ringsagnac` loads neither it
-nor scipy.  Its one production caller is the CLI spectrum command.
+and no library module imports it, so `import ringsagnac` does not load
+it.  It loads scipy only inside the time-domain oracles (quad and
+simpson), so its spectral routes run on numpy alone.  Its one production
+caller is the CLI spectrum command.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as scipy_quad, simpson
 
 from .errors import (
     ConfigurationError,
@@ -35,6 +36,11 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 _QUAD_TOL = 1e-10
 _PHI_TOL = 1e-8
 MIN_PATH_SAMPLES = 17
+# the spectral rule: 16 Gauss-Legendre nodes per panel, at most 2^20 panels
+# per moment, and the profile evaluated 2^16 nodes at a time
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 2**20
+_BLOCK_PANELS = 2**16 // _GAUSS_NODES.size
 
 
 def quad(*args, **kwargs):
@@ -44,6 +50,8 @@ def quad(*args, **kwargs):
     comes back as a NaN error estimate; the explicit error budgets of the
     callers are the real gate.
     """
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad  # time-domain only
+
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
         return scipy_quad(*args, **kwargs)
@@ -60,23 +68,52 @@ def _check_frequency(profile: SweepProfile, omega: float):
         raise ConfigurationError(f"omega * duration = {u} is not finite")
 
 
-def _weighted_moment(profile: SweepProfile, omega: float, weight: str, fn) -> float:
-    """int_0^T fn(t) * {cos,sin}(omega t) dt with kink-aligned segments."""
-    edges = _cut_points(profile, profile.duration)
-    total, err = 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, abserr = quad(fn, a, b, weight=weight, wvar=omega, **_QUAD_OPTS)
-        total += val
-        err += abserr
+def _panel_sums(profile, omega, power, kernels, edges, counts) -> np.ndarray:
+    """The Gauss rule for each kernel on each segment cut into counts[i] panels."""
+    widths = np.diff(edges)
+    ends = np.cumsum(counts)  # panels up to the end of each segment
+    sums = np.zeros(len(kernels))
+    for start in range(0, int(ends[-1]), _BLOCK_PANELS):
+        panel = np.arange(start, min(start + _BLOCK_PANELS, int(ends[-1])))
+        seg = np.searchsorted(ends, panel, side="right")
+        half = widths[seg] / (2 * counts[seg])
+        mid = edges[seg] + (2 * (panel - ends[seg] + counts[seg]) + 1) * half
+        t = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
+        # the weights last: half * weight * t underflows for a tiny window
+        g = eval_profile(profile, t) * t**power * (half[:, None] * _GAUSS_WEIGHTS).ravel()
+        sums += [g @ kernel(omega * t) for kernel in kernels]
+    return sums
+
+
+def _gauss_moments(profile: SweepProfile, omega: float, power: int, kernels) -> np.ndarray:
+    """int_0^T t^power omega_P(t) kernel(omega t) dt for each kernel, at omega >= 0.
+
+    Each kink-aligned segment is cut into panels over which omega t turns
+    by at most pi.  The same rule on panels cut in two gives the returned
+    values, and their summed gap to the coarser sums is the error estimate.
+    """
+    edges = np.asarray(_cut_points(profile, profile.duration))
+    counts = np.maximum(1.0, np.ceil(omega * np.diff(edges) / np.pi))
+    if not counts.sum() <= _MAX_PANELS:
+        raise QuadratureNonConvergence(
+            f"spectrum quadrature at omega T = {omega * profile.duration:.6g} needs "
+            f"{counts.sum():.3g} panels, above the ceiling of {_MAX_PANELS}"
+        )
+    counts = counts.astype(np.int64)
+    # an overflowing integrand fails the budget below with an inf or NaN gap
+    with np.errstate(invalid="ignore", over="ignore"):
+        coarse = _panel_sums(profile, omega, power, kernels, edges, counts)
+        fine = _panel_sums(profile, omega, power, kernels, edges, 2 * counts)
+        err = np.sum(np.abs(fine - coarse))
     if not err <= _QUAD_TOL:
         raise QuadratureNonConvergence(
             f"spectrum quadrature error {err:.3e} exceeds {_QUAD_TOL:.1e}"
         )
-    return total
+    return fine
 
 
 def spectrum_numeric(profile: SweepProfile, omega: float) -> SpectrumValue:
-    """Transform of the profile at one frequency, by adaptive quadrature.
+    """Transform of the profile at one frequency, by composite Gauss-Legendre.
 
     Negative frequencies use the conjugate symmetry of transforms of real
     functions.
@@ -85,10 +122,8 @@ def spectrum_numeric(profile: SweepProfile, omega: float) -> SpectrumValue:
     if omega < 0:
         flipped = spectrum_numeric(profile, -omega)
         return SpectrumValue(float(omega), flipped.value.conjugate(), "quadrature")
-    fn = lambda t: eval_profile(profile, t)
-    re = _weighted_moment(profile, omega, "cos", fn)
-    im = -_weighted_moment(profile, omega, "sin", fn)
-    value = (re + 1j * im) / np.sqrt(2 * np.pi)
+    cos_moment, sin_moment = _gauss_moments(profile, omega, 0, (np.cos, np.sin))
+    value = (cos_moment - 1j * sin_moment) / np.sqrt(2 * np.pi)
     return SpectrumValue(float(omega), value, "quadrature")
 
 
@@ -106,9 +141,8 @@ def spectrum_derivative(profile: SweepProfile, omega: float) -> float:
         omega, sign = -omega, -1.0
     if omega == 0.0:
         return 0.0
-    fn = lambda t: t * eval_profile(profile, t)
-    moment = _weighted_moment(profile, omega, "sin", fn)
-    return sign * (-moment / np.sqrt(2 * np.pi))
+    (moment,) = _gauss_moments(profile, omega, 1, (np.sin,))
+    return float(sign * (-moment / np.sqrt(2 * np.pi)))
 
 
 def _moments_to(config, profile, branch, t) -> tuple[float, float]:
@@ -199,6 +233,8 @@ def branch_geometric_phase(evolution) -> float:
         raise InsufficientResolution(
             f"geometric phase needs at least {MIN_PATH_SAMPLES} path samples"
         )
+    from scipy.integrate import simpson  # time-domain only
+
     integrand = (np.conj(evolution.alphas) * evolution.alpha_dots).imag
     return -float(simpson(integrand, x=evolution.times))
 

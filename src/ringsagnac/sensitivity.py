@@ -23,6 +23,7 @@ spectrum-zero schemes optimal.  ``sensitivity_report`` gives the bound as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,9 @@ def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, 
             # 0/0 point of the formula; its limit is the slope-only value
             return 1.0 / abs(slope), True
         return np.inf, False
-    return float(np.sqrt(excess + s * s) / abs(slope * s)), False
+    # sqrt(excess + s^2) / |slope s| by hypot and two quotients: s^2 and
+    # slope * s underflow for a tiny phase or slope, where 0/0 would be NaN
+    return float(math.hypot(math.sqrt(excess), s) / abs(s) / abs(slope)), False
 
 
 def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:
@@ -82,6 +85,11 @@ def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> Sensitivity
     if not np.isfinite(fisher) or (valid and not np.isfinite(bound)):
         raise ConvergenceError(
             f"Fisher information overflows for the phase slope {slope:.3e}"
+        )
+    # the bound of a nonzero slope must not read as no information
+    if valid and bound == 0.0 and slope != 0.0:
+        raise ConvergenceError(
+            f"quantum Fisher information underflows to 0 for the phase slope {slope:.3e}"
         )
     saturated = valid and result.contrast >= 1 - _CONTRAST_TOL
     return SensitivityReport(

@@ -113,6 +113,11 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["spectrum", "--omega", "nan"],
         ["spectrum", "--sweep", "omega=nan:1:3"],
         ["simulate", "--mass", "1e300", "--radius", "1e300"],
+        # pi m omega0 / hbar overflows where m omega0 / hbar does not
+        ["simulate", "--mass", "1e300", "--trap-frequency", "1e8", "--duration", "1e-300",
+         "--family", "flat"],
+        ["sensitivity", "--mass", "1e300", "--trap-frequency", "1e8", "--duration", "1e-300",
+         "--family", "flat"],
         ["simulate", "--hbar", "1e-320"],
         ["simulate", "--rotation", "1e308"],
         ["spectrum", "--omega", "1e308"],
@@ -147,11 +152,14 @@ def test_nonfinite_input_rejected(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        # omega T beyond the panel ceiling of the spectral oracle
         ["spectrum", "--omega", "1e300"],
         ["spectrum", "--sweep", "omega=1e307:1e308:2"],
         ["spectrum", "--duration", "1e300"],
         ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
         ["spectrum", "--family", "sinusoidal", "--duration", "1e300"],
+        # pi / T overflows, so the spectral oracle's integrand is not finite
+        ["spectrum", "--family", "flat", "--duration", "1e-320", "--omega", "0.7"],
         ["decompose", "--duration", "1e300"],
         ["decompose", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
         ["trajectory", "--duration", "1e300", "--format", "human"],
@@ -160,6 +168,8 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["decompose", "--rotation", "1e150"],
         ["sensitivity", "--hbar", "1e-300"],
         ["sensitivity", "--radius", "1e150"],
+        ["sensitivity", "--radius", "1e-154", "--rotation", "1.1540420280551653",
+         "--family", "sinusoidal"],
         ["design", "--family", "flat", "--index", "2000000000000000"],
         # a spectral geometric part that is rounding of omega0 t, within its
         # spread of the classification threshold
@@ -179,7 +189,7 @@ def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # fast that the branch difference is lost in the rounding of the branch
     # phases fails the path/spectral agreement check; a scheme class that
     # the routes cannot resolve is not given; a Fisher information that
-    # overflows is refused too
+    # over- or underflows is refused too
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
 
 
@@ -538,6 +548,23 @@ def test_decompose_human(capsys):
     out = capsys.readouterr().out
     assert _human_value(out, "scheme_class") == "unconventional-geometric"
     assert float(_human_value(out, "kappa")) == pytest.approx(0.8105694691387022, rel=1e-10)
+
+
+def test_human_output_prints_a_missing_value_as_null(capsys):
+    # null, as in the JSON; a CSV number column keeps nan
+    dynamic = ["decompose", "--family", "sinusoidal", "--duration", format(6 * np.pi, ".17g")]
+    assert run([*dynamic, "--format", "human"]) == 0
+    assert _human_value(capsys.readouterr().out, "kappa") == "null"
+    assert run(["sensitivity", "--duration", "5", "--format", "human"]) == 0
+    assert _human_value(capsys.readouterr().out, "qfi") == "null"
+    sweep = ["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
+             "--sweep", "duration=4:5:2"]
+    assert run([*sweep, "--format", "human"]) == 0
+    header, *rows = [line.split() for line in _lines(capsys.readouterr().out)]
+    assert [row[header.index("kappa")] for row in rows] == ["null", "null"]
+    assert run(sweep) == 0
+    header, *rows = [line.split(",") for line in _lines(capsys.readouterr().out)]
+    assert [row[header.index("kappa")] for row in rows] == ["nan", "nan"]
 
 
 def test_sweep_rows_ordered(capsys):

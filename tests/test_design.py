@@ -15,6 +15,7 @@ from ringsagnac import (
     make_profile,
     readout,
 )
+from ringsagnac.design import _bounded_brent
 
 
 def test_flat_design_times(natural):
@@ -106,6 +107,43 @@ def test_find_zero_time_no_zero(natural):
     # the flat spectrum has no zero below u = 2 pi
     with pytest.raises(NoZeroInBracket):
         find_zero_time(make_profile(ProfileFamily.FLAT, 1.0), natural, (2.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "family,samples,bracket",
+    [(family, samples, bracket) for family, samples, bracket, _ in ZERO_SEARCHES]
+    + [(ProfileFamily.FLAT, None, (2.0, 4.0)),
+       (ProfileFamily.TABULATED, (0.4, 1.0, 1.0, 0.4), (7.0, 8.5))],
+)
+def test_bounded_brent_matches_scipy(natural, family, samples, bracket):
+    # the refinement of find_zero_time is scipy's bounded minimize_scalar
+    # step for step: the same point, value and number of evaluations
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    shape = make_profile(family, 1.0, samples=samples)
+    calls = []
+
+    def objective(duration):
+        calls.append(duration)
+        profile = make_profile(family, duration, samples=shape.samples)
+        return abs(readout(natural, profile).spectrum.value) ** 2
+
+    grid = np.linspace(*bracket, 128)
+    best = int(np.argmin([objective(t) for t in grid]))
+    lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 127)])
+    xatol = 1e-10 * 2 * np.pi
+    for maxiter in (1, 2, 5, 400):
+        calls.clear()
+        expected = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": xatol, "maxiter": maxiter})
+        scipy_calls = list(calls)
+        calls.clear()
+        assert _bounded_brent(objective, lo, hi, xatol, maxiter) == (expected.x, expected.fun)
+        assert calls == scipy_calls
+    if expected.fun <= 1e-16:
+        assert find_zero_time(shape, natural, bracket) == expected.x
+    else:
+        with pytest.raises(NoZeroInBracket):
+            find_zero_time(shape, natural, bracket)
 
 
 def test_find_zero_time_bracket_validation(natural):

@@ -74,6 +74,25 @@ def test_overflowing_fisher_information_is_refused():
     assert off_grid.signal_fisher == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_fisher_information_is_refused():
+    # the phase slope 6.3e-308 is finite but its square is not representable:
+    # the report names the underflow, with no 0/0 on the way
+    tiny = TrapConfig(radius=1e-154, rotation=1.1540420280551653)
+    with pytest.raises(ConvergenceError, match="underflows"):
+        sensitivity_report(tiny, make_profile(ProfileFamily.SINUSOIDAL, TWO_PI))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rotation", [1e-160, 1e-170, 1e-300])
+def test_tiny_phase_keeps_the_slope_only_uncertainty(rotation):
+    # sin(phi_I)^2 underflows at full contrast, but the uncertainty is still
+    # sqrt(sin^2) / |slope sin| = 1 / slope
+    report = sensitivity_report(TrapConfig(rotation=rotation),
+                                make_profile(ProfileFamily.SINUSOIDAL, TWO_PI))
+    assert report.delta_omega == pytest.approx(1 / TWO_PI, rel=1e-12)
+
+
 def test_limit_point():
     # zero rotation: sin(phi_I) = 0 at full contrast, where the formula's
     # 0/0 limit is the slope-only uncertainty

@@ -8,10 +8,12 @@ import ringsagnac.spectrum
 from ringsagnac import (
     ConfigurationError,
     ProfileFamily,
+    QuadratureNonConvergence,
     TrapConfig,
     UnsupportedFamily,
     decompose,
     design_time,
+    eval_profile,
     find_zero_time,
     make_profile,
     readout,
@@ -276,15 +278,74 @@ def test_quadrature_oracle_rejects_nonfinite_arguments(oracle, omega):
             oracle(profile, omega)
 
 
+def _qawo(profile, omega):
+    """W(omega) and d Re W / d omega by scipy's oscillatory-weight quadrature.
+
+    QUADPACK's QAWO on the same kink-aligned segments, an adaptive
+    reference independent of the Gauss-Legendre rule.
+    """
+    edges = ringsagnac.oracle._cut_points(profile, profile.duration)
+
+    def moment(weight, power):
+        fn = lambda t: t**power * eval_profile(profile, t)
+        return sum(ringsagnac.oracle.quad(fn, a, b, weight=weight, wvar=omega,
+                                          epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+    value = complex(moment("cos", 0), -moment("sin", 0)) / np.sqrt(2 * np.pi)
+    return value, -moment("sin", 1) / np.sqrt(2 * np.pi)
+
+
+def test_gauss_rule_matches_qawo(random_profile):
+    rng = np.random.default_rng(43)
+    profiles = [random_profile(rng), random_profile(rng),
+                *(make_profile(family, 2 * np.pi) for family in ANALYTIC)]
+    for profile in profiles:
+        for omega in (0.0, 0.7, 3.1, 10.0, 1e2, 1e3, 1e4):
+            value, slope = _qawo(profile, omega)
+            assert abs(spectrum_numeric(profile, omega).value - value) <= 1e-13
+            assert abs(spectrum_derivative(profile, omega) - slope) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "family,duration,omega",
+    [
+        # t omega_P(t) is about 1e154 while the slope is about 1e-16: only
+        # the sine moment's rounding counts against the budget
+        (ProfileFamily.SINUSOIDAL, 1e154, 5e-324),
+        (ProfileFamily.TABULATED, 1e154, 1e-320),
+        # half-width times node weight times t underflows; t omega_P does not
+        (ProfileFamily.FLAT, 1e-300, 1e300),
+    ],
+)
+def test_gauss_rule_at_extreme_windows(family, duration, omega):
+    samples = [0.3, 1.0, 0.6, 0.2] if family is ProfileFamily.TABULATED else None
+    profile = make_profile(family, duration, samples=samples)
+    sample, slope = _exact_spectrum(profile, omega)
+    assert abs(spectrum_numeric(profile, omega).value - sample.value) <= 1e-15
+    assert spectrum_derivative(profile, omega) == pytest.approx(slope, rel=1e-13)
+
+
+@pytest.mark.parametrize("oracle", [spectrum_numeric, spectrum_derivative])
+def test_gauss_rule_refuses_beyond_its_panel_ceiling(oracle):
+    # a panel per pi of omega t: omega T = 2^20 pi fills the 2^20 panels of a
+    # moment, and one panel more is refused before any node is evaluated
+    profile = make_profile(ProfileFamily.FLAT, 1.0)
+    oracle(profile, 2.0**10)
+    with pytest.raises(QuadratureNonConvergence, match=r"omega T = 3\.29\d+e\+06 .* 1048576"):
+        oracle(profile, 2.0**20 * np.pi * (1 + 1e-9))
+
+
 def test_production_paths_never_run_quadrature(monkeypatch):
     # quadrature is the oracle only: readout, sensitivity, decompose (whose
     # path parts give the time-domain phase) and the design routines run
-    # with the one quad wrapper, which the spectral and time-domain oracles
-    # share, disabled
+    # with the spectral oracle's Gauss rule and the time-domain oracles'
+    # quad wrapper disabled
     def refuse(*args, **kwargs):
-        raise AssertionError("production path called quad")
+        raise AssertionError("production path called quadrature")
 
     monkeypatch.setattr(ringsagnac.oracle, "quad", refuse)
+    monkeypatch.setattr(ringsagnac.oracle, "_gauss_moments", refuse)
     config = TrapConfig()
     tabulated = make_profile(ProfileFamily.TABULATED, 7.0, samples=[0.3, 1.0, 0.6, 0.2])
     for profile in (*(make_profile(family, 7.0) for family in ANALYTIC), tabulated):
