@@ -21,8 +21,9 @@ drive is a short sum lambda(a + d) = sum_r c_r b_r(d): the basis is
 {1, d/h} for tabulated and flat profiles, which are affine there, and
 {1, cos kd, sin kd} with k = 2 pi / T for the trigonometric families.
 Factoring exp(i omega0 tau) = exp(i omega0 a) exp(i omega0 d) leaves
-tables that depend on h alone, built once per distinct interval width by
-a nested 6x6 Gauss-Legendre rule:
+tables that depend on h alone, built once per distinct interval width
+(by a nested 6x6 Gauss-Legendre rule, or in closed form for the affine
+kink grid, below):
 
     P_r(d) = int_0^d b_r(x) exp(i omega0 x) dx,   G_r = P_r(h),
     S_r    = int_0^h P_r(d) dd,
@@ -37,19 +38,18 @@ With Z = C + i S and Y = exp(-i omega0 a) Z(a), an interval then adds
 
 a few scalar products per interval and branch.  The branches differ only
 in their coefficients, lambda = D (Omega +/- omega_P), so one set of
-tables serves both.  One stage computes these interval terms; _sweep runs
-them through the sample grid for full paths, and _sweep_ends sums them
-for the end values, which are all that decompose reads.
+tables serves both.  _interval_terms computes these terms, and _sweep
+runs them through the sample grid for full paths.
 
-The rule is exact through degree 11, so it reaches rounding once
-omega0 h <= 1.  A wider interval gets its tables by scaling and doubling
-(scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-(2005), applied to these tables): the rule runs on w = h / 2^s with
-s = ceil(log2(nu h)), and s doublings carry the tables to h; nu is
-omega0, plus k for the trigonometric basis.  A shift
-acts linearly on the basis, b(w + x) = M b(x), with M = [[1, 0], [w/h, 1]]
-for {1, d/h} and a rotation by k w for {1, cos kd, sin kd}, so with
-e = exp(i omega0 w) one doubling is
+The path sweep's tables come from the nested rule, which is exact
+through degree 11 and so reaches rounding once nu h <= 1.  A wider
+interval gets its tables by scaling and doubling (scaling and squaring,
+Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), applied to these
+tables): the rule runs on w = h / 2^s with s = ceil(log2(nu h)), and s
+doublings carry the tables to h; nu is omega0, plus k for the
+trigonometric basis.  A shift acts linearly on the basis,
+b(w + x) = M b(x), with M = [[1, 0], [w/h, 1]] for {1, d/h} and a rotation
+by k w for {1, cos kd, sin kd}, so with e = exp(i omega0 w) one doubling is
 
     G' = G + e M G,
     S' = S + w G + e M S,
@@ -59,25 +59,19 @@ e = exp(i omega0 w) one doubling is
 
 Every interval is then exact to rounding at any nu h up to
 2^_MAX_DOUBLINGS; beyond it one ulp of nu h is a radian or more, and the
-sweep is refused before any table is built.
+sweep is refused before any table is built.  _sweep keeps the uniform
+grid of n_samples intervals, split at the kinks, and doubles with the
+common s of its widest interval.  _check_samples refuses an n_samples
+above _MAX_SAMPLES before anything is built.
 
 _sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
-which is uniform for every family: the n - 1 segments of a tabulated
-profile, the two halves of the sinusoidal one, one interval otherwise.
-It builds one width table per call and takes no sample count; decompose
-checks its n_samples as _sweep does, but nothing is sized by it.  _sweep
-keeps the uniform grid of n_samples intervals, split at the kinks, and
-doubles with the common s of its widest interval.  _check_samples
-refuses an n_samples above _MAX_SAMPLES before anything is built.
-
-Two builders make the tables.  _width_tables works on arrays of widths
-and any basis; _affine_width_table writes the rule and the doublings out
-in Python scalars for one width of {1, d/h}, in less than half the time.
-The kink grid of a tabulated or flat profile is that one affine width.
-The path sweep has one table per distinct width, hundreds to thousands
-when the kinks fall off its grid, so it keeps the arrays; so do the
-trigonometric kink grids, where a scalar kernel generic in the basis
-measured no faster.
+uniform for every family, so one width table serves it and no sample
+count sizes it.  The affine table is in closed form (_affine_table, with
+Taylor series below theta = omega0 h = 2, where the forms cancel); the
+trigonometric grids keep the rule.  On one width every sum over the
+intervals is a quadratic form in c = a e_0 + sign b coef (a = D Omega,
+b = D), a part common to both branches and a part the sign flips, which
+_gram_ends takes from one prefix sum and one Gram product.
 """
 
 from __future__ import annotations
@@ -110,19 +104,63 @@ _MAX_DOUBLINGS = 52
 _MAX_SAMPLES = 2**20
 
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
-# analytic-per-interval integrands used here; nodes and weights on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
-_GL_X, _GL_W = (_GL_X + 1) / 2, _GL_W / 2
+# analytic-per-interval integrands used here; nodes and weights on [0, 1],
+# the bits of numpy.polynomial.legendre.leggauss(6) mapped there, written
+# out so that importing the package does not load numpy.polynomial
+_GL_X = np.array([0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
+                  0.6193095930415985, 0.8306046932331322, 0.9662347571015759])
+_GL_W = np.array([0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
+                  0.23395696728634552, 0.18038078652406936, 0.08566224618958514])
 # widths per block of the Gauss tables: a block's node arrays take about
 # 4 MB; a path sweep whose kinks make most interval widths distinct needs
 # several blocks
 _TABLE_BLOCK = 1024
-# the rule as Python floats for _affine_width_table: per outer node j, X_j,
-# the inner node products X_j X_k and the weights W_j X_j^p, p = 0..4; per
-# inner node k, W_k and W_k X_k
-_GL_ROWS = tuple((x, tuple(x * y for y in _GL_X.tolist()), *(w * x**p for p in range(5)))
-                 for x, w in zip(_GL_X.tolist(), _GL_W.tolist()))
-_GL_INNER = tuple((w, w * x) for x, w in zip(_GL_X.tolist(), _GL_W.tolist()))
+# the affine tables at theta = omega0 h are G = h g, S = h^2 s, K = h^2 k and
+# L = h^3 l; each real entry (G and S as re, im pairs, then K and L by rows)
+# is (weights . columns) / (6 theta^p), a column being theta^a 1, sin or cos
+_AFFINE_COLUMNS = ((0, "1"), (1, "1"), (2, "1"), (3, "1"), (0, "sin"), (1, "sin"),
+                   (0, "cos"), (1, "cos"))
+_AFFINE_ROWS = (
+    (1, (0, 0, 0, 0, 6, 0, 0, 0)), (1, (6, 0, 0, 0, 0, 0, -6, 0)),         # Re, Im g0
+    (2, (-6, 0, 0, 0, 0, 6, 6, 0)), (2, (0, 0, 0, 0, 6, 0, 0, -6)),        # Re, Im g1
+    (2, (6, 0, 0, 0, 0, 0, -6, 0)), (2, (0, 6, 0, 0, -6, 0, 0, 0)),        # Re, Im s0
+    (3, (0, -6, 0, 0, 12, 0, 0, -6)), (3, (12, 0, 0, 0, 0, -6, -12, 0)),   # Re, Im s1
+    (2, (0, -6, 0, 0, 6, 0, 0, 0)), (3, (6, 0, -3, 0, 0, 0, -6, 0)),       # k00, k01
+    (3, (-6, 0, -3, 0, 0, 6, 6, 0)), (4, (0, 0, 0, -2, 6, 0, 0, -6)),      # k10, k11
+    (3, (0, 12, 0, 0, -12, 0, 0, 0)), (4, (6, 0, 3, 0, 0, -6, -6, 0)),     # l00, l01
+    (4, (6, 0, 3, 0, 0, -6, -6, 0)), (5, (0, 12, 0, 2, -24, 0, 0, 12)),    # l10 = l01, l11
+)
+# below the switch the numerators cancel (to eps / theta^4 of their terms),
+# so the Taylor series serve, truncated below 1e-21; each side is within
+# 2e-15 of the exact entries, scaled by the modulus of the complex ones
+_AFFINE_SWITCH = 2.0
+_AFFINE_TERMS = 28
+
+
+def _affine_series(p: int, weights) -> list[float]:
+    """Taylor coefficients in theta of one affine entry, each rounded once.
+
+    Over 6 m! the theta^m coefficient of a column is an integer: m! / j!
+    (-1)^(j // 2), j = m - a, odd for sin, even for cos, 0 for theta^a
+    (m! / j! = perm(m, a)).
+    """
+    terms = [(a, kind, weight) for (a, kind), weight in zip(_AFFINE_COLUMNS, weights) if weight]
+    row = []
+    for m in range(p, p + _AFFINE_TERMS):
+        total = 0
+        for a, kind, weight in terms:
+            j = m - a
+            if j >= 0 and (j == 0 if kind == "1" else j % 2 == (kind == "sin")):
+                total += weight * (-1) ** (j // 2) * math.perm(m, a)
+        row.append(total / (6 * math.factorial(m)))
+    return row
+
+
+_AFFINE_WEIGHTS = np.array([weights for _, weights in _AFFINE_ROWS], dtype=float)
+_AFFINE_POWERS = np.array([p for p, _ in _AFFINE_ROWS])
+_AFFINE_SERIES = np.array([_affine_series(*row) for row in _AFFINE_ROWS])
+_AFFINE_ORDERS = np.arange(_AFFINE_TERMS)
+_AFFINE_SCALES = np.repeat((1, 2, 3), (4, 8, 4))                  # powers of h
 
 
 @dataclass(frozen=True)
@@ -186,7 +224,7 @@ def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None
             M[..., 1, 0] = w / h
             return M
 
-        return (np.array([values[:-1], np.diff(values)]),
+        return (np.array([values[:-1], values[1:] - values[:-1]]),
                 lambda d, h: np.array([np.ones_like(d), d / h]), affine_shift)
 
     def rotation(w, h):
@@ -282,87 +320,32 @@ def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublin
     return vectors, forms
 
 
-def _affine_width_table(h: float, w0: float, doublings: int):
-    """_width_tables for one width h of the affine basis {1, d/h}, in scalars.
+def _affine_table(h: float, theta: float):
+    """[G, S] (complex (2, 2)) and [K, L] (real (2, 2, 2)) of {1, d/h} on [0, h].
 
-    The same nested rule on w = h / 2^doublings: with theta = omega0 w and
-    Q_pj = sum_k W_k X_k^p exp(i theta X_j X_k), P_0(d_j) = w X_j Q_0j and
-    P_1(d_j) = (w X_j)^2 / h Q_1j, so each table entry is a sum over j of
-    W_j X_j^p times T_j = exp(i theta X_j), Q, Im(conj(T_j) Q) or
-    Re(conj(Q) Q), scaled by powers of w and u = w / h.  The same doublings
-    follow, with M = [[1, 0], [m, 1]], written out entry by entry.  Returns
-    the (4, 2, 1) and (2, 2, 2, 1) arrays of _width_tables.  Overflow gives
-    inf or NaN entries, as there, for the sweep's finiteness check.
+    The closed forms at theta = omega0 h >= _AFFINE_SWITCH, the series
+    below it.  Overflow of h^2 or h^3 gives inf entries, for the sweep's
+    finiteness check.
     """
-    w = h / 2**doublings
-    theta = w0 * w
-    rect = cmath.rect
-    g0 = g1 = s0 = s1 = 0j
-    k00 = k01 = k10 = k11 = l00 = l01 = l11 = 0.0
-    for x, products, c0, c1, c2, c3, c4 in _GL_ROWS:
-        q0 = q1 = 0j
-        for p, (a0, a1) in zip(products, _GL_INNER):
-            turn = rect(1.0, theta * p)
-            q0 += a0 * turn
-            q1 += a1 * turn
-        turn = rect(1.0, theta * x)
-        back0 = (turn.conjugate() * q0).imag          # Im(conj(T_j) Q_pj)
-        back1 = (turn.conjugate() * q1).imag
-        g0 += c0 * turn
-        g1 += c1 * turn
-        s0 += c1 * q0
-        s1 += c2 * q1
-        k00 += c1 * back0
-        k01 += c2 * back1
-        k10 += c2 * back0
-        k11 += c3 * back1
-        l00 += c2 * (q0.real * q0.real + q0.imag * q0.imag)
-        l01 += c3 * (q0.real * q1.real + q0.imag * q1.imag)
-        l11 += c4 * (q1.real * q1.real + q1.imag * q1.imag)
-    u = w / h
-    w2 = w * w
-    g0, g1, s0, s1 = w * g0, w * u * g1, w2 * s0, w2 * u * s1
-    k00, k01, k10, k11 = w2 * k00, w2 * u * k01, w2 * u * k10, w2 * u * u * k11
-    l00, l01, l11 = w2 * w * l00, w2 * w * u * l01, w2 * w * u * u * l11
-    # one doubling per level (module docstring); L stays symmetric, so
-    # l01 stands for both off-diagonal entries
-    for level in range(doublings):
-        wl = w * 2**level
-        m = wl / h
-        e = rect(1.0, w0 * wl)
-        es0 = e * s0                                  # e M S
-        es1 = e * (m * s0 + s1)
-        o00 = g0.real * g0.real + g0.imag * g0.imag   # conj(G_r) G_s
-        o11 = g1.real * g1.real + g1.imag * g1.imag
-        o01 = g0.conjugate() * g1
-        a00 = k00 - e.imag * o00                      # Im[conj(e) conj(G) G^T] + K M^T
-        a01 = (e.conjugate() * o01).imag + m * k00 + k01
-        a10 = k10 - (e * o01).imag
-        a11 = m * k10 + k11 - e.imag * o11
-        x00 = g0.real * es0.real + g0.imag * es0.imag  # Re[conj(G) (e M S)^T]
-        x01 = g0.real * es1.real + g0.imag * es1.imag
-        x10 = g1.real * es0.real + g1.imag * es0.imag
-        x11 = g1.real * es1.real + g1.imag * es1.imag
-        k00, k01, k10, k11 = k00 + a00, k01 + a01, k10 + m * a00 + a10, k11 + m * a01 + a11
-        l00, l01, l11 = (2 * (l00 + x00) + wl * o00,
-                         2 * l01 + m * l00 + wl * o01.real + x01 + x10,
-                         2 * (l11 + x11 + m * l01) + m * m * l00 + wl * o11)
-        s0, s1 = s0 + wl * g0 + es0, s1 + wl * g1 + es1
-        g0, g1 = g0 + e * g0, g1 + e * (m * g0 + g1)
-    vectors = np.array([g0.real, g1.real, g0.imag, g1.imag, s0.real, s1.real, s0.imag, s1.imag])
-    forms = np.array([k00, k01, k10, k11, l00, l01, l01, l11])
-    return vectors.reshape(4, 2, 1), forms.reshape(2, 2, 2, 1)
+    if theta < _AFFINE_SWITCH:
+        entries = _AFFINE_SERIES @ theta**_AFFINE_ORDERS
+    else:
+        sin, cos = math.sin(theta), math.cos(theta)
+        columns = (1.0, theta, theta * theta, theta * theta * theta,
+                   sin, theta * sin, cos, theta * cos)
+        entries = (_AFFINE_WEIGHTS @ columns) / (6 * theta**_AFFINE_POWERS)
+    entries *= h**_AFFINE_SCALES
+    return entries[:8].view(complex).reshape(2, 2), entries[8:].reshape(2, 2, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _interval_terms(config: TrapConfig, branches, edges, widths, coef, vectors, forms):
-    """The stage both sweep consumers share: per-interval terms of every branch.
+    """The path sweep's stage: per-interval terms of every branch.
 
     coef holds the drive coefficients per interval, and vectors and forms
-    the width tables, either one column per interval or a single column
-    for a grid of one width.  Returns Y = exp(-i w0 a) Z(a) at every edge
-    (branch, edge), and each interval's addition to the phase integral
-    phi hbar^2 and to int |Z|^2 (branch, interval).
+    the width tables, one column per interval.  Returns Y = exp(-i w0 a) Z(a)
+    at every edge (branch, edge), and each interval's addition to the phase
+    integral phi hbar^2 and to int |Z|^2 (branch, interval).
     """
     w0 = config.trap_frequency
     # drive coefficients c[r, branch, interval] of lambda = D (Omega + sign omega_P)
@@ -402,11 +385,13 @@ def _kink_grid(profile: SweepProfile):
 
 
 def _end_grid_text(config: TrapConfig, profile: SweepProfile) -> str:
-    """omega0 h of the kink grid and the doublings of its table, for refusals."""
+    """omega0 h of the kink grid and how its table was built, for refusals."""
     w0 = config.trap_frequency
-    h = profile.duration / _kink_grid(profile)[0]
-    return (f"omega0 h = {w0 * h:.3e} on the kink grid, whose width table took "
-            f"{_doublings(profile, w0, h)} doublings")
+    count, values = _kink_grid(profile)
+    h = profile.duration / count
+    table = ("is in closed form" if values is not None
+             else f"took {_doublings(profile, w0, h)} doublings")
+    return f"omega0 h = {w0 * h:.3e} on the kink grid, whose width table {table}"
 
 
 def _check_samples(n_samples: int):
@@ -473,20 +458,59 @@ def _sweep(
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sweep_ends(
-    config: TrapConfig, profile: SweepProfile, branches
-) -> list[tuple[complex, float, float]]:
-    """(alpha(T), phi(T), int_0^T |alpha|^2 dt) of each given branch.
+def _gram_ends(config: TrapConfig, h: float, edges, coef, tables, forms):
+    """Z(T) exp(-i w0 T), phi hbar^2, int |Z|^2 of both branches, as (even, odd) pairs.
 
-    The interval terms of _sweep, summed instead of run through, on the
-    kink grid {0, kinks, T} alone: its intervals share the width
-    h = T / count, so one table, doubled until it spans h, serves them all
-    and the end values are exact to rounding at any omega0 h.  The table
-    of an affine grid (tabulated and flat profiles, whose edge values come
-    from _kink_grid) is the scalar _affine_width_table; the trigonometric
-    grids take _width_tables (module docstring).  Overflow raises
-    ConvergenceError.
+    Rows E = exp(i w0 a_i), E b coef . G and E b coef . S, the exclusive
+    prefix sums P of the first two (conj(Y) c . G = conj(P) E c . G), b coef,
+    ones, K b coef and L b coef: one Gram product of conj([P, b coef]) with
+    them gives every sum, the rotation rows being a G_0 E and a S_0 E.  The
+    forms act on b coef first, as in _sweep, so no square of the drive is
+    formed.  tables is [G, S] (2, r), forms [K, L] (2, r, r), for width h.
+    """
+    w0, drive = config.trap_frequency, config.drive_scale
+    count, n = len(edges) - 1, len(coef)
+    rows = np.empty((6 + 3 * n, count + 1), dtype=complex)
+    np.exp(1j * w0 * edges, out=rows[0])
+    swept = rows[5:5 + n, :-1]
+    np.multiply(coef, drive, out=swept)
+    rows[5 + n] = 1.0
+    np.matmul(forms.reshape(2 * n, n), swept, out=rows[6 + n:, :-1])
+    np.multiply(tables @ swept, rows[0, :-1], out=rows[1:3, :-1])
+    rows[3:5, 0] = 0.0
+    np.cumsum(rows[0:2, :-1], axis=1, out=rows[3:5, 1:])
+    gram = (rows[3:5 + n, :-1].conj() @ rows[:, :-1].T).tolist()
+    # sums of conj(P_E) and conj(P_u) times E, u, v, P_E and P_u
+    (ee, eu, ev, e_e, e_p), (pe, pu, pv, _, p_p) = (row[:5] for row in gram[:2])
+    a = drive * config.rotation
+    (g, *_), (s, *_) = tables.tolist()
+    g, s = a * g, a * s
+    gg, gc = g.real * g.real + g.imag * g.imag, g.conjugate()
+    # sum_i c_i^T F c_i: even a F_00 a count + sum_i (b coef_i)^T F (b coef_i),
+    # odd a sum_r (F_0r + F_r0) (sum_i b coef_i)_r
+    form_sums = []
+    for q, form in enumerate(forms.tolist(), start=1):
+        even, odd = a * form[0][0] * a * count, 0.0
+        for r, row in enumerate(gram[2:]):
+            even += row[6 + q * n + r].real
+            odd += (form[0][r] + form[r][0]) * row[5 + n].real
+        form_sums.append((even, odd * a))
+    (k_even, k_odd), (l_even, l_odd) = form_sums
+    phase = ((gg * ee + pu).imag - k_even, (gc * eu + g * pe).imag - k_odd)
+    square = (h * (gg * e_e.real + p_p.real) + 2 * (gc * s * ee + pv).real + l_even,
+              2 * (h * (gc * e_p).real + (gc * ev + s * pe).real) + l_odd)
+    back = complex(rows[0, -1]).conjugate()
+    return (g * complex(rows[3, -1]) * back, complex(rows[4, -1]) * back), phase, square
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep_ends(config: TrapConfig, profile: SweepProfile):
+    """alpha(T), phi(T) and int_0^T |alpha|^2 dt of both branches, as (even, odd) pairs.
+
+    The branch of sign s takes even + s odd; the odd parts are half the
+    branch differences.  One table for the kink grid's width (module
+    docstring), exact to rounding below the 2^_MAX_DOUBLINGS ceiling, which
+    is refused before any table is built.  Overflow raises ConvergenceError.
     """
     T = profile.duration
     w0 = config.trap_frequency
@@ -498,15 +522,19 @@ def _sweep_ends(
     coef, basis, shift = _drive_basis(profile, edges[:-1], values)
     if values is None:
         vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+        tables, forms = vectors[0::2, :, 0] + 1j * vectors[1::2, :, 0], forms[..., 0]
     else:
-        vectors, forms = _affine_width_table(h, w0, doublings)
-    y, d_phase, d_abs2 = _interval_terms(config, branches, edges, h, coef, vectors, forms)
+        tables, forms = _affine_table(h, w0 * h)
+    (z, z_odd), (phase, phase_odd), (square, square_odd) = _gram_ends(
+        config, h, edges, coef, tables, forms)
     hbar = config.hbar
-    alphas = -y[:, -1] / hbar
-    phases = d_phase.sum(axis=-1) / hbar / hbar
-    abs2 = d_abs2.sum(axis=-1) / hbar / hbar
-    _require_finite(T, alphas, phases, abs2)
-    return [(complex(a), float(p), float(m)) for a, p, m in zip(alphas, phases, abs2)]
+    parts = ((-z / hbar, -z_odd / hbar), (phase / hbar / hbar, phase_odd / hbar / hbar),
+             (square / hbar / hbar, square_odd / hbar / hbar))
+    if not all(cmath.isfinite(value) for pair in parts for value in pair):
+        raise ConvergenceError(
+            f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
+        )
+    return parts
 
 
 def sample_trajectory(

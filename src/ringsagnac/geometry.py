@@ -37,15 +37,15 @@ unconventional-geometric and |W(omega0)| <= 1e-8, so a "dynamic" or
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import InsufficientResolution, KappaUndefined
 from .evolution import _check_samples, _end_grid_text, _sweep_ends
 from .interferometer import readout
-from .model import Branch, SweepProfile, TrapConfig
+from .model import SweepProfile, TrapConfig
 
 __all__ = ["PhaseDecomposition", "SchemeClass", "decompose"]
 
@@ -54,7 +54,7 @@ __all__ = ["PhaseDecomposition", "SchemeClass", "decompose"]
 _PATH_AGREEMENT_TOL = 1e-7
 _PATH_ROUNDING_TOL = 1e-12
 _SPECTRUM_ZERO_TOL = 1e-8
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 
 
 class SchemeClass(str, Enum):
@@ -111,10 +111,11 @@ def _swept_geometric_phase(phase: float, mean_square: float, w0: float) -> float
 
 def _residual_angle(alpha0: complex, alpha1: complex) -> float:
     # endpoint-overlap angle; defined as zero when either endpoint vanishes
-    magnitude = abs(alpha0 * np.conj(alpha1))
+    overlap = alpha0 * alpha1.conjugate()
+    magnitude = math.hypot(overlap.real, overlap.imag)
     if magnitude == 0.0:
         return 0.0
-    return magnitude * np.sin(np.angle(alpha0) - np.angle(alpha1))
+    return magnitude * math.sin(cmath.phase(alpha0) - cmath.phase(alpha1))
 
 
 def decompose(
@@ -123,7 +124,9 @@ def decompose(
     """Full phase decomposition with spectral/path cross-validation.
 
     The path parts come from the end-value sweep on the kink grid
-    {0, kinks, T}, exact to rounding at any omega0 h.  n_samples is
+    {0, kinks, T}, exact to rounding at any omega0 h, as parts common to
+    both branches and parts the branch sign flips; dgd and dgg_path are
+    twice the latter, free of the rounding of the former.  n_samples is
     checked as the path sweep checks it, but sizes nothing, so every
     accepted value gives the same bits.  Raises InsufficientResolution
     when the routes disagree or cannot resolve the label (module
@@ -138,20 +141,19 @@ def decompose(
     phi_s = result.sagnac
     xi0 = w0 * result.spectrum_slope
     xi = xi0 - w0 * T * w_val.imag
-    dgg_spectral = np.sqrt(2 / np.pi) * phi_s * xi
+    dgg_spectral = math.sqrt(2 / math.pi) * phi_s * xi
 
     _check_samples(n_samples)
-    (alpha0, phi0, square0), (alpha1, phi1, square1) = _sweep_ends(
-        config, profile, (Branch.CO, Branch.COUNTER))
-    # an overflow in the path parts carries inf or NaN into a NaN gap, which
-    # fails the check below like any other disagreement
-    with np.errstate(over="ignore", invalid="ignore"):
-        gd = (_swept_dynamic_phase(phi0, square0, w0, T),
-              _swept_dynamic_phase(phi1, square1, w0, T))
-        gg = (_swept_geometric_phase(phi0, square0, w0),
-              _swept_geometric_phase(phi1, square1, w0))
-        residual = _residual_angle(alpha0, alpha1)
-    dgg_path = gg[0] - gg[1] + residual
+    (alpha, alpha_odd), (phi, phi_odd), (square, square_odd) = _sweep_ends(config, profile)
+    # each branch is the even part plus or minus the odd one; the branch
+    # differences are twice the odd parts, free of the rounding of the even
+    # parts.  An overflow in the path parts carries inf or NaN into a NaN
+    # gap, which fails the check below like any other disagreement
+    phis, squares = (phi + phi_odd, phi - phi_odd), (square + square_odd, square - square_odd)
+    gd = tuple(_swept_dynamic_phase(p, s, w0, T) for p, s in zip(phis, squares))
+    gg = tuple(_swept_geometric_phase(p, s, w0) for p, s in zip(phis, squares))
+    residual = _residual_angle(alpha + alpha_odd, alpha - alpha_odd)
+    dgg_path = 2 * _swept_geometric_phase(phi_odd, square_odd, w0) + residual
     gap = abs(dgg_path - dgg_spectral)
     if not gap <= _PATH_AGREEMENT_TOL:
         # beyond it, a gap is taken as rounding of the branch phases, whose size
@@ -159,10 +161,9 @@ def decompose(
         # mean sweep rate) comes from the inputs alone, so that an under-resolved
         # sweep cannot widen the tolerance; a tolerance above the Sagnac-phase
         # scale could not tell a right split from a wrong one
-        with np.errstate(over="ignore"):
-            drive = config.drive_scale / config.hbar
-            rate = abs(config.rotation) + np.pi / T
-            size = 2 * T * drive * drive * rate * rate / w0
+        drive = config.drive_scale / config.hbar
+        rate = abs(config.rotation) + math.pi / T
+        size = 2 * T * drive * drive * rate * rate / w0
         path_tol = max(_PATH_AGREEMENT_TOL, _PATH_ROUNDING_TOL * size)
         phase_scale = max(1.0, abs(phi_s))
         if not gap <= path_tol <= phase_scale:
@@ -171,14 +172,14 @@ def decompose(
                 f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e}) "
                 f"at {_end_grid_text(config, profile)}"
             )
-    dgd = gd[0] - gd[1]
+    dgd = 2 * _swept_dynamic_phase(phi_odd, square_odd, w0, 0.0)
 
     tol = 1e-8 * max(1.0, abs(phase))
     # each part is known to the gap between its two routes: dgd (path) to
     # phi_I - dgg_spectral, and dgg_spectral to dgg_path plus its own rounding
     # of omega0 t, eps omega0 T rad at t = T, which enters xi as it is
     dynamic_spread = abs(dgd + dgg_spectral - phase)
-    spread = gap + np.sqrt(2 / np.pi) * abs(phi_s) * _EPS * w0 * T
+    spread = gap + math.sqrt(2 / math.pi) * abs(phi_s) * _EPS * w0 * T
     for name, part, margin in (("dgd", dgd, dynamic_spread), ("dgg", dgg_spectral, spread)):
         if abs(abs(part) - tol) <= margin:
             raise InsufficientResolution(
@@ -193,18 +194,18 @@ def decompose(
         label = SchemeClass.PURE_GEOMETRIC if dynamic_vanishes else SchemeClass.UNCONVENTIONAL
     kappa = None
     if not geometric_vanishes and abs(w_val) <= _SPECTRUM_ZERO_TOL:
-        kappa = float(np.sqrt(np.pi / 2) / xi0)
+        kappa = math.sqrt(math.pi / 2) / xi0
 
     return PhaseDecomposition(
-        phase=float(phase),
-        delta_dynamic=float(dgd),
-        delta_geometric=float(dgg_spectral),
-        delta_geometric_path=float(dgg_path),
-        xi=float(xi),
-        xi0=float(xi0),
+        phase=phase,
+        delta_dynamic=dgd,
+        delta_geometric=dgg_spectral,
+        delta_geometric_path=dgg_path,
+        xi=xi,
+        xi0=xi0,
         kappa=kappa,
         scheme_class=label,
         gamma_dynamic=gd,
         gamma_geometric=gg,
-        residual_angle=float(residual),
+        residual_angle=residual,
     )

@@ -39,10 +39,9 @@ share no code and serve as cross-checks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .model import SpectrumValue, SweepProfile, TrapConfig
@@ -82,7 +81,7 @@ class InterferometerResult:
 
 def sagnac_phase(config: TrapConfig) -> float:
     """Rotation-induced phase 2 pi m r^2 Omega / hbar; sign follows Omega."""
-    return 2 * np.pi * config.mass * config.radius**2 * config.rotation / config.hbar
+    return 2 * math.pi * config.mass * config.radius**2 * config.rotation / config.hbar
 
 
 # the last (config, profile, result) of readout; the placeholders match no input
@@ -104,30 +103,35 @@ def readout(config: TrapConfig, profile: SweepProfile) -> InterferometerResult:
         return last_result
     w0 = config.trap_frequency
     spectrum, spectrum_slope = _exact_spectrum(profile, w0)
-    scale = -2 * config.radius * np.sqrt(np.pi * config.mass * w0 / config.hbar)
+    scale = -2 * config.radius * math.sqrt(math.pi * config.mass * w0 / config.hbar)
     if not math.isfinite(scale):
         # inf times a zero part of W would be NaN
         raise ConfigurationError(
             "2 r sqrt(pi m omega0 / hbar) is not finite for these trap parameters"
         )
-    d_alpha = scale * spectrum.value.conjugate() * np.exp(-1j * w0 * profile.duration)
-    contrast = float(np.exp(-abs(d_alpha) ** 2 / 2))
+    d_alpha = scale * spectrum.value.conjugate() * cmath.exp(-1j * w0 * profile.duration)
+    # |d alpha| by hypot, which gives inf where abs() of a complex raises
+    separation = math.hypot(d_alpha.real, d_alpha.imag)
+    contrast = math.exp(-separation * separation / 2)
     sagnac = sagnac_phase(config)
-    factor = 1 - np.sqrt(2 / np.pi) * spectrum.value.real
+    factor = 1 - math.sqrt(2 / math.pi) * spectrum.value.real
     phase = sagnac * factor
-    phase_slope = 2 * np.pi * config.mass * config.radius**2 / config.hbar * factor
-    principal = float(np.angle(np.exp(1j * phase)))
+    if not math.isfinite(phase):
+        # a finite Sagnac phase times a factor up to 2
+        raise ConfigurationError("the interferometer phase is not finite for these trap parameters")
+    phase_slope = 2 * math.pi * config.mass * config.radius**2 / config.hbar * factor
+    principal = cmath.phase(cmath.exp(1j * phase))
     result = InterferometerResult(
         spectrum=spectrum,
         spectrum_slope=spectrum_slope,
-        delta_alpha=complex(d_alpha),
+        delta_alpha=d_alpha,
         contrast=contrast,
-        phase=float(phase),
+        phase=phase,
         phase_slope=phase_slope,
         principal_arg=principal,
-        sagnac=float(sagnac),
-        sigma_y=float(-contrast * np.sin(phase)),
-        sigma_z=float(-contrast * np.cos(phase)),
+        sagnac=sagnac,
+        sigma_y=-contrast * math.sin(phase),
+        sigma_z=-contrast * math.cos(phase),
     )
     _last = (config, profile, result)
     return result

@@ -13,6 +13,7 @@ revolution: the integral of omega_P over [0, T] equals pi.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -93,7 +94,7 @@ class TrapConfig:
     @property
     def drive_scale(self) -> float:
         """sqrt(m hbar omega0 / 2) * r, the drive amplitude per unit rate."""
-        return np.sqrt(self.mass * self.hbar * self.trap_frequency / 2) * self.radius
+        return math.sqrt(self.mass * self.hbar * self.trap_frequency / 2) * self.radius
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     return SweepProfile(
         ProfileFamily.TABULATED,
         float(duration),
-        samples=tuple(values * factor),
+        samples=tuple((values * factor).tolist()),
         rescale_factor=float(factor),
     )
 

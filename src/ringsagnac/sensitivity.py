@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .model import SweepProfile, TrapConfig
 from .interferometer import readout
@@ -51,23 +49,23 @@ class SensitivityReport:
 
 
 def _integer_periods(config: TrapConfig, profile: SweepProfile) -> bool:
-    cycles = config.trap_frequency * profile.duration / (2 * np.pi)
-    return abs(cycles - round(cycles)) * 2 * np.pi <= _TIME_TOL and round(cycles) >= 1
+    cycles = config.trap_frequency * profile.duration / (2 * math.pi)
+    return abs(cycles - round(cycles)) * 2 * math.pi <= _TIME_TOL and round(cycles) >= 1
 
 
 def _delta_omega_raw(excess: float, phase: float, slope: float) -> tuple[float, bool]:
     """(uncertainty, limit_evaluated) from |C|^-2 - 1, phase, and slope."""
-    s = np.sin(phase)
+    s = math.sin(phase)
     if slope == 0.0:
-        return np.inf, False
+        return math.inf, False
     if s == 0.0:
         if excess <= _EXCESS_FLOOR:
             # 0/0 point of the formula; its limit is the slope-only value
             return 1.0 / abs(slope), True
-        return np.inf, False
+        return math.inf, False
     # sqrt(excess + s^2) / |slope s| by hypot and two quotients: s^2 and
     # slope * s underflow for a tiny phase or slope, where 0/0 would be NaN
-    return float(math.hypot(math.sqrt(excess), s) / abs(s) / abs(slope)), False
+    return math.hypot(math.sqrt(excess), s) / abs(s) / abs(slope), False
 
 
 def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> SensitivityReport:
@@ -75,14 +73,19 @@ def sensitivity_report(config: TrapConfig, profile: SweepProfile) -> Sensitivity
     result = readout(config, profile)
     slope = result.phase_slope
     valid = _integer_periods(config, profile)
-    with np.errstate(over="ignore", divide="ignore"):
-        # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast;
-        # it overflows to inf, a lost signal, for widely parted branches
-        excess = float(np.expm1(abs(result.delta_alpha) ** 2))
-        value, limit = _delta_omega_raw(excess, result.phase, slope)
-        fisher = 0.0 if np.isinf(value) else float(np.divide(1.0, value * value))
-        bound = slope**2 if valid else None
-    if not np.isfinite(fisher) or (valid and not np.isfinite(bound)):
+    # |C|^-2 - 1 = expm1(|d alpha|^2), accurate for near-unit contrast; it is
+    # inf, a lost signal, for widely parted branches
+    separation = math.hypot(result.delta_alpha.real, result.delta_alpha.imag)
+    try:
+        excess = math.expm1(separation * separation)
+    except OverflowError:
+        excess = math.inf
+    value, limit = _delta_omega_raw(excess, result.phase, slope)
+    square = value * value
+    # a square that underflows to 0 is an information that overflows
+    fisher = 0.0 if value == math.inf else (1.0 / square if square else math.inf)
+    bound = slope * slope if valid else None
+    if not math.isfinite(fisher) or (valid and not math.isfinite(bound)):
         raise ConvergenceError(
             f"Fisher information overflows for the phase slope {slope:.3e}"
         )

@@ -137,9 +137,9 @@ def spectrum_closed_form(family, duration: float, omega: float) -> SpectrumValue
     if family not in _CLOSED:
         raise UnsupportedFamily(f"no closed form for family {family.value!r}")
     u = abs(omega) * duration
-    if not np.isfinite(u):
+    if not math.isfinite(u):
         raise ConfigurationError(f"omega * duration = {u} is not finite")
-    value = _CLOSED[family](u)
+    value = complex(_CLOSED[family](u))
     if omega < 0:
         value = value.conjugate()
     return SpectrumValue(float(omega), value, "closed-form")
@@ -174,6 +174,7 @@ def _kernel(theta: float) -> tuple[float, float, float]:
     return m0, j1, q
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, complex]:
     """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile.
 
@@ -245,19 +246,18 @@ def _exact_spectrum(profile: SweepProfile, omega: float) -> tuple[SpectrumValue,
     |omega| and carried over by conjugate symmetry.
     """
     w = abs(omega)
-    if not np.isfinite(w * profile.duration):
+    if not math.isfinite(w * profile.duration):
         raise ConfigurationError(f"omega * duration = {w * profile.duration} is not finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if profile.family is ProfileFamily.TABULATED:
-            value, moment = _tabulated_moments(profile, w)
-            value /= np.sqrt(2 * np.pi)
-            if omega < 0:
-                value = value.conjugate()
-            sample = SpectrumValue(float(omega), value, "exact piecewise-linear")
-        else:
-            sample = spectrum_closed_form(profile.family, profile.duration, omega)
-            moment = _analytic_moment(profile, w)
-        slope = (-1.0 if omega < 0 else 1.0) * moment.imag / np.sqrt(2 * np.pi)
-    if not (np.isfinite(sample.value) and np.isfinite(slope)):
+    if profile.family is ProfileFamily.TABULATED:
+        value, moment = _tabulated_moments(profile, w)
+        value /= math.sqrt(2 * math.pi)
+        if omega < 0:
+            value = value.conjugate()
+        sample = SpectrumValue(float(omega), value, "exact piecewise-linear")
+    else:
+        sample = spectrum_closed_form(profile.family, profile.duration, omega)
+        moment = _analytic_moment(profile, w)
+    slope = (-1.0 if omega < 0 else 1.0) * moment.imag / math.sqrt(2 * math.pi)
+    if not (cmath.isfinite(sample.value) and math.isfinite(slope)):
         raise ConfigurationError(f"spectrum at omega = {omega} is not finite")
-    return sample, float(slope)
+    return sample, slope

@@ -119,6 +119,9 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["sensitivity", "--mass", "1e300", "--trap-frequency", "1e8", "--duration", "1e-300",
          "--family", "flat"],
         ["simulate", "--hbar", "1e-320"],
+        # a finite Sagnac phase whose product with 1 - sqrt(2/pi) Re W overflows
+        ["simulate", "--mass", "1e300", "--rotation", "2.45e7", "--duration", "4",
+         "--family", "flat"],
         ["simulate", "--rotation", "1e308"],
         ["spectrum", "--omega", "1e308"],
         ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--omega", "1e308"],
@@ -244,8 +247,9 @@ def test_si_design_kappa_follows_label(capsys, rubidium):
 
 @pytest.mark.parametrize("frequency", ["3.5e14", "7e14"])
 def test_deepest_doublings_decompose(capsys, frequency):
-    # omega0 h = 2.2e15 and 4.4e15 on the flat kink grid: the width table is
-    # doubled 51 and 52 times, the most below the 2^52 ceiling, and the
+    # omega0 h = 2.2e15 and 4.4e15 on the flat kink grid, the deepest below
+    # the 2^52 ceiling, where the closed-form width table is exact to
+    # rounding (the doubled Gauss rule took 51 and 52 doublings here): the
     # command still exits 0 with standard JSON
     assert run(["decompose", "--family", "flat", "--trap-frequency", frequency]) == 0
     record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
@@ -253,7 +257,8 @@ def test_deepest_doublings_decompose(capsys, frequency):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # 50 doublings, yet the unconventional tabulated scheme's routes part
+    # omega0 h = 7.3e14 with a closed-form table, yet the unconventional
+    # tabulated scheme's routes part: eps omega0 T is about 0.5 rad
     (["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
       "--trap-frequency", "3.5e14"], "path/spectral geometric parts disagree"),
     # omega0 h = 6.3e15, above the 2^52 ceiling
@@ -834,11 +839,12 @@ def test_fig2_area_measures(capsys):
 @pytest.mark.parametrize(
     ("panel", "expected"),
     [
-        ("c", "area_measure = 0.38757845850374784\nhalf_sagnac = 0.31415926535897931\n"
+        ("c", "area_measure = 0.38757845850374778\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.81056946913870209\nscheme_class = unconventional-geometric\n"),
-        ("f", "area_measure = 0.31415926535897926\nhalf_sagnac = 0.31415926535897931\n"
+        ("f", "area_measure = 0.31415926535897948\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.99999999999999978\nscheme_class = pure-geometric\n"),
     ],
+    ids=["c", "f"],
 )
 def test_fig2_human_record_has_no_sample_count(capsys, panel, expected):
     # the record reads decompose, whose end values come from the kink grid,

@@ -28,7 +28,8 @@ from ringsagnac import (
 )
 import ringsagnac.cli
 from ringsagnac.evolution import (
-    _affine_width_table,
+    _AFFINE_SWITCH,
+    _affine_table,
     _doublings,
     _drive_basis,
     _kink_grid,
@@ -278,56 +279,78 @@ def test_off_grid_profile_nodes_split_sweep_intervals():
         assert not np.isin(nodes, ts).any()
 
 
+def _branch_ends(config, profile, branches) -> list:
+    """(alpha(T), phi(T), int |alpha|^2) of each branch, from the (even, odd) end parts."""
+    parts = _sweep_ends(config, profile)
+    return [tuple(even + branch.sign * odd for even, odd in parts) for branch in branches]
+
+
 def _record_grids(monkeypatch) -> list:
-    """Record the interval count of every pass of the shared interval stage."""
+    """Record the interval count of every pass of the two interval stages.
+
+    The path sweep runs _interval_terms over its grid, the end values take
+    their Gram sums over the kink grid in _gram_ends.
+    """
     grids = []
-    stage = ringsagnac.evolution._interval_terms
+    paths = ringsagnac.evolution._interval_terms
+    ends = ringsagnac.evolution._gram_ends
 
-    def counted(config, branches, edges, *tables):
+    def counted_paths(config, branches, edges, *tables):
         grids.append(len(edges) - 1)
-        return stage(config, branches, edges, *tables)
+        return paths(config, branches, edges, *tables)
 
-    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
+    def counted_ends(config, h, edges, *tables):
+        grids.append(len(edges) - 1)
+        return ends(config, h, edges, *tables)
+
+    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted_paths)
+    monkeypatch.setattr(ringsagnac.evolution, "_gram_ends", counted_ends)
     return grids
 
 
 def _record_tables(monkeypatch) -> list:
     """Record (widths, doublings, builder) of every width-table build.
 
-    The builders are the array one, _width_tables, and the scalar kernel
-    for one affine width, _affine_width_table.
+    The builders are the Gauss rule on arrays of widths, _width_tables,
+    and the closed form for one affine width, _affine_table, which takes
+    no doublings.
     """
     builds = []
     build = ringsagnac.evolution._width_tables
-    build_affine = ringsagnac.evolution._affine_width_table
+    build_affine = ringsagnac.evolution._affine_table
 
     def counted(hs, w0, basis, shift, n_basis, doublings):
         builds.append((len(hs), doublings, "_width_tables"))
         return build(hs, w0, basis, shift, n_basis, doublings)
 
-    def counted_affine(h, w0, doublings):
-        builds.append((1, doublings, "_affine_width_table"))
-        return build_affine(h, w0, doublings)
+    def counted_affine(h, theta):
+        builds.append((1, 0, "_affine_table"))
+        return build_affine(h, theta)
 
     monkeypatch.setattr(ringsagnac.evolution, "_width_tables", counted)
-    monkeypatch.setattr(ringsagnac.evolution, "_affine_width_table", counted_affine)
+    monkeypatch.setattr(ringsagnac.evolution, "_affine_table", counted_affine)
     return builds
 
 
 # omega0 T = 61.2 is above the 32 samples, so the path sweep doubles its tables
 CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
+# 4096 kink-grid intervals, whose Gram sums run over long prefix rows
+LONG_GRID = make_profile(ProfileFamily.TABULATED, 7.3,
+                         samples=np.random.default_rng(11).uniform(0.1, 1.0, 4097))
 
 
 @pytest.mark.parametrize("profile, n_samples",
-                         [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds")],
+                         [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds"),
+                          pytest.param(LONG_GRID, 4096, id="4097-nodes")],
                          ids=lambda value: getattr(value, "family", value))
 def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
-    # the end values sum the interval terms of the kink grid alone, the path
-    # sweep runs them through its grid of n_samples intervals; both are exact
-    # to rounding at any omega0 h, so their final values agree to rounding
+    # the end values take the sums of the interval terms of the kink grid
+    # alone as Gram products, the path sweep runs the terms through its grid
+    # of n_samples intervals; both are exact to rounding at any omega0 h, so
+    # their final values agree to rounding
     branches = (Branch.CO, Branch.COUNTER)
     grids = _record_grids(monkeypatch)
-    ends = _sweep_ends(DIMENSIONAL, profile, branches)
+    ends = _branch_ends(DIMENSIONAL, profile, branches)
     assert grids == [len(profile.breakpoints()) + 1]
     paths = _sweep(DIMENSIONAL, profile, branches, n_samples)
     for (alpha, phase, square), ev in zip(ends, paths):
@@ -344,7 +367,7 @@ def test_end_values_keep_the_sweep_checks(natural, flat):
     with pytest.raises(InsufficientResolution):
         ringsagnac.decompose(natural, flat, n_samples=8)
     with pytest.raises(ConvergenceError):
-        _sweep_ends(TrapConfig(rotation=1e200), flat, (Branch.CO,))
+        _sweep_ends(TrapConfig(rotation=1e200), flat)
 
 
 @pytest.mark.parametrize("n_samples", [64, 4096])
@@ -377,7 +400,7 @@ def test_end_values_match_a_resolved_path_sweep(config, span, profile):
     branches = (Branch.CO, Branch.COUNTER)
     tol = 1e-12 + np.finfo(float).eps * span
     paths = _sweep(config, profile, branches, n_samples)
-    for (alpha, phase, square), ev in zip(_sweep_ends(config, profile, branches), paths):
+    for (alpha, phase, square), ev in zip(_branch_ends(config, profile, branches), paths):
         assert abs(alpha - ev.final_alpha) <= tol * max(1.0, abs(ev.final_alpha))
         assert abs(phase - ev.final_phase) <= tol * max(1.0, abs(ev.final_phase))
         assert abs(square - ev.abs2_integrals[-1]) <= tol * max(1.0, ev.abs2_integrals[-1])
@@ -388,12 +411,12 @@ def test_end_values_match_a_resolved_path_sweep(config, span, profile):
 @pytest.mark.parametrize("profile", FAMILY_CASES, ids=lambda profile: profile.family.value)
 def test_end_value_sweep_builds_one_table(monkeypatch, config, profile):
     # the kink grid is uniform, so one width table serves every interval;
-    # the affine families take it from the scalar kernel
+    # the affine families take it in closed form
     builds = _record_tables(monkeypatch)
-    _sweep_ends(config, profile, (Branch.CO, Branch.COUNTER))
+    _sweep_ends(config, profile)
     assert len(builds) == 1 and builds[0][0] == 1
     affine = profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED)
-    assert builds[0][2] == ("_affine_width_table" if affine else "_width_tables")
+    assert builds[0][2] == ("_affine_table" if affine else "_width_tables")
 
 
 @pytest.mark.parametrize("profile", [OFF_GRID, make_profile(ProfileFamily.COSINUSOIDAL, 7.3)],
@@ -412,32 +435,139 @@ def test_one_doubling_matches_the_plain_rule(profile):
         np.testing.assert_allclose(table, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
 
 
+def _as_vectors(tables, forms):
+    """_affine_table's complex [G, S] and [K, L] in _width_tables' one-width layout."""
+    vectors = np.array([tables[0].real, tables[0].imag, tables[1].real, tables[1].imag])
+    return vectors[..., None], forms[..., None]
+
+
 @pytest.mark.parametrize("config", [TrapConfig(), DIMENSIONAL], ids=["natural", "scaled"])
 @pytest.mark.parametrize("span", [1e-3, 0.7, 1.0, 1.9, 3.0, 37.0, 1e3, 1e5])
 @pytest.mark.parametrize("profile", [make_profile(ProfileFamily.FLAT, 7.3), OFF_GRID],
                          ids=["flat", "tabulated"])
 def test_affine_width_table_matches_the_array_tables(config, span, profile):
-    # the scalar kernel of the affine kink grid against the array builder,
-    # at omega0 h = span (0 to 17 doublings): the same rule and doublings
-    # summed in another order, so they agree to a few ulps of the largest
-    # entry without doubling, and to the end-value bound 1e-12 + eps nu h
-    # with it
+    # the closed-form table of the affine kink grid against the Gauss rule,
+    # at omega0 h = span (0 to 17 doublings of the rule): they agree to the
+    # rule's own error where it needs no doubling (1.1e-14 of the largest K
+    # and L entry at omega0 h = 1 against mpmath, where the closed form is
+    # within 6e-17), and to the end-value bound 1e-12 + eps nu h where it does
     w0 = config.trap_frequency
     h = span / w0
     doublings = _doublings(profile, w0, h)
     count, values = _kink_grid(profile)
     coef, basis, shift = _drive_basis(profile, np.zeros(count), values)
     reference = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
-    tol = 1e-15 if doublings == 0 else 1e-12 + np.finfo(float).eps * span
-    for exact, table in zip(reference, _affine_width_table(h, w0, doublings)):
+    tol = 2e-14 if doublings == 0 else 1e-12 + np.finfo(float).eps * span
+    for exact, table in zip(reference, _as_vectors(*_affine_table(h, w0 * h))):
         assert table.shape == exact.shape
         np.testing.assert_allclose(table, exact, rtol=0, atol=tol * np.abs(exact).max())
+
+
+# the eleven entries on [0, 1] (h = 1) at theta = omega0 h: the real and
+# imaginary parts of g0, g1, s0 and s1, then k00, k01, k10, k11, l00, l01 and
+# l11, from their closed forms evaluated by mpmath at 150 digits (checked
+# against direct mpmath quadrature of the defining integrals to 1e-31) and
+# rounded to the nearest double; the thetas straddle the series switch
+AFFINE_EXACT = {
+    1e-08: (
+        1.0, 5e-09, 0.5, 3.3333333333333334e-09, 0.5, 1.6666666666666667e-09,
+        0.16666666666666666, 8.333333333333334e-10, -1.6666666666666667e-09,
+        -4.166666666666667e-10, -1.25e-09, -3.333333333333333e-10, 0.3333333333333333, 0.125,
+        0.05,
+    ),
+    0.001: (
+        0.9999998333333416, 0.0004999999583333348, 0.4999998750000069, 0.0003333333000000012,
+        0.4999999583333347, 0.00016666665833333353, 0.16666664166666767, 8.333332777777793e-05,
+        -0.00016666665833333353, -4.1666665277777804e-05, -0.00012499999305555574,
+        -3.3333332142857164e-05, 0.33333331666666705, 0.12499999305555573, 0.04999999801587306,
+    ),
+    0.27: (
+        0.9878942099586339, 0.13418186531151663, 0.4909243384344982, 0.08934560589904926,
+        0.49696987152413563, 0.044836259412467376, 0.16484943143178474, 0.022390863294953475,
+        -0.044836259412467376, -0.011222698058756949, -0.03361356135371042,
+        -0.008976599464345014, 0.33212044009235087, 0.12449467168040897, 0.049855561999504285,
+    ),
+    1.0: (
+        0.8414709848078965, 0.4596976941318603, 0.3817732906760362, 0.3011686789397568,
+        0.4596976941318603, 0.1585290151921035, 0.1426396637476533, 0.07792440345582406,
+        -0.1585290151921035, -0.040302305868139716, -0.11822670932396377, -0.03216465439357655,
+        0.317058030384207, 0.11822670932396377, 0.04805400583802674,
+    ),
+    1.9999999999999998: (
+        0.45464871341284097, 0.7080734182735712, 0.10061200427605532, 0.4353977749799916,
+        0.35403670913678564, 0.2726756432935796, 0.08136106584320604, 0.12671235243036516,
+        -0.2726756432935796, -0.07298164543160719, -0.19969399786197237, -0.05781722292166876,
+        0.2726756432935796, 0.0998469989309862, 0.04265280041173032,
+    ),
+    2.0: (
+        0.45464871341284085, 0.7080734182735712, 0.10061200427605525, 0.4353977749799916,
+        0.3540367091367856, 0.2726756432935796, 0.08136106584320602, 0.12671235243036516,
+        -0.2726756432935796, -0.0729816454316072, -0.19969399786197237, -0.057817222921668764,
+        0.2726756432935796, 0.09984699893098618, 0.04265280041173032,
+    ),
+    2.0000000000000004: (
+        0.45464871341284063, 0.7080734182735713, 0.10061200427605511, 0.4353977749799916,
+        0.35403670913678553, 0.27267564329357963, 0.08136106584320599, 0.1267123524303652,
+        -0.27267564329357963, -0.07298164543160722, -0.1996939978619724, -0.05781722292166877,
+        0.2726756432935796, 0.09984699893098618, 0.04265280041173032,
+    ),
+    2.95: (
+        0.06455004995289053, 0.6717634586435437, -0.16316637670593784, 0.35466178066147275,
+        0.22771642665882835, 0.317101677982071, 0.012732238196407366, 0.1325026452083953,
+        -0.317101677982071, -0.09229951638683784, -0.22480216159523314, -0.07224033929007304,
+        0.214984188462421, 0.0762041225746553, 0.035377059114107275,
+    ),
+    10.0: (
+        -0.05440211108893698, 0.18390715290764525, -0.07279282637970151, 0.07846694179875155,
+        0.018390715290764525, 0.10544021110889369, -0.0026973269310142153, 0.009118354167046603,
+        -0.10544021110889369, -0.04816092847092355, -0.05727928263797015, -0.03254866391534582,
+        0.02108804222177874, 0.005727928263797015, 0.003387279871953618,
+    ),
+    1000.0: (
+        0.0008268795405320026, 0.000437620923709297, 0.0008264419196082933,
+        -0.0005615521967501709, 4.37620923709297e-07, 0.000999173120459468,
+        -1.560725317209639e-06, -8.260042986845839e-07, -0.000999173120459468,
+        -0.0004999995623790762, -0.0004991735580803917, -0.0003333338948855301,
+        1.998346240918936e-06, 4.991735580803917e-07, 3.3333645478396774e-07,
+    ),
+    100000000.0: (
+        9.31639027109726e-09, 1.3633850893556905e-08, 9.31639013475875e-09,
+        3.633850986720808e-09, 1.3633850893556906e-16, 9.999999906836097e-09,
+        -6.366148920115289e-17, -9.316389998420243e-17, -9.999999906836097e-09,
+        -4.9999999999999985e-09, -4.999999906836099e-09, -3.333333333333333e-09,
+        1.9999999813672195e-16, 4.999999906836099e-17, 3.333333333333335e-17,
+    ),
+    1000000000000000.0: (
+        8.582727931702359e-16, 1.5131937377869702e-15, 8.582727931702343e-16,
+        5.131937377869711e-16, 1.5131937377869702e-30, 9.99999999999999e-16,
+        -4.86806262213028e-31, -8.582727931702328e-31, -9.99999999999999e-16, -5e-16,
+        -4.999999999999992e-16, -3.333333333333333e-16, 1.9999999999999984e-30,
+        4.999999999999992e-31, 3.3333333333333333e-31,
+    ),
+}
+
+
+def test_affine_table_matches_the_exact_entries():
+    # each group (g, s, k, l) within 1e-15 of its largest entry, on both sides
+    # of the switch and up to theta = 1e15, where the doubled rule was 1e-13
+    # off and s1 off by 16 ulps of s0
+    assert set(AFFINE_EXACT) >= {math.nextafter(_AFFINE_SWITCH, 0.0), _AFFINE_SWITCH,
+                                 math.nextafter(_AFFINE_SWITCH, 3.0)}
+    for theta, exact in AFFINE_EXACT.items():
+        tables, forms = _affine_table(1.0, theta)
+        got = [*np.stack([tables.real, tables.imag], axis=-1).ravel(), *forms[0].ravel(),
+               forms[1, 0, 0], forms[1, 0, 1], forms[1, 1, 1]]
+        assert forms[1, 1, 0] == forms[1, 0, 1]
+        for group in (slice(0, 4), slice(4, 8), slice(8, 12), slice(12, 15)):
+            scale = np.abs(exact[group]).max()
+            np.testing.assert_allclose(got[group], exact[group], rtol=0, atol=1e-15 * scale,
+                                       err_msg=f"theta = {theta!r}")
 
 
 @pytest.mark.parametrize("sweep", [
     pytest.param(lambda config, profile: sample_trajectory(config, profile, Branch.CO, 4096),
                  id="sample_trajectory"),
-    pytest.param(lambda config, profile: _sweep_ends(config, profile, (Branch.CO,)),
+    pytest.param(lambda config, profile: _sweep_ends(config, profile),
                  id="_sweep_ends"),
 ])
 @pytest.mark.parametrize("duration", [1e300, 2.0**53 * 4096 * 1.01])
@@ -480,6 +610,14 @@ def test_sample_count_above_the_ceiling_is_a_configuration_error(monkeypatch, fl
     with pytest.raises(ConfigurationError, match=f"at most {limit}"):
         sweep(TrapConfig(), flat, limit + 1)
     assert grids == []
+
+
+def test_gauss_constants_are_the_mapped_legendre_rule():
+    # the rule's nodes and weights are written out; they must keep the bits
+    # of leggauss(6) mapped to [0, 1], which the path sweep's tables rest on
+    x, w = np.polynomial.legendre.leggauss(6)
+    assert ringsagnac.evolution._GL_X.tobytes() == ((x + 1) / 2).tobytes()
+    assert ringsagnac.evolution._GL_W.tobytes() == (w / 2).tobytes()
 
 
 def test_width_tables_in_blocks_equal_one_block(monkeypatch):

@@ -1,5 +1,9 @@
 """Dynamic/geometric phase split, path areas, and scheme classification."""
 
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +11,8 @@ from scipy.integrate import quad
 from ringsagnac import (
     Branch,
     BranchEvolution,
+    ConfigurationError,
+    ConvergenceError,
     DegeneratePath,
     InsufficientResolution,
     KappaUndefined,
@@ -222,8 +228,9 @@ def test_path_check_keeps_its_absolute_bound_at_moderate_phases(monkeypatch, con
 
 def test_unresolved_sweep_names_the_knob_that_resolves_it(monkeypatch):
     # omega0 T = 2 pi 1e4: the kink grid of three intervals has omega0 h =
-    # 2.1e4, which its width table reaches in 15 doublings, and decomposes to
-    # rounding; a gap forced past the tolerance is refused with both numbers
+    # 2.1e4, where its closed-form width table is exact to rounding, and
+    # decomposes to rounding; a gap forced past the tolerance is refused with
+    # omega0 h and how the table was built
     config = TrapConfig(trap_frequency=1e4)
     profile = make_profile(ProfileFamily.TABULATED, 2 * np.pi, samples=[0.3, 1.0, 0.6, 0.2])
     dec = decompose(config, profile)
@@ -233,20 +240,21 @@ def test_unresolved_sweep_names_the_knob_that_resolves_it(monkeypatch):
     with pytest.raises(InsufficientResolution) as raised:
         decompose(config, profile)
     message = str(raised.value)
-    assert "omega0 h = 2.094e+04" in message and "15 doublings" in message
+    assert "omega0 h = 2.094e+04" in message and "width table is in closed form" in message
     assert "n_samples" not in message
 
 
 @pytest.mark.parametrize("forced, refused", [(2e-9, False), (5e-8, True)])
 def test_a_label_inside_the_route_spread_is_refused(monkeypatch, forced, refused):
-    # the flat scheme has dgd = 0; an error forced into the co branch's path
-    # dynamic phase shows as the gap between dgd and phi_I - dgg_spectral,
-    # and where that gap reaches the 1e-8 threshold it is unclear whether
-    # dgd vanishes, so the scheme class is refused rather than given
+    # the flat scheme has dgd = 0; an error forced into the path dgd (the
+    # third call, on the odd parts, after the two branches' dynamic phases)
+    # shows as the gap between dgd and phi_I - dgg_spectral, and where that
+    # gap reaches the 1e-8 threshold it is unclear whether dgd vanishes, so
+    # the scheme class is refused rather than given
     config = TrapConfig()
     profile = make_profile(ProfileFamily.FLAT, 2 * np.pi)
     exact = geometry._swept_dynamic_phase
-    offsets = iter((forced, 0.0))
+    offsets = iter((0.0, 0.0, forced / 2))
     monkeypatch.setattr(geometry, "_swept_dynamic_phase",
                         lambda *args: exact(*args) + next(offsets))
     if not refused:
@@ -279,3 +287,120 @@ def test_end_value_routes_are_unchanged_above_the_sized_grid(config, profile):
     counts = (16, 64, 2048, 4096, 2**20)
     decompositions = {repr(decompose(config, profile, n_samples=n)) for n in counts}
     assert len(decompositions) == 1
+
+
+_EXTREMES = (0.0, 5e-324, 1e-300, 1e-154, 1.0, 1e154, 1e300)
+
+
+def _extreme_inputs(count: int, seed: int):
+    """Seeded (family, T, omega0, r, hbar, Omega, samples) vectors for decompose.
+
+    Each number is drawn from _EXTREMES, from random magnitudes 10^U(-300, 300)
+    or 10^U(-3, 3), and is negated one time in ten (Omega one time in two).
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        pick = rng.random()
+        if pick < 0.4:
+            value = _EXTREMES[rng.integers(len(_EXTREMES))]
+        else:
+            value = float(10.0 ** rng.uniform(*((-300, 300) if pick < 0.7 else (-3, 3))))
+        return -value if rng.random() < 0.1 else value
+
+    families = ("tabulated", "flat", "sinusoidal", "cosinusoidal")
+    for _ in range(count):
+        family = families[rng.integers(len(families))]
+        samples = (rng.uniform(0.0, 1.0, rng.integers(2, 12)).tolist()
+                   if family == "tabulated" else None)
+        duration, w0, radius, hbar, rotation = (draw() for _ in range(5))
+        yield (family, duration, w0, radius, hbar,
+               rotation if rng.random() < 0.5 else -rotation, samples)
+
+
+# the outcome of each of the 3000 vectors of _extreme_inputs(3000, 32) at the
+# commit before the closed-form end values: F finite fields, C a
+# ConfigurationError, I InsufficientResolution, V another ConvergenceError
+_EXTREME_OUTCOMES = (
+    "CCIICICCCCCCCCFCFCIICCIICCCCCCCCFCCCCFCCCCFCCCCCVCCCCCCCFCCFFCCCFICCFIFCVCCCCCCC"
+    "ICCCFCVCCICCCCCFCICCICICCCIFFCICCFCFCCCCFCVCICCCICICCVCCCCCCCFCFFICCCCCVCICICCIC"
+    "CCCCCCCVCCCCCICCCCCVFCCCCIFCCFCFCCICCCCCCCCCICCCCCCIVCCCCFCCICCFCVCICVCCCFCICFFC"
+    "CCCCCFCCVICFIFICCCFICCCICCICICFCCFFIFICCFCCCCCFFCICCCCFCICICCIVCCCCCCCFFCFCCIFCI"
+    "FCVCCCFCCCICCCCFCCCCCCFCCFCCIVFCFFFCCCCCCCVICICCCCCVCCCCCCCCFCICCICCCCICCCIFCCVI"
+    "CFCVCCIICCCCFCICCCCCCCCCFCCCFCCCCFCCFCCCCCCFCFCFFCFCCCCCCIIFIICIVFFCIICFCCCCCIFC"
+    "CCCCFCCFCCICICCCCCFFIFCCCCFCFIFCFFCICFCCCCFFIFCCCIFFCCFCCCCFICICCFCCCCCCCCCICFFC"
+    "VVCCICCCCCFCCCCCVFICCCCFCFCCCCIFCCCCFCCCCCCIICCCFCICCCCCCICCICCCCFCCCFVFVCVCFCII"
+    "IFFICCCCFCCFCCCFFICCCCCVFCCCCICCCCVCCFCCCCIICCCCFCFCCCCVCICCCCFFCFCFCVIFFCCFFCCC"
+    "CICCCCCCCCICVCCICCCCCCCCCCCCCCFCCIIICCCCCCICFCCCCCCFCCCCICCCCCFCCICCCFCCCCCFFCIC"
+    "CFCCIVCCCCFCCFCVCCCCIFICVCCVCFICCCCCCCCCCCCFVFFICCCCVCFCCICCCCCCCCFIFCCCFVCCCIFC"
+    "FIFCCCCFCCIICFIFCCCCICVCIFIIIIICFCCCCFFCCCCCIFCFCFFCCCCCCICFCCCCCCCFCCFVCICFICCC"
+    "CCCCCCCFCICFCCCFCFCCCFCCCCCCICICCCCCCCCCCCICIIFCCCICVCCIFCCCCCCCCCFCFCCCCFVCCCCI"
+    "CCFCCCFCCVCCCCICCCCCCCCCICFCCCCVCCFCCCCCCCCIFCCCFCCCCCCCCCFVCCVIFCCCCFCVFFFCICCC"
+    "CCCCCFCCFCCFVCICIFCCCCCCCCCCCCCCCCCCCCVCCCCIIFCCCCCCFCCCCCCCCCVICFVCCFCCCCCFICIC"
+    "CCCCCCFCCCCFCCCCCICCCCFCCCCCCIVCCCCCCCCCCICCCCCICFCCCCCCCCCFFCFCFCCCCFCCICFICCVC"
+    "CCFCFCCCCCCCCCCFFCFCCCCIICVCCCCCCICFVFCCCCCFCFCCCCIFCCFICCCCCFVCCCFCIICFCCFFCCIV"
+    "CCCCCCICCCCFCICCCCFCICCCCFCCICCCCCCFCCICCCCCCCCCCFCCCCCCCCCFCCCCCCVCCCCCCCCCCCCC"
+    "CCCFCFFICCIICFFIVIFCFCCCCCCICCCVCICCCFCFICCICCCFCFCCCVCCCFICCCFCCFCCFFFCICCCIIIC"
+    "CCVFCCCCVFCCCCCCFCICFCICCCCCCCCCICCCCCCCCFCFVCCCCFCCCCCFCCCCCCVCICCFFFFCCCCCCCCF"
+    "CCCCFCCCFIICCCCICCCCCCCCCCCCCVCFCCCCCCCCIFCCFCCCICCCCCCICCCCCCCCCFCCCIVFCFCCCCFC"
+    "CCCICIFCICCCCCICVICICCCIFFCCCCCFCCFCFICCICIFCCCVCCFCCCCCFCCCCIFFCCCCCFCFCCCFCCCC"
+    "FCCCCCCCICCCCFCCCCFCCCCCFCFCCCCCFCCCCICVICCCCCCCIICICCCFCCCCICCCCCCCCFCFCCCCCVCC"
+    "VCCCCCFFCCCIFCCCCCICICCCCFCFCCCCCCCCICVVCICICFCFVCCCCCICFCCCCCCFCCCCCVCCCICFFCCC"
+    "CVFCCCCCCVCCICCCCCCFCCCCFCFICCCCIICCCCCCCFCFCCVFCCCCFICCCCCICCCICCICCCCCFFCCCCIC"
+    "CIICVCIFCCICCCIVFICCCCCCCCIICFCCCCICCCICCFCCIFFCCCCCCCCCFCFCFCCCFCCCFCCCCICCCFFC"
+    "CFICCFCVFCVCCCCCCCCCCCCCCCCFCFCFFCCFCCCCCFIFCCCCFCICCVFCCCFCCCCCCCCFCCCICCCCCFIC"
+    "CCCCVCCCCCCFCCCCCCIFFCCCIVCCCCCCCCCVFIFCCFCCCCCCCIFVFCCCICCCCCFCCCCICCCFVCCCFCCC"
+    "CFCCCCFCCFFCCCCCCICCICCICCCCCICCCCVCICFCICCFCICFCCCICCCCCCIVFFCICCIFFCFCCICFCCFC"
+    "CCCCCCFCCCCFVICCCICCIICCICCCCCVFCCCCCVCCCICCCCCCCICCCCFCCCFCCCCICFICCCCCCICCCCCC"
+    "CCCCCCFCFICCCFFCCICFCCCCICCVCCCVCFCFCCCCCCCVCCCICICCCCCCICVICCCCCCCCFCCCCCCFCCCI"
+    "CCCCCICCCCIFCCIICCVCVCCCCCCCFICCIFCCCVCCCCCFICCCCCCCFCCCVCICCICICFCCCCVCCCVCCFCI"
+    "ICFCCCFCVCCCCCCICCCCFFCCCCICCCCCCCIICCCCCCCCFCCCFCCCCCICCCIVCCCCCFCCIFCCICCCCCCC"
+    "CCCFFFCCCCCFCICCICCCCFCCCCCFFCFCCICCCCCVCIFCCVCCIFICCVCCCFCCCICCCICFCFCCFCCCCCCF"
+    "CCCCIVCCCCCVCCCVFCIFCIFCFIVCCCICCCFFCVVCCCCCCFFCFCCCFCCCICCCCCCCCIFCCCCCCCICICFC"
+    "IFCFCFICFCICCCICCCVCCFCCCCFCCFCCCCCCCFFCFCICICFCCICCFCCCCCCCCCCCCCVVFCCCCIFCCCFC"
+    "FVFCCCCIIICCIFIIFIFFCFICCFCCCCVCICVFFCFCCFFCCVIFFCFICCCCCCVCCCCCCCCCCICCCCCCCFCC"
+    "CVCCCCCICFVCCCICCCCCCCCFCCCCCVFICFCICCFC"
+)
+
+# the vectors whose drive underflows to 0 with a subnormal hbar and whose
+# tables stay finite (see below)
+_ZERO_DRIVE_MENDED = {1629, 1879, 1921, 2332, 2735}
+
+
+def test_extreme_inputs_keep_their_outcome():
+    # every vector gives finite fields or one of the three refusals, with no
+    # other exception and no RuntimeWarning, and keeps its outcome class.  The
+    # one change: where m hbar omega0 underflows with a subnormal hbar, the
+    # drive is 0 and so are the end values, which the earlier sweep turned
+    # into NaN (numpy's complex division by hbar forms 1/hbar = inf) and
+    # refused as an overflow; they are now the finite zeros
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family, duration, w0, radius, hbar, rotation, samples in _extreme_inputs(3000, 32):
+            config = None
+            try:
+                config = TrapConfig(hbar=hbar, trap_frequency=w0, radius=radius,
+                                    rotation=rotation)
+                dec = decompose(config, make_profile(family, duration, samples))
+            except InsufficientResolution:
+                outcomes.append(("I", config))
+            except ConvergenceError:
+                outcomes.append(("V", config))
+            except ConfigurationError:
+                outcomes.append(("C", config))
+            else:
+                fields = [dec.phase, dec.delta_dynamic, dec.delta_geometric,
+                          dec.delta_geometric_path, dec.xi, dec.xi0, *dec.gamma_dynamic,
+                          *dec.gamma_geometric, dec.residual_angle]
+                assert all(math.isfinite(value) for value in fields), (family, config)
+                assert dec.kappa is None or math.isfinite(dec.kappa)
+                outcomes.append(("F", config))
+    expected = "".join(_EXTREME_OUTCOMES)
+    assert len(outcomes) == len(expected)
+    for index, ((got, config), before) in enumerate(zip(outcomes, expected)):
+        if index in _ZERO_DRIVE_MENDED:
+            assert before == "V" and config.drive_scale == 0.0
+            assert config.hbar < sys.float_info.min
+            before = "F"
+        assert got == before, f"vector {index}: {got}, was {before}"

@@ -228,15 +228,26 @@ def test_readout_memo_stores_no_exception(natural, monkeypatch):
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Record the branches of every pass of the stage both sweep consumers share."""
+    """Record the branches of every pass of the two sweep stages.
+
+    The path sweep runs _interval_terms on the branches it is given; the
+    end values take one pass of _gram_ends, whose parts serve both
+    branches at once.
+    """
     calls = []
-    stage = ringsagnac.evolution._interval_terms
+    paths = ringsagnac.evolution._interval_terms
+    ends = ringsagnac.evolution._gram_ends
 
-    def counted(config, branches, *terms):
+    def counted_paths(config, branches, *terms):
         calls.append(tuple(branches))
-        return stage(config, branches, *terms)
+        return paths(config, branches, *terms)
 
-    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted)
+    def counted_ends(*terms):
+        calls.append((Branch.CO, Branch.COUNTER))
+        return ends(*terms)
+
+    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted_paths)
+    monkeypatch.setattr(ringsagnac.evolution, "_gram_ends", counted_ends)
     return calls
 
 

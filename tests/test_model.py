@@ -16,6 +16,7 @@ from ringsagnac import (
     make_profile,
     zero_profile,
 )
+from ringsagnac.design import design_time
 
 
 def test_natural_defaults(natural):
@@ -216,3 +217,31 @@ def test_lambda_drive_outside_window_is_pure_rotation(natural):
     profile = make_profile(ProfileFamily.SINUSOIDAL, 2.0)
     lam = lambda_drive(natural, profile, Branch.CO, 5.0)
     assert lam == pytest.approx(natural.drive_scale * natural.rotation, rel=1e-15)
+
+
+DESIGN_SCHEMES = [("flat", 1), ("flat", 2), ("flat", 3), ("sinusoidal", 0), ("sinusoidal", 1),
+                  ("cosinusoidal", 2), ("cosinusoidal", 3), ("cosinusoidal", 4)]
+
+
+@pytest.mark.parametrize("family, index", DESIGN_SCHEMES)
+@pytest.mark.parametrize("config", [
+    TrapConfig(),
+    TrapConfig(mass=1.3, hbar=0.7, trap_frequency=1.7, radius=0.9, rotation=0.05),
+    TrapConfig(mass=86.909 * 1.66053906660e-27, hbar=1.054571817e-34,
+               trap_frequency=2 * np.pi * 1e3, radius=1e-4, rotation=7.292e-5),
+], ids=["natural", "scaled", "si"])
+def test_drive_scale_is_a_python_float(config, family, index):
+    # scalar code reading it runs on Python floats; the value is the same
+    # bits as the numpy form it replaced
+    spec = design_time(family, config, index)
+    assert type(spec.config.drive_scale) is float
+    assert spec.config.drive_scale == (np.sqrt(config.mass * config.hbar
+                                               * config.trap_frequency / 2) * config.radius)
+
+
+def test_tabulated_samples_are_python_floats():
+    raw = np.random.default_rng(17).uniform(0.1, 1.0, 9)
+    profile = make_profile(ProfileFamily.TABULATED, 6.1, samples=raw)
+    assert all(type(value) is float for value in profile.samples)
+    # the same bits as the numpy products raw * factor
+    assert profile.samples == tuple(raw * profile.rescale_factor)
