@@ -41,30 +41,17 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .design import design_time, find_zero_time
+# each handler imports the library modules it runs, so a command loads only
+# those, and numpy only where arrays are built
 from .errors import ConfigurationError, ConvergenceError
-from .fock import coherence_fock
-from .geometry import decompose
-from .interferometer import readout, sagnac_phase
-from .model import (
-    Branch,
-    ProfileFamily,
-    SweepProfile,
-    TrapConfig,
-    eval_profile,
-    make_profile,
-)
-from .evolution import _sweep
-from .sensitivity import sensitivity_report
-from .spectrum import spectrum_closed_form
+from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, make_profile
 
 _VERIFY_TOL = 1e-4
 # argparse takes a dash-led token for an option unless it matches its own
@@ -255,14 +242,20 @@ def _build_config(given: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _is_bool(value) -> bool:
+    # a numpy bool is no numbers.Integral, and can exist only once numpy is loaded
+    numpy = sys.modules.get("numpy")
+    return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
+
+
 def _cell(value, missing: str = "nan") -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if _is_bool(value):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     if value is None:
         return missing
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return format(float(value), ".17g")
     return str(value)
 
@@ -274,11 +267,11 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
         return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    if isinstance(value, (bool, np.bool_)):
+    if _is_bool(value):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         value = float(value)
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -322,7 +315,8 @@ def _table_text(header, columns, fmt: str) -> str:
     missing = "nan" if fmt == "machine" else "null"
     specs, values = [], []
     for column in columns:
-        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        dtype = getattr(column, "dtype", None)  # a numpy array's
+        floats = dtype is not None and dtype.kind == "f"
         specs.append("%.17g" if floats else "%s")
         values.append(column.tolist() if floats else [_cell(item, missing) for item in column])
     if fmt == "machine":
@@ -340,7 +334,8 @@ def _table_text(header, columns, fmt: str) -> str:
 # single-point evaluators (shared by plain runs and sweeps)
 
 def _eval_spectrum(rc: RunConfig) -> dict:
-    from .oracle import spectrum_derivative, spectrum_numeric  # keeps the import numpy-only
+    from .oracle import spectrum_derivative, spectrum_numeric
+    from .spectrum import spectrum_closed_form
 
     omega = rc.trap.trap_frequency if rc.omega is None else rc.omega
     profile = rc.profile
@@ -358,6 +353,8 @@ def _eval_spectrum(rc: RunConfig) -> dict:
 
 
 def _eval_simulate(rc: RunConfig) -> dict:
+    from .interferometer import readout
+
     result = readout(rc.trap, rc.profile)
     names = ("contrast", "delta_alpha", "phase", "principal_arg", "sagnac", "sigma_y", "sigma_z")
     return {name: getattr(result, name) for name in names}
@@ -373,10 +370,14 @@ def _field_record(result) -> dict:
 
 
 def _eval_decompose(rc: RunConfig) -> dict:
+    from .geometry import decompose
+
     return _field_record(decompose(rc.trap, rc.profile, n_samples=rc.n_samples))
 
 
 def _eval_sensitivity(rc: RunConfig) -> dict:
+    from .sensitivity import sensitivity_report
+
     return _field_record(sensitivity_report(rc.trap, rc.profile))
 
 
@@ -404,7 +405,19 @@ def _parse_sweep(text: str):
         raise ConfigurationError(f"sweep needs at least one point, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigurationError(f"sweep endpoints must be finite, got {text!r}")
-    return key, np.linspace(start, stop, count)
+    # numpy.linspace(start, stop, count) in Python floats, bit for bit: the
+    # same products, numpy's quotient form where the step underflows to 0,
+    # and the last point set to stop
+    delta = stop - start
+    if count == 1:
+        return key, [0.0 * delta + start]
+    step = delta / (count - 1)
+    if step == 0:
+        points = [i / (count - 1) * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return key, points
 
 
 def _flatten(record: dict) -> dict:
@@ -427,8 +440,7 @@ def _run_sweep(rc: RunConfig, command: str, sweep_spec: str, fmt: str) -> str:
     # each point is resolved from the given values the way a single run is,
     # so a tabulated profile is rescaled from its given samples, not from
     # the already rescaled ones
-    records = [_flatten(evaluator(_build_config({**rc.given, key: float(value)})))
-               for value in values]
+    records = [_flatten(evaluator(_build_config({**rc.given, key: value}))) for value in values]
     header = [key] + [name for name in records[0] if name != key]
     columns = [values, *([record[name] for record in records] for name in header[1:])]
     return _table_text(header, columns, fmt)
@@ -445,6 +457,8 @@ def _cmd_point(rc: RunConfig, args) -> tuple[str, int]:
 
 def _paths(rc: RunConfig, profile: SweepProfile):
     """Both branch paths on one grid, and columns t, re/im alpha0, re/im alpha1."""
+    from .evolution import _sweep
+
     co, counter = _sweep(rc.trap, profile, (Branch.CO, Branch.COUNTER), rc.n_samples)
     columns = [co.times, co.alphas.real, co.alphas.imag,
                counter.alphas.real, counter.alphas.imag]
@@ -468,6 +482,9 @@ def _cmd_trajectory(rc: RunConfig, args) -> tuple[str, int]:
 
 
 def _cmd_design(rc: RunConfig, args) -> tuple[str, int]:
+    from .design import design_time, find_zero_time
+    from .interferometer import readout
+
     family = rc.profile.family
     if rc.bracket is not None:
         zero_time = find_zero_time(rc.profile, rc.trap, rc.bracket)
@@ -502,6 +519,12 @@ _VERIFY_SCHEMES = (
 
 
 def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
+    import numpy as np
+
+    from .design import design_time
+    from .fock import coherence_fock
+    from .interferometer import readout
+
     header = ["scheme", "duration", "contrast_closed", "contrast_fock",
               "arg_closed", "arg_fock", "discrepancy", "status"]
     rows = []
@@ -530,6 +553,8 @@ def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
     if rc.panel is None:
         raise ConfigurationError("fig2 needs --panel (one of a-f)")
+    import numpy as np
+
     family = ProfileFamily.SINUSOIDAL if rc.panel in "abc" else ProfileFamily.FLAT
     profile = make_profile(family, rc.profile.duration)
     T = profile.duration
@@ -542,6 +567,8 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
         rates = eval_profile(profile, times)
         return _table_text(header, [times, times / T, rates, rates * scale], rc.format), 0
     if rc.panel in ("b", "e"):
+        from .spectrum import spectrum_closed_form
+
         # frequency axis in units of 2 pi / T
         header = ["freq_scaled", "omega", "re_spectrum", "im_spectrum"]
         scaled = np.linspace(0.0, 4.0, rc.points)
@@ -554,6 +581,9 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
                   "re_mirror1", "im_mirror1"]
         columns = _paths(rc, profile)[2]
         return _table_text(header, [*columns, -columns[3], -columns[4]], "machine"), 0
+    from .geometry import decompose
+    from .interferometer import sagnac_phase
+
     dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
     record = {
         "area_measure": dec.delta_geometric_path / 2,

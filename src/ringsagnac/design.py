@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, UnsupportedFamily
-from .geometry import _SPECTRUM_ZERO_TOL, PhaseDecomposition, decompose
 from .interferometer import readout
 from .model import ProfileFamily, SweepProfile, TrapConfig, make_profile
 from .sensitivity import _integer_periods
 from .spectrum import spectrum_closed_form
+
+if TYPE_CHECKING:
+    from .geometry import PhaseDecomposition
 
 __all__ = ["SchemeSpec", "design_time", "find_zero_time"]
 
@@ -50,6 +51,9 @@ class SchemeSpec:
 
 
 def _verified_scheme(family, config, duration, index) -> SchemeSpec:
+    # imported here, so that an index refused by design_time loads no numpy
+    from .geometry import _SPECTRUM_ZERO_TOL, decompose
+
     profile = make_profile(family, duration)
     result = readout(config, profile)
     spectrum_zero = bool(abs(result.spectrum.value) <= _SPECTRUM_ZERO_TOL)
@@ -75,22 +79,22 @@ def design_time(family, config: TrapConfig, index: int) -> SchemeSpec:
     if family is ProfileFamily.FLAT:
         if index < 1:
             raise InvalidIndex(f"flat scheme index starts at 1, got {index}")
-        duration = 2 * index * np.pi / w0
+        duration = 2 * index * math.pi / w0
     elif family is ProfileFamily.SINUSOIDAL:
         if index < 0:
             raise InvalidIndex(f"sinusoidal scheme index starts at 0, got {index}")
-        duration = 2 * (2 * index + 1) * np.pi / w0
+        duration = 2 * (2 * index + 1) * math.pi / w0
     elif family is ProfileFamily.COSINUSOIDAL:
         if index == 1:
             # the would-be first harmonic: spectrum limit is finite, not zero
-            limit = float(spectrum_closed_form(family, 2 * np.pi / w0, w0).value.real)
+            limit = float(spectrum_closed_form(family, 2 * math.pi / w0, w0).value.real)
             raise InvalidIndex(
                 f"cosinusoidal index 1 rejected: spectrum limit {limit:.17g} is nonzero",
                 limit_value=limit,
             )
         if index < 2:
             raise InvalidIndex(f"cosinusoidal scheme index starts at 2, got {index}")
-        duration = 2 * index * np.pi / w0
+        duration = 2 * index * math.pi / w0
     else:
         raise UnsupportedFamily("design rules exist only for the analytic families")
     return _verified_scheme(family, config, duration, index)
@@ -186,6 +190,8 @@ def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise ConfigurationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    import numpy as np
+
     w0 = config.trap_frequency
 
     def objective(duration: float) -> float:
@@ -197,7 +203,7 @@ def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     best = int(np.argmin(values))
     lo_ref = grid[max(best - 1, 0)]
     hi_ref = grid[min(best + 1, _SCAN_POINTS - 1)]
-    x, fx = _bounded_brent(objective, lo_ref, hi_ref, 1e-10 * 2 * np.pi / w0, 400)
+    x, fx = _bounded_brent(objective, lo_ref, hi_ref, 1e-10 * 2 * math.pi / w0, 400)
     if not fx <= _OBJECTIVE_FLOOR:
         raise NoZeroInBracket(
             f"best |W(omega0)|^2 in bracket is {fx:.3e}, above {_OBJECTIVE_FLOOR:.1e}"

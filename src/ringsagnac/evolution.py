@@ -448,7 +448,15 @@ def _sweep(
     np.cumsum(d_abs2, axis=-1, out=runs[1, :, 1:])
 
     idx = np.searchsorted(edges, ts)
-    alphas = -y[:, idx] / hbar
+    # alpha = -Y / hbar, divided part by part: numpy's complex division
+    # multiplies by 1/hbar, which is inf at a subnormal hbar and turns zero
+    # paths into NaN.  The cross terms with the zero ratio of its (Smith's)
+    # formula keep the quotient's signed zeros, so at hbar = 1 the bits are
+    # those of the complex division
+    neg = -y[:, idx]
+    alphas = np.empty_like(neg)
+    np.divide(neg.real + neg.imag * 0.0, hbar, out=alphas.real)
+    np.divide(neg.imag - neg.real * 0.0, hbar, out=alphas.imag)
     lam_ts = config.drive_scale * (config.rotation + _signs(branches) * values[idx])
     alpha_dots = -1j * w0 * alphas - lam_ts / hbar
     # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow

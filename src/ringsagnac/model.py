@@ -18,8 +18,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import NegativeSample, NonPositiveDuration, ZeroProfile, ConfigurationError
 
 __all__ = [
@@ -35,7 +33,7 @@ __all__ = [
     "zero_profile",
 ]
 
-SWEEP_TOTAL_ANGLE = np.pi
+SWEEP_TOTAL_ANGLE = math.pi
 
 
 class Branch(Enum):
@@ -74,21 +72,21 @@ class TrapConfig:
     def __post_init__(self):
         for name in ("mass", "hbar", "trap_frequency", "radius", "rotation"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
             if name != "rotation" and not value > 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
-        # derived scales the readout builds; a float r**2 raises OverflowError
-        with np.errstate(over="ignore", invalid="ignore"):
-            r2 = self.radius * self.radius
-            scales = {
-                "2 pi m r^2 / hbar": 2 * np.pi * self.mass * r2 / self.hbar,
-                "the Sagnac phase": 2 * np.pi * self.mass * r2 * self.rotation / self.hbar,
-                "m omega0 / hbar": self.mass * self.trap_frequency / self.hbar,
-                "drive_scale": self.drive_scale,
-            }
+        # derived scales the readout builds; float products overflow to inf
+        # without raising, while a float r**2 raises OverflowError
+        r2 = self.radius * self.radius
+        scales = {
+            "2 pi m r^2 / hbar": 2 * math.pi * self.mass * r2 / self.hbar,
+            "the Sagnac phase": 2 * math.pi * self.mass * r2 * self.rotation / self.hbar,
+            "m omega0 / hbar": self.mass * self.trap_frequency / self.hbar,
+            "drive_scale": self.drive_scale,
+        }
         for name, value in scales.items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigurationError(f"{name} is not finite for these trap parameters")
 
     @property
@@ -113,7 +111,9 @@ class SweepProfile:
     rescale_factor: float = 1.0
 
     @property
-    def grid(self) -> np.ndarray:
+    def grid(self):
+        import numpy as np
+
         if self.samples is None:
             raise ConfigurationError("analytic profiles have no sample grid")
         return np.linspace(0.0, self.duration, len(self.samples))
@@ -158,7 +158,7 @@ def _check_count(name: str, value):
 def _check_duration(duration):
     if not duration > 0:
         raise NonPositiveDuration(f"duration must be positive, got {duration}")
-    if not np.isfinite(duration):
+    if not math.isfinite(duration):
         raise ConfigurationError(f"duration must be finite, got {duration}")
 
 
@@ -174,6 +174,8 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     _check_duration(duration)
     if family is not ProfileFamily.TABULATED:
         return SweepProfile(family, float(duration))
+
+    import numpy as np
 
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -214,6 +216,8 @@ def flat_rate(duration: float) -> float:
 
 def eval_profile(profile: SweepProfile, t):
     """omega_P(t); zero outside [0, T].  Accepts scalars or arrays."""
+    import numpy as np
+
     t_arr = np.asarray(t, dtype=float)
     T = profile.duration
     inside = (t_arr >= 0.0) & (t_arr <= T)

@@ -57,14 +57,12 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import ConfigurationError, UnsupportedFamily
 from .model import ProfileFamily, SpectrumValue, SweepProfile
 
 __all__ = ["spectrum_closed_form"]
 
-HALF_PI_SQRT = np.sqrt(np.pi / 2)
+HALF_PI_SQRT = math.sqrt(math.pi / 2)
 
 # Width of the window around u = 2 pi in which the factored forms are used.
 # They are algebraically identical to the raw quotients, so the switch
@@ -79,9 +77,15 @@ _SERIES_SWITCH = 0.5
 _SERIES_TERMS = 8
 
 
+def _sinc(x: float) -> float:
+    # numpy's sinc: sin(pi x) / (pi x), with 1e-20 in place of x = 0
+    y = math.pi * (x if x != 0 else 1.0e-20)
+    return math.sin(y) / y
+
+
 def _closed_flat(u: float) -> complex:
-    re = HALF_PI_SQRT * np.sinc(u / np.pi)
-    im = 0.0 if u == 0.0 else -HALF_PI_SQRT * 2 * np.sin(u / 2) ** 2 / u
+    re = HALF_PI_SQRT * _sinc(u / math.pi)
+    im = 0.0 if u == 0.0 else -HALF_PI_SQRT * 2 * math.sin(u / 2) ** 2 / u
     return re + 1j * im
 
 
@@ -92,35 +96,35 @@ def _one_minus_square(r: float) -> float:
 
 
 def _closed_sinusoidal(u: float) -> complex:
-    if abs(u - 2 * np.pi) < _FACTORED_WINDOW:
+    if abs(u - 2 * math.pi) < _FACTORED_WINDOW:
         # u = 2 pi + d: the double/triple zero of cos(u/4) beats the simple
         # zero of the denominator; sin(d/4)^k / d is well conditioned.
-        d = u - 2 * np.pi
+        d = u - 2 * math.pi
         if d == 0.0:
             return 0.0 + 0.0j
-        common = 4 * np.pi**2 / (4 * np.pi + d)
-        re = HALF_PI_SQRT * common * np.cos(d / 2) * (np.sin(d / 4) ** 2 / d)
-        im = -np.sqrt(2 * np.pi) * common * (np.sin(d / 4) ** 3 * np.cos(d / 4) / d)
+        common = 4 * math.pi**2 / (4 * math.pi + d)
+        re = HALF_PI_SQRT * common * math.cos(d / 2) * (math.sin(d / 4) ** 2 / d)
+        im = -math.sqrt(2 * math.pi) * common * (math.sin(d / 4) ** 3 * math.cos(d / 4) / d)
         return re + 1j * im
-    den = _one_minus_square(u / (2 * np.pi))
-    re = HALF_PI_SQRT * np.cos(u / 4) ** 2 * np.cos(u / 2) / den
-    im = -np.sqrt(2 * np.pi) * np.cos(u / 4) ** 3 * np.sin(u / 4) / den
+    den = _one_minus_square(u / (2 * math.pi))
+    re = HALF_PI_SQRT * math.cos(u / 4) ** 2 * math.cos(u / 2) / den
+    im = -math.sqrt(2 * math.pi) * math.cos(u / 4) ** 3 * math.sin(u / 4) / den
     return re + 1j * im
 
 
 def _closed_cosinusoidal(u: float) -> complex:
-    if abs(u - 2 * np.pi) < _FACTORED_WINDOW:
+    if abs(u - 2 * math.pi) < _FACTORED_WINDOW:
         # Simple zero over simple zero: finite limit -sqrt(pi/2)/2 at u = 2 pi.
-        d = u - 2 * np.pi
-        scale = 4 * np.pi**2 / ((2 * np.pi + d) * (4 * np.pi + d))
-        re = -HALF_PI_SQRT * scale * np.sinc(d / np.pi)
-        im = 0.0 if d == 0.0 else HALF_PI_SQRT * 2 * scale * (np.sin(d / 2) ** 2 / d)
+        d = u - 2 * math.pi
+        scale = 4 * math.pi**2 / ((2 * math.pi + d) * (4 * math.pi + d))
+        re = -HALF_PI_SQRT * scale * _sinc(d / math.pi)
+        im = 0.0 if d == 0.0 else HALF_PI_SQRT * 2 * scale * (math.sin(d / 2) ** 2 / d)
         return re + 1j * im
     if u == 0.0:
         return HALF_PI_SQRT + 0.0j
-    den = u * _one_minus_square(u / (2 * np.pi))
-    re = HALF_PI_SQRT * np.sin(u) / den
-    im = -HALF_PI_SQRT * 2 * np.sin(u / 2) ** 2 / den
+    den = u * _one_minus_square(u / (2 * math.pi))
+    re = HALF_PI_SQRT * math.sin(u) / den
+    im = -HALF_PI_SQRT * 2 * math.sin(u / 2) ** 2 / den
     return re + 1j * im
 
 
@@ -174,7 +178,6 @@ def _kernel(theta: float) -> tuple[float, float, float]:
     return m0, j1, q
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, complex]:
     """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile.
 
@@ -183,17 +186,20 @@ def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, comple
     Only products of order h f are formed, never h^2, so durations near
     the float range stay finite.
     """
+    import numpy as np
+
     f = np.asarray(profile.samples)
     h = profile.duration / (f.size - 1)
     half = h / 2
-    mid = h * np.arange(0.5, f.size - 1)
-    area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
     m0, j1, q = _kernel(w * half)
     odd = -1j * j1
-    phase = np.exp((-1j * w) * mid)
-    terms = area * m0 + odd * tilt
-    value = (phase * terms).sum()
-    moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = h * np.arange(0.5, f.size - 1)
+        area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
+        phase = np.exp((-1j * w) * mid)
+        terms = area * m0 + odd * tilt
+        value = (phase * terms).sum()
+        moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
     return complex(value), complex(moment)
 
 

@@ -334,6 +334,22 @@ def test_tiny_hbar(capsys):
     assert all(np.isfinite(value) for value in record.values() if isinstance(value, float))
 
 
+def test_subnormal_hbar_paths_are_zeros(capsys):
+    # m hbar omega0 underflows, so the drive and the paths are 0; dividing
+    # the complex paths by hbar must not form 1/hbar, which is inf here
+    flags = ["--trap-frequency", "1e-154", "--hbar", "5e-324", "--radius", "5e-324",
+             "--n-samples", "16"]
+    assert run(["trajectory", *flags]) == 0
+    lines = _lines(capsys.readouterr().out)
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 17
+    assert all(value == 0.0 for row in rows for value in row[1:])
+    assert np.all(np.isfinite(rows))
+    # at hbar = 1 the start keeps the signed zeros of numpy's complex quotient
+    assert run(["trajectory", "--n-samples", "16"]) == 0
+    assert _lines(capsys.readouterr().out)[1] == "0,-0,0,-0,0,0,0"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -639,6 +655,21 @@ def test_sweep_rows_equal_single_point_runs(capsys, argv):
         # 17 significant digits give back the same double, so equal cells
         # mean equal values
         assert row[1:] == [cli._cell(record[name]) for name in header[1:]]
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.05, 0.5, 64), (4.0, 8.0, 32), (0.1, 3.1, 64), (0.5, -0.25, 7), (-0.0, 0.0, 1),
+    (3.0, 3.0, 5), (1e308, -1e308, 3), (0.0, 5e-324, 7), (-1e-320, 1e-320, 9), (1.0, 2.0, 1),
+    (0.1, 0.7, 2), (-2.5, 1e-300, 1001),
+])
+def test_sweep_grid_is_numpy_linspace(start, stop, count):
+    # the grid is built without numpy, with linspace's own steps, signed
+    # zeros and subnormal steps included
+    key, points = cli._parse_sweep(f"rotation={start!r}:{stop!r}:{count}")
+    assert key == "rotation"
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(start, stop, count)
+    assert [repr(x) for x in points] == [repr(x) for x in expected.tolist()]
 
 
 def test_sweep_validation(capsys):

@@ -104,6 +104,13 @@ def test_closed_form_near_removable_points(family):
             assert abs(closed - numeric) < 1e-10
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1e-20, 1e-9, 0.25, 1.0, -2.5, 3.7, 1e6])
+def test_scalar_sinc_is_numpys(x):
+    # the closed forms run on math; their sinc keeps numpy's definition,
+    # 1e-20 in place of x = 0 included, to within numpy's own sine
+    assert ringsagnac.spectrum._sinc(x) == pytest.approx(float(np.sinc(x)), rel=2.3e-16, abs=0)
+
+
 def test_conjugate_symmetry():
     profile = make_profile(ProfileFamily.SINUSOIDAL, 5.0)
     for omega in (0.3, 1.7):
