@@ -51,7 +51,8 @@ from enum import Enum
 # each handler imports the library modules it runs, so a command loads only
 # those, and numpy only where arrays are built
 from .errors import ConfigurationError, ConvergenceError
-from .model import Branch, ProfileFamily, SweepProfile, TrapConfig, eval_profile, make_profile
+from .model import (Branch, ProfileFamily, SweepProfile, TrapConfig, _linspace, eval_profile,
+                    make_profile)
 
 _VERIFY_TOL = 1e-4
 # argparse takes a dash-led token for an option unless it matches its own
@@ -405,19 +406,7 @@ def _parse_sweep(text: str):
         raise ConfigurationError(f"sweep needs at least one point, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigurationError(f"sweep endpoints must be finite, got {text!r}")
-    # numpy.linspace(start, stop, count) in Python floats, bit for bit: the
-    # same products, numpy's quotient form where the step underflows to 0,
-    # and the last point set to stop
-    delta = stop - start
-    if count == 1:
-        return key, [0.0 * delta + start]
-    step = delta / (count - 1)
-    if step == 0:
-        points = [i / (count - 1) * delta + start for i in range(count)]
-    else:
-        points = [i * step + start for i in range(count)]
-    points[-1] = stop
-    return key, points
+    return key, _linspace(start, stop, count)
 
 
 def _flatten(record: dict) -> dict:

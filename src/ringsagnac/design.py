@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, UnsupportedFamily
 from .interferometer import readout
-from .model import ProfileFamily, SweepProfile, TrapConfig, make_profile
+from .model import ProfileFamily, SweepProfile, TrapConfig, _linspace, make_profile
 from .sensitivity import _integer_periods
 from .spectrum import spectrum_closed_form
 
@@ -190,17 +190,15 @@ def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise ConfigurationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    import numpy as np
-
     w0 = config.trap_frequency
 
     def objective(duration: float) -> float:
         profile = _profile_for_duration(shape, duration)
         return abs(readout(config, profile).spectrum.value) ** 2
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    grid = _linspace(lo, hi, _SCAN_POINTS)
     values = [objective(t) for t in grid]
-    best = int(np.argmin(values))
+    best = values.index(min(values))  # the first minimum, as numpy.argmin
     lo_ref = grid[max(best - 1, 0)]
     hi_ref = grid[min(best + 1, _SCAN_POINTS - 1)]
     x, fx = _bounded_brent(objective, lo_ref, hi_ref, 1e-10 * 2 * math.pi / w0, 400)

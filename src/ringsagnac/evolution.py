@@ -66,21 +66,36 @@ above _MAX_SAMPLES before anything is built.
 
 _sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
 uniform for every family, so one width table serves it and no sample
-count sizes it.  The affine table is in closed form (_affine_table, with
-Taylor series below theta = omega0 h = 2, where the forms cancel); the
-trigonometric grids keep the rule.  On one width every sum over the
-intervals is a quadratic form in c = a e_0 + sign b coef (a = D Omega,
-b = D), a part common to both branches and a part the sign flips, which
-_gram_ends takes from one prefix sum and one Gram product.
+count sizes it.  It runs on Python floats: the kink grid has a few
+intervals, where numpy's per-call cost would exceed the arithmetic, and
+the module loads numpy only when the path sweep or a trigonometric width
+table first needs it.  The affine table is exact (_affine_table): with
+theta = omega0 h and the phi-functions phi_k(z) = sum_j z^j / (j + k)!
+at z = i theta,
+
+    g = (phi_1, phi_1 - phi_2),           s = (phi_2, phi_2 - 2 phi_3),
+    k = -Im[[phi_2, phi_3], [phi_2 - phi_3, phi_3 - phi_4]],
+    l = Re[[2 phi_3, phi_3 - phi_4], [phi_3 - phi_4, 2 (phi_4 - 2 phi_5)]],
+
+and G = h g, S = h^2 s, K = h^2 k, L = h^3 l.  Below theta = 2, where
+their closed forms in sin theta and cos theta cancel, phi_5 comes from
+its Taylor series and phi_4 ... phi_1 from the downward recurrence
+phi_(k-1) = z phi_k + 1/(k-1)!, stable there; above it the closed forms
+serve.  The trigonometric grids keep the rule.  On one width every sum
+over the intervals is a quadratic form in c = a e_0 + sign b coef
+(a = D Omega, b = D), a part common to both branches and a part the
+sign flips, which _gram_ends accumulates in one pass over the
+intervals: running prefix sums of the turns and of dZ, and the sums of
+their products with the interval terms above.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ConvergenceError, InsufficientResolution
 from .model import (
@@ -92,6 +107,9 @@ from .model import (
     eval_profile,
     flat_rate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BranchEvolution", "sample_trajectory"]
 
@@ -105,22 +123,29 @@ _MAX_SAMPLES = 2**20
 
 # 6-node Gauss-Legendre: exact through degree 11, spectral accuracy for the
 # analytic-per-interval integrands used here; nodes and weights on [0, 1],
-# the bits of numpy.polynomial.legendre.leggauss(6) mapped there, written
-# out so that importing the package does not load numpy.polynomial
-_GL_X = np.array([0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
-                  0.6193095930415985, 0.8306046932331322, 0.9662347571015759])
-_GL_W = np.array([0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
-                  0.23395696728634552, 0.18038078652406936, 0.08566224618958514])
+# the bits of numpy.polynomial.legendre.leggauss(6) mapped there
+_GL_X = (0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
+         0.6193095930415985, 0.8306046932331322, 0.9662347571015759)
+_GL_W = (0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
+         0.23395696728634552, 0.18038078652406936, 0.08566224618958514)
 # widths per block of the Gauss tables: a block's node arrays take about
 # 4 MB; a path sweep whose kinks make most interval widths distinct needs
 # several blocks
 _TABLE_BLOCK = 1024
-# the affine tables at theta = omega0 h are G = h g, S = h^2 s, K = h^2 k and
-# L = h^3 l; each real entry (G and S as re, im pairs, then K and L by rows)
-# is (weights . columns) / (6 theta^p), a column being theta^a 1, sin or cos
-_AFFINE_COLUMNS = ((0, "1"), (1, "1"), (2, "1"), (3, "1"), (0, "sin"), (1, "sin"),
-                   (0, "cos"), (1, "cos"))
-_AFFINE_ROWS = (
+# below theta = omega0 h = 2 the affine table comes from the phi-functions,
+# above it from the closed forms (module docstring); against mpmath, the
+# first side is within 3.2e-16 and the second within 4.3e-16 of the exact
+# entries, scaled by the largest of each of g, s, k and l.  phi_5(i theta) splits into its even and odd powers, polynomials in
+# -theta^2 written highest power first for Horner's rule; twelve terms each
+# leave less than 1e-21 at the switch
+_AFFINE_SWITCH = 2.0
+_PHI5_EVEN = tuple(1 / math.factorial(2 * m + 5) for m in reversed(range(12)))
+_PHI5_ODD = tuple(1 / math.factorial(2 * m + 6) for m in reversed(range(12)))
+# the closed forms: each real entry (g and s as re, im pairs, then k by
+# rows, l00, l01 = l10 and l11) is (weights . columns) / (6 theta^p), the
+# columns being 1, theta, theta^2, theta^3, sin, theta sin, cos and
+# theta cos of theta; the rows keep the nonzero (weight, column) pairs
+_AFFINE_ROWS = tuple((p, tuple((w, j) for j, w in enumerate(weights) if w)) for p, weights in (
     (1, (0, 0, 0, 0, 6, 0, 0, 0)), (1, (6, 0, 0, 0, 0, 0, -6, 0)),         # Re, Im g0
     (2, (-6, 0, 0, 0, 0, 6, 6, 0)), (2, (0, 0, 0, 0, 6, 0, 0, -6)),        # Re, Im g1
     (2, (6, 0, 0, 0, 0, 0, -6, 0)), (2, (0, 6, 0, 0, -6, 0, 0, 0)),        # Re, Im s0
@@ -128,39 +153,8 @@ _AFFINE_ROWS = (
     (2, (0, -6, 0, 0, 6, 0, 0, 0)), (3, (6, 0, -3, 0, 0, 0, -6, 0)),       # k00, k01
     (3, (-6, 0, -3, 0, 0, 6, 6, 0)), (4, (0, 0, 0, -2, 6, 0, 0, -6)),      # k10, k11
     (3, (0, 12, 0, 0, -12, 0, 0, 0)), (4, (6, 0, 3, 0, 0, -6, -6, 0)),     # l00, l01
-    (4, (6, 0, 3, 0, 0, -6, -6, 0)), (5, (0, 12, 0, 2, -24, 0, 0, 12)),    # l10 = l01, l11
-)
-# below the switch the numerators cancel (to eps / theta^4 of their terms),
-# so the Taylor series serve, truncated below 1e-21; each side is within
-# 2e-15 of the exact entries, scaled by the modulus of the complex ones
-_AFFINE_SWITCH = 2.0
-_AFFINE_TERMS = 28
-
-
-def _affine_series(p: int, weights) -> list[float]:
-    """Taylor coefficients in theta of one affine entry, each rounded once.
-
-    Over 6 m! the theta^m coefficient of a column is an integer: m! / j!
-    (-1)^(j // 2), j = m - a, odd for sin, even for cos, 0 for theta^a
-    (m! / j! = perm(m, a)).
-    """
-    terms = [(a, kind, weight) for (a, kind), weight in zip(_AFFINE_COLUMNS, weights) if weight]
-    row = []
-    for m in range(p, p + _AFFINE_TERMS):
-        total = 0
-        for a, kind, weight in terms:
-            j = m - a
-            if j >= 0 and (j == 0 if kind == "1" else j % 2 == (kind == "sin")):
-                total += weight * (-1) ** (j // 2) * math.perm(m, a)
-        row.append(total / (6 * math.factorial(m)))
-    return row
-
-
-_AFFINE_WEIGHTS = np.array([weights for _, weights in _AFFINE_ROWS], dtype=float)
-_AFFINE_POWERS = np.array([p for p, _ in _AFFINE_ROWS])
-_AFFINE_SERIES = np.array([_affine_series(*row) for row in _AFFINE_ROWS])
-_AFFINE_ORDERS = np.arange(_AFFINE_TERMS)
-_AFFINE_SCALES = np.repeat((1, 2, 3), (4, 8, 4))                  # powers of h
+    (5, (0, 12, 0, 2, -24, 0, 0, 12)),                                     # l11
+))
 
 
 @dataclass(frozen=True)
@@ -181,6 +175,8 @@ class BranchEvolution:
     abs2_integrals: np.ndarray | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise ValueError("path times must start at 0 and strictly increase")
         if self.alphas[0] != 0 or self.phases[0] != 0:
@@ -209,6 +205,8 @@ def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None
     addition at the left edges a.  shift(w, h) is the matrix M, stacked as
     (..., r, r) over the shape of w, with basis(w + x, h) = M basis(x, h).
     """
+    import numpy as np
+
     T = profile.duration
     k = 2 * np.pi / T
     if profile.family is ProfileFamily.SINUSOIDAL:
@@ -250,7 +248,7 @@ def _doublings(profile: SweepProfile, w0: float, h: float) -> int:
     """
     nu = w0
     if profile.family in (ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL):
-        nu = w0 + 2 * np.pi / profile.duration
+        nu = w0 + 2 * math.pi / profile.duration
     span = nu * h
     if not span <= 2.0**_MAX_DOUBLINGS:
         raise InsufficientResolution(
@@ -268,6 +266,8 @@ def _doubled(G, S, K, L, w, h, w0: float, shift, doublings: int):
     (r, u) and (r, r, u).  Every level's turn e and shift M are formed in
     one pass before the loop.
     """
+    import numpy as np
+
     ws = w * 2.0 ** np.arange(doublings)[:, None]                     # (s, u)
     turns = np.exp(1j * w0 * ws)[..., None]
     for w, e, M in zip(ws[..., None], turns, shift(ws, h)):
@@ -293,6 +293,9 @@ def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublin
     _TABLE_BLOCK widths at a time, so profiles whose kinks make most
     interval widths distinct stay within a fixed working set.
     """
+    import numpy as np
+
+    gl_x, gl_w = np.array(_GL_X), np.array(_GL_W)
     vectors = np.empty((4, n_basis, len(hs)))
     forms = np.empty((2, n_basis, n_basis, len(hs)))
     for start in range(0, len(hs), _TABLE_BLOCK):
@@ -301,10 +304,10 @@ def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublin
         w = h / 2**doublings
         # outer nodes d_j on [0, w], inner nodes x on [0, d_j],
         # P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
-        d = w[:, None] * _GL_X                                           # (u, 6)
-        weight = w[:, None] * _GL_W
-        x = d[:, :, None] * _GL_X                                        # (u, 6, 6)
-        v = d[:, :, None] * _GL_W
+        d = w[:, None] * gl_x                                            # (u, 6)
+        weight = w[:, None] * gl_w
+        x = d[:, :, None] * gl_x                                         # (u, 6, 6)
+        v = d[:, :, None] * gl_w
         turn_d = np.exp(1j * w0 * d)
         basis_d = basis(d, h[:, None])                                   # (r, u, 6)
         partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, h[:, None, None]))
@@ -320,33 +323,65 @@ def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublin
     return vectors, forms
 
 
-def _affine_table(h: float, theta: float):
-    """[G, S] (complex (2, 2)) and [K, L] (real (2, 2, 2)) of {1, d/h} on [0, h].
+def _phi_functions(theta: float) -> tuple[complex, ...]:
+    """phi_1 ... phi_5 at z = i theta (module docstring), for 0 <= theta < 2."""
+    x = -theta * theta
+    even = odd = 0.0
+    for c_even, c_odd in zip(_PHI5_EVEN, _PHI5_ODD):
+        even = even * x + c_even
+        odd = odd * x + c_odd
+    z = 1j * theta
+    p5 = complex(even, theta * odd)
+    p4 = z * p5 + 1 / 24
+    p3 = z * p4 + 1 / 6
+    p2 = z * p3 + 1 / 2
+    return z * p2 + 1.0, p2, p3, p4, p5
 
-    The closed forms at theta = omega0 h >= _AFFINE_SWITCH, the series
-    below it.  Overflow of h^2 or h^3 gives inf entries, for the sweep's
-    finiteness check.
+
+def _affine_table(h: float, theta: float):
+    """[G, S] (complex, 2 x 2) and [K, L] (real, 2 x 2 x 2) of {1, d/h} on [0, h].
+
+    Nested lists: the phi-functions below theta = omega0 h = _AFFINE_SWITCH,
+    the closed forms above it (module docstring).  Overflow of h^2 or h^3
+    gives inf entries, for the end values' finiteness check.
     """
     if theta < _AFFINE_SWITCH:
-        entries = _AFFINE_SERIES @ theta**_AFFINE_ORDERS
+        p1, p2, p3, p4, p5 = _phi_functions(theta)
+        g1, s1 = p1 - p2, p2 - 2 * p3
+        entries = (p1.real, p1.imag, g1.real, g1.imag, p2.real, p2.imag, s1.real, s1.imag,
+                   -p2.imag, -p3.imag, (p3 - p2).imag, (p4 - p3).imag,
+                   2 * p3.real, (p3 - p4).real, 2 * (p4 - 2 * p5).real)
     else:
         sin, cos = math.sin(theta), math.cos(theta)
-        columns = (1.0, theta, theta * theta, theta * theta * theta,
-                   sin, theta * sin, cos, theta * cos)
-        entries = (_AFFINE_WEIGHTS @ columns) / (6 * theta**_AFFINE_POWERS)
-    entries *= h**_AFFINE_SCALES
-    return entries[:8].view(complex).reshape(2, 2), entries[8:].reshape(2, 2, 2)
+        t2 = theta * theta
+        columns = (1.0, theta, t2, t2 * theta, sin, theta * sin, cos, theta * cos)
+        scales = (6 * theta, 6 * t2, 6 * t2 * theta, 6 * t2 * t2, 6 * t2 * t2 * theta)
+        entries = []
+        for p, terms in _AFFINE_ROWS:
+            total = 0.0
+            for weight, column in terms:
+                total += weight * columns[column]
+            entries.append(total / scales[p - 1])
+    g0r, g0i, g1r, g1i, s0r, s0i, s1r, s1i, k00, k01, k10, k11, l00, l01, l11 = entries
+    h2 = h * h
+    h3 = h2 * h
+    return ([[complex(g0r * h, g0i * h), complex(g1r * h, g1i * h)],
+             [complex(s0r * h2, s0i * h2), complex(s1r * h2, s1i * h2)]],
+            [[[k00 * h2, k01 * h2], [k10 * h2, k11 * h2]],
+             [[l00 * h3, l01 * h3], [l01 * h3, l11 * h3]]])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _interval_terms(config: TrapConfig, branches, edges, widths, coef, vectors, forms):
     """The path sweep's stage: per-interval terms of every branch.
 
     coef holds the drive coefficients per interval, and vectors and forms
     the width tables, one column per interval.  Returns Y = exp(-i w0 a) Z(a)
     at every edge (branch, edge), and each interval's addition to the phase
-    integral phi hbar^2 and to int |Z|^2 (branch, interval).
+    integral phi hbar^2 and to int |Z|^2 (branch, interval).  Runs under
+    the caller's numpy error state.
     """
+    import numpy as np
+
     w0 = config.trap_frequency
     # drive coefficients c[r, branch, interval] of lambda = D (Omega + sign omega_P)
     rotation = np.zeros((len(coef), 1, 1))
@@ -378,9 +413,10 @@ def _kink_grid(profile: SweepProfile):
     by angle addition.
     """
     if profile.family is ProfileFamily.TABULATED:
-        return len(profile.samples) - 1, np.asarray(profile.samples)
+        return len(profile.samples) - 1, profile.samples
     if profile.family is ProfileFamily.FLAT:
-        return 1, np.full(2, flat_rate(profile.duration))
+        rate = flat_rate(profile.duration)
+        return 1, (rate, rate)
     return len(profile.breakpoints()) + 1, None
 
 
@@ -405,17 +441,17 @@ def _check_samples(n_samples: int):
 
 
 def _signs(branches) -> np.ndarray:
+    import numpy as np
+
     return np.array([branch.sign for branch in branches], dtype=float)[:, None]
 
 
-def _require_finite(T: float, *parts):
-    if not all(np.isfinite(part).all() for part in parts):
-        raise ConvergenceError(
-            f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
-        )
+def _overflow(T: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
+    )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     config: TrapConfig, profile: SweepProfile, branches, n_samples: int
 ) -> list[BranchEvolution]:
@@ -427,91 +463,121 @@ def _sweep(
     range) raises ConvergenceError instead of returning inf or NaN.
     """
     _check_samples(n_samples)
+    import numpy as np
+
     T = profile.duration
     w0 = config.trap_frequency
     ts = np.linspace(0.0, T, n_samples + 1)
-    interior = [b for b in profile.breakpoints() if 0.0 < b < T]
-    edges = np.union1d(ts, np.asarray(interior)) if interior else ts
-    widths = np.diff(edges)
-    hs, which = np.unique(widths, return_inverse=True)
-    doublings = _doublings(profile, w0, hs[-1])
-    values = eval_profile(profile, edges)
-    coef, basis, shift = _drive_basis(profile, edges[:-1], values)
-    vectors, forms = _width_tables(hs, w0, basis, shift, len(coef), doublings)
-    # take keeps the interval axis contiguous, which einsum needs to be fast
-    y, d_phase, d_abs2 = _interval_terms(
-        config, branches, edges, widths, coef,
-        np.take(vectors, which, axis=-1), np.take(forms, which, axis=-1))
-    hbar = config.hbar
-    runs = np.zeros((2, len(branches), len(edges)))
-    np.cumsum(d_phase, axis=-1, out=runs[0, :, 1:])
-    np.cumsum(d_abs2, axis=-1, out=runs[1, :, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        interior = [b for b in profile.breakpoints() if 0.0 < b < T]
+        edges = np.union1d(ts, np.asarray(interior)) if interior else ts
+        widths = np.diff(edges)
+        hs, which = np.unique(widths, return_inverse=True)
+        doublings = _doublings(profile, w0, hs[-1])
+        values = eval_profile(profile, edges)
+        coef, basis, shift = _drive_basis(profile, edges[:-1], values)
+        vectors, forms = _width_tables(hs, w0, basis, shift, len(coef), doublings)
+        # take keeps the interval axis contiguous, which einsum needs to be fast
+        y, d_phase, d_abs2 = _interval_terms(
+            config, branches, edges, widths, coef,
+            np.take(vectors, which, axis=-1), np.take(forms, which, axis=-1))
+        hbar = config.hbar
+        runs = np.zeros((2, len(branches), len(edges)))
+        np.cumsum(d_phase, axis=-1, out=runs[0, :, 1:])
+        np.cumsum(d_abs2, axis=-1, out=runs[1, :, 1:])
 
-    idx = np.searchsorted(edges, ts)
-    # alpha = -Y / hbar, divided part by part: numpy's complex division
-    # multiplies by 1/hbar, which is inf at a subnormal hbar and turns zero
-    # paths into NaN.  The cross terms with the zero ratio of its (Smith's)
-    # formula keep the quotient's signed zeros, so at hbar = 1 the bits are
-    # those of the complex division
-    neg = -y[:, idx]
-    alphas = np.empty_like(neg)
-    np.divide(neg.real + neg.imag * 0.0, hbar, out=alphas.real)
-    np.divide(neg.imag - neg.real * 0.0, hbar, out=alphas.imag)
-    lam_ts = config.drive_scale * (config.rotation + _signs(branches) * values[idx])
-    alpha_dots = -1j * w0 * alphas - lam_ts / hbar
-    # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
-    phases, abs2 = runs[:, :, idx] / hbar / hbar
-    _require_finite(T, alphas, alpha_dots, phases, abs2)
+        idx = np.searchsorted(edges, ts)
+        # alpha = -Y / hbar, divided part by part: numpy's complex division
+        # multiplies by 1/hbar, which is inf at a subnormal hbar and turns zero
+        # paths into NaN.  The cross terms with the zero ratio of its (Smith's)
+        # formula keep the quotient's signed zeros, so at hbar = 1 the bits are
+        # those of the complex division
+        neg = -y[:, idx]
+        alphas = np.empty_like(neg)
+        np.divide(neg.real + neg.imag * 0.0, hbar, out=alphas.real)
+        np.divide(neg.imag - neg.real * 0.0, hbar, out=alphas.imag)
+        lam_ts = config.drive_scale * (config.rotation + _signs(branches) * values[idx])
+        alpha_dots = -1j * w0 * alphas - lam_ts / hbar
+        # |alpha|^2 = |Z|^2 / hbar^2; hbar**2 can underflow
+        phases, abs2 = runs[:, :, idx] / hbar / hbar
+    if not all(np.isfinite(part).all() for part in (alphas, alpha_dots, phases, abs2)):
+        raise _overflow(T)
     return [BranchEvolution(branch, ts, *row)
             for branch, *row in zip(branches, alphas, alpha_dots, phases, abs2)]
 
 
-def _gram_ends(config: TrapConfig, h: float, edges, coef, tables, forms):
+def _gram_ends(config: TrapConfig, T: float, h: float, coef, tables, forms):
     """Z(T) exp(-i w0 T), phi hbar^2, int |Z|^2 of both branches, as (even, odd) pairs.
 
-    Rows E = exp(i w0 a_i), E b coef . G and E b coef . S, the exclusive
-    prefix sums P of the first two (conj(Y) c . G = conj(P) E c . G), b coef,
-    ones, K b coef and L b coef: one Gram product of conj([P, b coef]) with
-    them gives every sum, the rotation rows being a G_0 E and a S_0 E.  The
-    forms act on b coef first, as in _sweep, so no square of the drive is
-    formed.  tables is [G, S] (2, r), forms [K, L] (2, r, r), for width h.
+    The kink grid's i-th interval lies at a_i = i h and has the
+    coefficients coef[r][i].  With E = exp(i w0 a_i), beta = b coef
+    (b = D), u = E beta . G, v = E beta . S and the exclusive prefix sums
+    P_E and P_u of E and u, one pass over the intervals accumulates the
+    sums of conj(P_E) and conj(P_u) times E, u, v, P_E and P_u; with the
+    sums of beta^T K beta, beta^T L beta and beta they give every
+    end value, the rotation's rows being a G_0 E and a S_0 E
+    (a = D Omega).  A form acts on one coefficient of beta, then on the
+    other, so no square of the drive is formed.  coef is r sequences over
+    the intervals, tables [G, S] (2 x r, complex) and forms [K, L]
+    (2 x r x r) for width h, all of Python numbers.
     """
     w0, drive = config.trap_frequency, config.drive_scale
-    count, n = len(edges) - 1, len(coef)
-    rows = np.empty((6 + 3 * n, count + 1), dtype=complex)
-    np.exp(1j * w0 * edges, out=rows[0])
-    swept = rows[5:5 + n, :-1]
-    np.multiply(coef, drive, out=swept)
-    rows[5 + n] = 1.0
-    np.matmul(forms.reshape(2 * n, n), swept, out=rows[6 + n:, :-1])
-    np.multiply(tables @ swept, rows[0, :-1], out=rows[1:3, :-1])
-    rows[3:5, 0] = 0.0
-    np.cumsum(rows[0:2, :-1], axis=1, out=rows[3:5, 1:])
-    gram = (rows[3:5 + n, :-1].conj() @ rows[:, :-1].T).tolist()
-    # sums of conj(P_E) and conj(P_u) times E, u, v, P_E and P_u
-    (ee, eu, ev, e_e, e_p), (pe, pu, pv, _, p_p) = (row[:5] for row in gram[:2])
+    (g_rows, s_rows), (k_rows, l_rows) = tables, forms
+    betas = [[drive * c for c in row] for row in coef]
+    # sum_i beta_i^T F beta_i over r <= q, and each interval's beta . G and
+    # beta . S
+    k_quad = l_quad = 0.0
+    for r, beta_r in enumerate(betas):
+        for q in range(r, len(betas)):
+            k_rq, l_rq = ((k_rows[r][q] + k_rows[q][r], l_rows[r][q] + l_rows[q][r]) if q != r
+                          else (k_rows[r][r], l_rows[r][r]))
+            for b_r, b_q in zip(beta_r, betas[q]):
+                k_quad += k_rq * b_r * b_q
+                l_quad += l_rq * b_r * b_q
+    us = list(map(g_rows[0].__rmul__, betas[0]))
+    vs = list(map(s_rows[0].__rmul__, betas[0]))
+    for row, g_r, s_r in zip(betas[1:], g_rows[1:], s_rows[1:]):
+        us = list(map(operator.add, us, map(g_r.__rmul__, row)))
+        vs = list(map(operator.add, vs, map(s_r.__rmul__, row)))
+    p_e = p_u = ee = eu = ev = e_p = pe = pu = pv = 0j
+    e_e = p_p = 0.0
+    for i, (u, v) in enumerate(zip(us, vs)):
+        turn = cmath.exp(1j * (w0 * (h * i)))
+        u, v = u * turn, v * turn
+        ce, cu = p_e.conjugate(), p_u.conjugate()
+        ee += ce * turn
+        eu += ce * u
+        ev += ce * v
+        e_e += (ce * p_e).real
+        e_p += ce * p_u
+        pe += cu * turn
+        pu += cu * u
+        pv += cu * v
+        p_p += (cu * p_u).real
+        p_e += turn
+        p_u += u
     a = drive * config.rotation
-    (g, *_), (s, *_) = tables.tolist()
-    g, s = a * g, a * s
+    g, s = a * g_rows[0], a * s_rows[0]
     gg, gc = g.real * g.real + g.imag * g.imag, g.conjugate()
-    # sum_i c_i^T F c_i: even a F_00 a count + sum_i (b coef_i)^T F (b coef_i),
-    # odd a sum_r (F_0r + F_r0) (sum_i b coef_i)_r
-    form_sums = []
-    for q, form in enumerate(forms.tolist(), start=1):
-        even, odd = a * form[0][0] * a * count, 0.0
-        for r, row in enumerate(gram[2:]):
-            even += row[6 + q * n + r].real
-            odd += (form[0][r] + form[r][0]) * row[5 + n].real
-        form_sums.append((even, odd * a))
-    (k_even, k_odd), (l_even, l_odd) = form_sums
-    phase = ((gg * ee + pu).imag - k_even, (gc * eu + g * pe).imag - k_odd)
-    square = (h * (gg * e_e.real + p_p.real) + 2 * (gc * s * ee + pv).real + l_even,
-              2 * (h * (gc * e_p).real + (gc * ev + s * pe).real) + l_odd)
-    back = complex(rows[0, -1]).conjugate()
-    return (g * complex(rows[3, -1]) * back, complex(rows[4, -1]) * back), phase, square
+    # sum_i c_i^T F c_i with c_i = a e_0 + sign beta_i: even
+    # a F_00 a count + sum_i beta_i^T F beta_i, odd
+    # a sum_r (F_0r + F_r0) (sum_i beta_i)_r
+    k_odd = l_odd = 0.0
+    for r, row in enumerate(betas):
+        total = 0.0
+        for b in row:
+            total += b
+        k_odd += (k_rows[0][r] + k_rows[r][0]) * total
+        l_odd += (l_rows[0][r] + l_rows[r][0]) * total
+    k_even = a * k_rows[0][0] * a * len(us) + k_quad
+    l_even = a * l_rows[0][0] * a * len(us) + l_quad
+    phase = ((gg * ee + pu).imag - k_even, (gc * eu + g * pe).imag - k_odd * a)
+    square = (h * (gg * e_e + p_p) + 2 * (gc * s * ee + pv).real + l_even,
+              2 * (h * (gc * e_p).real + (gc * ev + s * pe).real) + l_odd * a)
+    back = cmath.exp(1j * (w0 * T)).conjugate()
+    return (g * p_e * back, p_u * back), phase, square
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sweep_ends(config: TrapConfig, profile: SweepProfile):
     """alpha(T), phi(T) and int_0^T |alpha|^2 dt of both branches, as (even, odd) pairs.
 
@@ -519,29 +585,31 @@ def _sweep_ends(config: TrapConfig, profile: SweepProfile):
     branch differences.  One table for the kink grid's width (module
     docstring), exact to rounding below the 2^_MAX_DOUBLINGS ceiling, which
     is refused before any table is built.  Overflow raises ConvergenceError.
+    The affine families run on Python floats alone.
     """
     T = profile.duration
     w0 = config.trap_frequency
     count, values = _kink_grid(profile)
     h = T / count
     doublings = _doublings(profile, w0, h)
-    edges = h * np.arange(count + 1.0)
-    edges[-1] = T
-    coef, basis, shift = _drive_basis(profile, edges[:-1], values)
     if values is None:
-        vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
-        tables, forms = vectors[0::2, :, 0] + 1j * vectors[1::2, :, 0], forms[..., 0]
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, basis, shift = _drive_basis(profile, h * np.arange(float(count)), None)
+            vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+            tables = vectors[0::2, :, 0] + 1j * vectors[1::2, :, 0]
+        tables, forms, coef = tables.tolist(), forms[..., 0].tolist(), coef.tolist()
     else:
         tables, forms = _affine_table(h, w0 * h)
+        coef = (values[:-1], [right - left for left, right in zip(values, values[1:])])
     (z, z_odd), (phase, phase_odd), (square, square_odd) = _gram_ends(
-        config, h, edges, coef, tables, forms)
+        config, T, h, coef, tables, forms)
     hbar = config.hbar
     parts = ((-z / hbar, -z_odd / hbar), (phase / hbar / hbar, phase_odd / hbar / hbar),
              (square / hbar / hbar, square_odd / hbar / hbar))
     if not all(cmath.isfinite(value) for pair in parts for value in pair):
-        raise ConvergenceError(
-            f"branch sweep over T = {T:g} overflows: its paths or phases are not finite"
-        )
+        raise _overflow(T)
     return parts
 
 

@@ -162,6 +162,54 @@ def _check_duration(duration):
         raise ConfigurationError(f"duration must be finite, got {duration}")
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """numpy.linspace(start, stop, count) in Python floats, bit for bit.
+
+    The same products, numpy's quotient form where the step underflows
+    to 0, and the last point set to stop.
+    """
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    step = delta / (count - 1)
+    if step == 0:
+        points = [i / (count - 1) * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
+
+
+def _pairwise_sum(terms, lo: int, hi: int, unroll: int):
+    """Sum of terms[lo:hi] in the order, and so with the bits, of numpy's sum.
+
+    numpy sums float64 pairwise, unrolled by eight doubles: eight real or
+    four complex accumulators (unroll) run over blocks of up to 16 unroll
+    terms and meet as a balanced tree, then take the rest in order; a
+    longer range splits in two at a multiple of unroll.
+    """
+    n = hi - lo
+    if n < unroll:
+        total = 0.0
+        for term in terms[lo:hi]:
+            total += term
+        return total
+    if n > 16 * unroll:
+        half = n // 2 - n // 2 % unroll
+        return (_pairwise_sum(terms, lo, lo + half, unroll)
+                + _pairwise_sum(terms, lo + half, hi, unroll))
+    stop = hi - n % unroll
+    partial = terms[lo:lo + unroll]
+    for i in range(lo + unroll, stop, unroll):
+        partial = list(map(operator.add, partial, terms[i:i + unroll]))
+    while len(partial) > 1:
+        partial = list(map(operator.add, partial[::2], partial[1::2]))
+    total = partial[0]
+    for term in terms[stop:hi]:
+        total += term
+    return total
+
+
 def make_profile(family, duration, samples=None) -> SweepProfile:
     """Build an admissible sweep profile.
 
@@ -175,27 +223,31 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     if family is not ProfileFamily.TABULATED:
         return SweepProfile(family, float(duration))
 
-    import numpy as np
-
-    values = np.asarray(samples, dtype=float)
-    if values.ndim != 1 or values.size < 2:
+    try:
+        values = [float(value) for value in samples] if getattr(samples, "ndim", 1) == 1 else []
+    except TypeError:  # not a sequence, or one of sequences
+        values = []
+    if len(values) < 2:
         raise ConfigurationError("tabulated profile needs a 1-d sequence of at least 2 samples")
-    if np.any(values < 0):
+    if any(value < 0 for value in values):
         raise NegativeSample("tabulated sweep rates must be non-negative")
-    if not np.all(np.isfinite(values)):
+    if not all(math.isfinite(value) for value in values):
         raise ConfigurationError("tabulated sweep rates must be finite")
-    with np.errstate(over="ignore", divide="ignore"):
-        integral = np.trapezoid(values, dx=duration / (values.size - 1))
-        factor = SWEEP_TOTAL_ANGLE / integral
+    # numpy.trapezoid's terms and sum, bit for bit
+    duration = float(duration)
+    dx = duration / (len(values) - 1)
+    terms = [dx * (right + left) / 2.0 for left, right in zip(values, values[1:])]
+    integral = _pairwise_sum(terms, 0, len(terms), 8)
     if integral == 0.0:
         raise ZeroProfile("all-zero tabulated profile cannot be rescaled")
-    if not (np.isfinite(integral) and np.isfinite(factor)):
+    factor = SWEEP_TOTAL_ANGLE / integral
+    if not (math.isfinite(integral) and math.isfinite(factor)):
         raise ConfigurationError("tabulated sweep rates cannot be rescaled to a finite profile")
     return SweepProfile(
         ProfileFamily.TABULATED,
-        float(duration),
-        samples=tuple((values * factor).tolist()),
-        rescale_factor=float(factor),
+        duration,
+        samples=tuple(value * factor for value in values),
+        rescale_factor=factor,
     )
 
 

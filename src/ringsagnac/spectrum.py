@@ -41,11 +41,12 @@ where A = h fbar, B = h df / 2 and
 A tabulated profile is a sum of such segments with nu = omega.  Its
 samples lie on a uniform grid, so every segment has the width
 h = T / (n - 1) and one theta = omega h / 2: m0, j1 and q are three
-scalars, evaluated once per call, and W and the slope moment are two sums
-over one phase vector exp(-i omega mid).  The analytic profiles are, on
-each kink-free segment, constants times exp(0, +/- i 2 pi t / T), so the
-same moments at nu = omega -/+ 2 pi / T, at most four single segments
-with a theta each, give their slope
+scalars, evaluated once per call, and one pass over the segments, on
+Python floats, forms each segment's phase exp(-i omega mid) and its terms
+of W and of the slope moment, which are summed pairwise.  The analytic
+profiles are, on each kink-free segment, constants times
+exp(0, +/- i 2 pi t / T), so the same moments at nu = omega -/+ 2 pi / T,
+at most four single segments with a theta each, give their slope
 d Re W / d omega = Im(int t f exp(-i omega t) dt) / sqrt(2 pi); their
 removable point u = 2 pi is nu = 0, inside the small-theta series.  Below
 |theta| = _SERIES_SWITCH the kernels come from their Taylor series, by
@@ -58,7 +59,7 @@ import cmath
 import math
 
 from .errors import ConfigurationError, UnsupportedFamily
-from .model import ProfileFamily, SpectrumValue, SweepProfile
+from .model import ProfileFamily, SpectrumValue, SweepProfile, _pairwise_sum
 
 __all__ = ["spectrum_closed_form"]
 
@@ -182,25 +183,27 @@ def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, comple
     """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile.
 
     Every segment has the grid width h, so one kernel at theta = w h / 2
-    serves them all, and both integrals are sums over one phase vector.
+    serves them all, and one pass over the segments sums both integrals.
     Only products of order h f are formed, never h^2, so durations near
     the float range stay finite.
     """
-    import numpy as np
-
-    f = np.asarray(profile.samples)
-    h = profile.duration / (f.size - 1)
+    f = profile.samples
+    h = profile.duration / (len(f) - 1)
     half = h / 2
     m0, j1, q = _kernel(w * half)
-    odd = -1j * j1
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid = h * np.arange(0.5, f.size - 1)
-        area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
-        phase = np.exp((-1j * w) * mid)
+    odd, turn = -1j * j1, -1j * w
+    values, moments = [], []
+    for i, (left, right) in enumerate(zip(f, f[1:])):
+        mid = h * (i + 0.5)
+        area, tilt = half * (right + left), half * (right - left)
+        phase = cmath.exp(turn * mid)
         terms = area * m0 + odd * tilt
-        value = (phase * terms).sum()
-        moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
-    return complex(value), complex(moment)
+        values.append(phase * terms)
+        moments.append(phase * (mid * terms + half * (tilt * q + odd * area)))
+    # summed pairwise in numpy's order, as the vectorised sums were: the
+    # rounding error grows like log n over the nodes, not like n
+    return (_pairwise_sum(values, 0, len(values), 4),
+            _pairwise_sum(moments, 0, len(moments), 4))
 
 
 def _exponential_rows(profile: SweepProfile, w: float):

@@ -32,6 +32,8 @@ from ringsagnac.evolution import (
     _affine_table,
     _doublings,
     _drive_basis,
+    _gram_ends,
+    _interval_terms,
     _kink_grid,
     _sweep,
     _sweep_ends,
@@ -299,9 +301,9 @@ def _record_grids(monkeypatch) -> list:
         grids.append(len(edges) - 1)
         return paths(config, branches, edges, *tables)
 
-    def counted_ends(config, h, edges, *tables):
-        grids.append(len(edges) - 1)
-        return ends(config, h, edges, *tables)
+    def counted_ends(config, T, h, coef, tables, forms):
+        grids.append(len(coef[0]))
+        return ends(config, T, h, coef, tables, forms)
 
     monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", counted_paths)
     monkeypatch.setattr(ringsagnac.evolution, "_gram_ends", counted_ends)
@@ -357,6 +359,76 @@ def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
         assert abs(alpha - ev.final_alpha) <= 1e-12 * max(1.0, abs(ev.final_alpha))
         assert abs(phase - ev.final_phase) <= 1e-12 * max(1.0, abs(ev.final_phase))
         assert abs(square - ev.abs2_integrals[-1]) <= 1e-12 * max(1.0, ev.abs2_integrals[-1])
+
+
+def _gram_and_reference(config, profile):
+    """Both branches' end values on the kink grid from the Gauss-rule width table.
+
+    The scalar Gram pass, _gram_ends, and the path sweep's vectorised stage,
+    _interval_terms, with the final Y and the summed interval terms, take
+    the same table, coefficients and turns.  Returns (got, reference, scale)
+    per branch, the scale being the larger of the summed term moduli and
+    |even| + |odd| of the Gram pass's parts.
+    """
+    T, w0 = profile.duration, config.trap_frequency
+    count, values = _kink_grid(profile)
+    h = T / count
+    edges = h * np.arange(count + 1.0)
+    edges[-1] = T
+    coef, basis, shift = _drive_basis(profile, edges[:-1],
+                                      None if values is None else np.asarray(values))
+    vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef),
+                                   _doublings(profile, w0, h))
+    branches = (Branch.CO, Branch.COUNTER)
+    y, d_phase, d_abs2 = _interval_terms(
+        config, branches, edges, np.full(count, h), coef,
+        np.repeat(vectors, count, axis=-1), np.repeat(forms, count, axis=-1))
+    tables = vectors[0::2, :, 0] + 1j * vectors[1::2, :, 0]
+    parts = _gram_ends(config, T, h, coef.tolist(), tables.tolist(), forms[..., 0].tolist())
+    cases = []
+    for b, branch in enumerate(branches):
+        scales = (np.abs(y[b]).max(), np.abs(d_phase[b]).sum(), np.abs(d_abs2[b]).sum())
+        cases.append(([even + branch.sign * odd for even, odd in parts],
+                      [y[b, -1], d_phase[b].sum(), d_abs2[b].sum()],
+                      [max(scale, abs(even) + abs(odd)) for scale, (even, odd) in zip(scales, parts)]))
+    return cases
+
+
+def _seeded_end_cases(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    families = ("tabulated", "flat", "sinusoidal", "cosinusoidal")
+    for i in range(count):
+        config = TrapConfig(mass=float(rng.uniform(0.5, 2)), hbar=float(rng.uniform(0.5, 2)),
+                            trap_frequency=float(10 ** rng.uniform(-1, 3)),
+                            radius=float(rng.uniform(0.5, 2)), rotation=float(rng.uniform(-1, 1)))
+        family = families[i % 4]
+        samples = (rng.uniform(0.1, 1.0, rng.integers(2, 40)) if family == "tabulated" else None)
+        yield config, make_profile(family, float(rng.uniform(1, 20)), samples)
+
+
+def _deepest(family):
+    # omega0 h = 0.99 2^52 - k h on the kink grid (k = 2 pi / T), so nu h is
+    # 0.99 2^52 for the trigonometric basis and just below it for the affine one
+    profile = OFF_GRID if family is ProfileFamily.TABULATED else make_profile(family, 7.3)
+    h = profile.duration / (len(profile.breakpoints()) + 1)
+    return TrapConfig(trap_frequency=0.99 * 2.0**52 / h - 2 * np.pi / profile.duration), profile
+
+
+@pytest.mark.parametrize("config, profile", [
+    *_seeded_end_cases(5, 24),
+    (DIMENSIONAL, LONG_GRID),
+    *(_deepest(family) for family in ProfileFamily),
+], ids=lambda value: getattr(value, "family", None) and value.family.value)
+def test_gram_pass_matches_the_vectorised_interval_terms(config, profile):
+    # same table, same coefficients: the scalar pass and the array stage
+    # differ only in summation order, so they agree to a few ulps of the
+    # parts and terms summed (measured: 5e-15), down to the 4096 intervals
+    # of LONG_GRID and up to omega0 h near the 2^52 ceiling
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = _gram_and_reference(config, profile)
+    for got, reference, scales in cases:
+        for value, expected, scale in zip(got, reference, scales):
+            assert abs(value - expected) <= 2e-14 * scale
 
 
 def test_end_values_keep_the_sweep_checks(natural, flat):
@@ -426,7 +498,7 @@ def test_one_doubling_matches_the_plain_rule(profile):
     # the tables of [0, w] doubled once must give the same, to the rounding
     # of the few products of table size that one doubling adds
     count, values = _kink_grid(profile)
-    coef, basis, shift = _drive_basis(profile, np.zeros(count), values)
+    coef, basis, shift = _drive_basis(profile, np.zeros(count), np.asarray(values))
     hs, w0 = np.array([0.3, 0.55]), 0.8
     assert (w0 + 2 * np.pi / profile.duration) * hs.max() <= 1
     plain = _width_tables(hs, w0, basis, shift, len(coef), 0)
@@ -437,8 +509,9 @@ def test_one_doubling_matches_the_plain_rule(profile):
 
 def _as_vectors(tables, forms):
     """_affine_table's complex [G, S] and [K, L] in _width_tables' one-width layout."""
+    tables = np.array(tables)
     vectors = np.array([tables[0].real, tables[0].imag, tables[1].real, tables[1].imag])
-    return vectors[..., None], forms[..., None]
+    return vectors[..., None], np.array(forms)[..., None]
 
 
 @pytest.mark.parametrize("config", [TrapConfig(), DIMENSIONAL], ids=["natural", "scaled"])
@@ -455,7 +528,7 @@ def test_affine_width_table_matches_the_array_tables(config, span, profile):
     h = span / w0
     doublings = _doublings(profile, w0, h)
     count, values = _kink_grid(profile)
-    coef, basis, shift = _drive_basis(profile, np.zeros(count), values)
+    coef, basis, shift = _drive_basis(profile, np.zeros(count), np.asarray(values))
     reference = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
     tol = 2e-14 if doublings == 0 else 1e-12 + np.finfo(float).eps * span
     for exact, table in zip(reference, _as_vectors(*_affine_table(h, w0 * h))):
@@ -554,7 +627,7 @@ def test_affine_table_matches_the_exact_entries():
     assert set(AFFINE_EXACT) >= {math.nextafter(_AFFINE_SWITCH, 0.0), _AFFINE_SWITCH,
                                  math.nextafter(_AFFINE_SWITCH, 3.0)}
     for theta, exact in AFFINE_EXACT.items():
-        tables, forms = _affine_table(1.0, theta)
+        tables, forms = map(np.array, _affine_table(1.0, theta))
         got = [*np.stack([tables.real, tables.imag], axis=-1).ravel(), *forms[0].ravel(),
                forms[1, 0, 0], forms[1, 0, 1], forms[1, 1, 1]]
         assert forms[1, 1, 0] == forms[1, 0, 1]
@@ -616,8 +689,8 @@ def test_gauss_constants_are_the_mapped_legendre_rule():
     # the rule's nodes and weights are written out; they must keep the bits
     # of leggauss(6) mapped to [0, 1], which the path sweep's tables rest on
     x, w = np.polynomial.legendre.leggauss(6)
-    assert ringsagnac.evolution._GL_X.tobytes() == ((x + 1) / 2).tobytes()
-    assert ringsagnac.evolution._GL_W.tobytes() == (w / 2).tobytes()
+    assert np.array(ringsagnac.evolution._GL_X).tobytes() == ((x + 1) / 2).tobytes()
+    assert np.array(ringsagnac.evolution._GL_W).tobytes() == (w / 2).tobytes()
 
 
 def test_width_tables_in_blocks_equal_one_block(monkeypatch):

@@ -5,8 +5,12 @@ refused as a configuration error (exit 2) or as a convergence error
 (exit 3); `verify` may also report a failed check (exit 4).  No exception
 escapes `cli.run` and no warning is raised.  The vectors are drawn from
 `cli._OPTIONS`, so an option added there is fuzzed without a test edit.
+The scalar readout, sensitivity and end-value routes are also called
+directly at the edges of the float range, where they must return finite
+fields or raise the package's own errors.
 """
 
+import cmath
 import dataclasses
 import json
 import math
@@ -15,7 +19,18 @@ import warnings
 import numpy as np
 import pytest
 
-from ringsagnac import PhaseDecomposition, SensitivityReport, cli
+from ringsagnac import (
+    ConfigurationError,
+    ConvergenceError,
+    PhaseDecomposition,
+    SensitivityReport,
+    TrapConfig,
+    cli,
+    decompose,
+    make_profile,
+    readout,
+    sensitivity_report,
+)
 
 COMMANDS = [name for name, _, _ in cli._COMMANDS]
 # values at the edges of the float range, beside random magnitudes
@@ -148,3 +163,60 @@ def test_cli_input_contract(seed, tmp_path, capsys):
             text = written.read_text() if "--output" in argv else out
             problems = _output_problems(text, argv)
             assert not problems, f"{argv}: {problems}"
+
+
+# trap parameters at the edges of the float range, beside random magnitudes
+EDGES = (5e-324, 1e-300, 1e-154, 1.0, 1e154, 1e300, 1.7976931348623157e308)
+
+
+def _edge(rng) -> float:
+    pick = rng.random()
+    if pick < 0.4:
+        return EDGES[rng.integers(len(EDGES))]
+    return float(10.0 ** rng.uniform(*((-300, 300) if pick < 0.7 else (-3, 3))))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_library_overflow_contract(seed):
+    # readout, sensitivity_report and decompose called directly, on tabulated
+    # profiles with samples up to 1e300 and on flat ones, T from 1e-300 to
+    # 1e300, and omega0, hbar and m at the float edges: each returns finite
+    # fields (delta_omega may be inf) or raises a ringsagnac error, never a
+    # bare OverflowError, ValueError or ZeroDivisionError from the scalar
+    # arithmetic, and no warning
+    rng = np.random.default_rng(seed)
+    returned = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(400):
+            try:
+                config = TrapConfig(mass=_edge(rng), hbar=_edge(rng), trap_frequency=_edge(rng),
+                                    radius=_edge(rng), rotation=-_edge(rng) if rng.random() < 0.5
+                                    else _edge(rng))
+                if rng.random() < 0.5:
+                    samples = 10.0 ** rng.uniform(-300, 300, rng.integers(2, 12))
+                    samples[rng.random(samples.size) < 0.2] = 0.0
+                    profile = make_profile("tabulated", float(10 ** rng.uniform(-300, 300)),
+                                           samples=samples)
+                else:
+                    profile = make_profile("flat", float(10 ** rng.uniform(-300, 300)))
+            except ConfigurationError:
+                continue
+            for call in (readout, sensitivity_report, decompose):
+                try:
+                    result = call(config, profile)
+                except (ConfigurationError, ConvergenceError):
+                    continue
+                fields = {name: value for name, value in vars(result).items()
+                          if name != "delta_omega"}
+                values = [value for value in fields.values()
+                          if isinstance(value, (int, float, complex))]
+                values += [part for value in fields.values() if isinstance(value, tuple)
+                           for part in value]
+                if call is sensitivity_report:
+                    assert result.delta_omega > 0, config
+                if call is readout:
+                    values.append(result.spectrum.value)
+                assert all(cmath.isfinite(value) for value in values), (call.__name__, config)
+                returned += 1
+    assert returned > 100

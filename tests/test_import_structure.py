@@ -1,9 +1,10 @@
 """Each command loads only the modules it runs; scipy is imported by the time-domain oracles alone.
 
 `import ringsagnac` loads the exceptions and nothing else.  The scalar
-commands (simulate, sensitivity and their sweeps) and every input refused
-while the run is configured load no numpy; the commands that build arrays
-load numpy and the library modules they call.  ringsagnac.oracle holds
+commands (simulate, sensitivity, decompose on a tabulated or flat
+profile, their sweeps and the design zero search) and every input
+refused while the run is configured load no numpy; the commands that
+build arrays load numpy and the library modules they call.  ringsagnac.oracle holds
 every quadrature route; the spectrum command is the one production step
 that loads it, and its spectral rule runs on numpy.
 """
@@ -152,26 +153,36 @@ def _loads(commands) -> list:
 
 ARRAY_MODULES = {"numpy", "ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry",
                  "ringsagnac.design", "ringsagnac.oracle"}
-# closed-form readout and sensitivity, a sweep of them, and the inputs the
-# benchmark's cli mix expects refused; the design refusal comes last, since
-# it is the one step that loads ringsagnac.design
+TABULATED = ["--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4"]
+# the readout, sensitivity and end-value closed forms, sweeps of them, the
+# tabulated zero search, and the inputs the benchmark's cli mix expects
+# refused, each with the library modules it may load besides those of the
+# steps before it; decompose takes the end values from ringsagnac.evolution
 SCALAR = [
-    (["simulate"], 0),
-    (["sensitivity", "--family", "sinusoidal"], 0),
-    (["simulate", "--sweep", "rotation=0.05:0.5:4"], 0),
-    (["simulate", "--sweep", "volume=1:2:3"], 2),
-    (["spectrum", "--samples", "1,2,3"], 2),
-    (["simulate", "--rotation", "nan"], 2),
-    (["design", "--family", "cosinusoidal", "--index", "1"], 2),
+    (["simulate"], 0, set()),
+    (["sensitivity", "--family", "sinusoidal"], 0, set()),
+    (["simulate", "--sweep", "rotation=0.05:0.5:4"], 0, set()),
+    (["simulate", "--sweep", "volume=1:2:3"], 2, set()),
+    (["spectrum", "--samples", "1,2,3"], 2, set()),
+    (["simulate", "--rotation", "nan"], 2, set()),
+    (["simulate", *TABULATED], 0, set()),
+    (["sensitivity", *TABULATED, "--sweep", "duration=4:8:4"], 0, set()),
+    (["decompose"], 0, {"ringsagnac.evolution", "ringsagnac.geometry"}),
+    (["decompose", *TABULATED], 0, set()),
+    (["decompose", *TABULATED, "--sweep", "duration=4:8:4"], 0, set()),
+    (["design", "--family", "cosinusoidal", "--index", "1"], 2, {"ringsagnac.design"}),
+    (["design", "--family", "tabulated", "--samples", "0.4,1,1,0.4", "--bracket", "7:8.5"],
+     0, set()),
 ]
 
 
 def test_import_and_scalar_commands_load_no_numpy():
-    (code, loaded), *steps = _loads([argv for argv, _ in SCALAR])
+    (code, loaded), *steps = _loads([argv for argv, *_ in SCALAR])
     assert loaded == ["ringsagnac.errors"]
-    for (argv, expected), (code, loaded) in zip(SCALAR, steps, strict=True):
+    allowed = set()
+    for (argv, expected, modules), (code, loaded) in zip(SCALAR, steps, strict=True):
         assert code == expected, argv
-        allowed = {"ringsagnac.design"} if argv[0] == "design" else set()
+        allowed |= modules
         assert ARRAY_MODULES & set(loaded) <= allowed, argv
 
 
@@ -179,11 +190,14 @@ def test_import_and_scalar_commands_load_no_numpy():
     (["spectrum", "--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4"],
      {"numpy", "ringsagnac.oracle"},
      {"ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry", "ringsagnac.design"}),
-    (["decompose"], {"numpy", "ringsagnac.evolution", "ringsagnac.geometry"},
+    (["decompose"], {"ringsagnac.evolution", "ringsagnac.geometry"},
+     {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
+    (["decompose", "--family", "sinusoidal"],
+     {"numpy", "ringsagnac.evolution", "ringsagnac.geometry"},
      {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
     (["trajectory"], {"numpy", "ringsagnac.evolution"},
      {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle", "ringsagnac.geometry"}),
-], ids=["spectrum", "decompose", "trajectory"])
+], ids=["spectrum", "decompose", "decompose-sinusoidal", "trajectory"])
 def test_array_command_loads_only_what_it_runs(argv, needed, unloaded):
     # each in a fresh interpreter, so that no earlier step loaded a module
     _, (code, loaded) = _loads([argv])

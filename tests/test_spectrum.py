@@ -21,7 +21,7 @@ from ringsagnac import (
     spectrum_closed_form,
 )
 from ringsagnac.oracle import spectrum_derivative, spectrum_numeric
-from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _kernel
+from ringsagnac.spectrum import _SERIES_SWITCH, _exact_spectrum, _kernel, _tabulated_moments
 
 HALF_PI_SQRT = 1.2533141373155001  # sqrt(pi/2)
 
@@ -209,6 +209,39 @@ def test_segment_kernels_on_both_sides_of_the_series_switch():
     for theta in (0.3, 2.0):
         (m0, j1, q), (m0_minus, j1_minus, q_minus) = _kernel(theta), _kernel(-theta)
         assert m0 == m0_minus and q == q_minus and j1 == -j1_minus
+
+
+def _vectorised_moments(profile, w):
+    """The numpy segment sums that the scalar pass replaced, kept as a reference."""
+    f = np.asarray(profile.samples)
+    h = profile.duration / (f.size - 1)
+    half = h / 2
+    m0, j1, q = _kernel(w * half)
+    odd = -1j * j1
+    mid = h * np.arange(0.5, f.size - 1)
+    area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
+    phase = np.exp((-1j * w) * mid)
+    terms = area * m0 + odd * tilt
+    moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
+    return complex((phase * terms).sum()), complex(moment)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scalar_moments_match_the_vectorised_sums(seed):
+    # 2 to 400 nodes, so numpy's pairwise sum runs sequentially, unrolled and
+    # split; the two routes round each segment term differently (numpy's
+    # complex products may fuse), so they agree to a few ulps of the
+    # integrals' scales, pi for W and pi T for the moment
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        duration = float(10 ** rng.uniform(-3, 3))
+        profile = make_profile(ProfileFamily.TABULATED, duration,
+                               samples=rng.uniform(0.0, 1.0, rng.integers(2, 401)))
+        for w in (0.0, float(rng.uniform(0, 5)), float(10 ** rng.uniform(-3, 6)) / duration):
+            (value, moment), (ref_value, ref_moment) = (
+                _tabulated_moments(profile, w), _vectorised_moments(profile, w))
+            assert abs(value - ref_value) <= 4e-15 * np.pi
+            assert abs(moment - ref_moment) <= 4e-15 * np.pi * duration
 
 
 @pytest.mark.parametrize("family,count", [("tabulated", 1), ("flat", 1), ("cosinusoidal", 3),
