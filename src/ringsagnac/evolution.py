@@ -197,6 +197,18 @@ class BranchEvolution:
         return float(self.phases[-1])
 
 
+def _affine_coef(values):
+    """The affine families' coefficients: each interval's left edge value, then its rise.
+
+    values is the profile at the interval edges, a tuple, a list or a 1-d
+    array; the rises come back as a list or as an array to match.
+    """
+    left, right = values[:-1], values[1:]
+    if isinstance(values, (tuple, list)):
+        return left, [b - a for a, b in zip(left, right)]
+    return left, right - left
+
+
 def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None):
     """Coefficients, basis and shift with omega_P(a + d) = sum_r coef[r] basis(d, h)[r].
 
@@ -222,7 +234,7 @@ def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None
             M[..., 1, 0] = w / h
             return M
 
-        return (np.array([values[:-1], values[1:] - values[:-1]]),
+        return (np.array(_affine_coef(values)),
                 lambda d, h: np.array([np.ones_like(d), d / h]), affine_shift)
 
     def rotation(w, h):
@@ -602,7 +614,7 @@ def _sweep_ends(config: TrapConfig, profile: SweepProfile):
         tables, forms, coef = tables.tolist(), forms[..., 0].tolist(), coef.tolist()
     else:
         tables, forms = _affine_table(h, w0 * h)
-        coef = (values[:-1], [right - left for left, right in zip(values, values[1:])])
+        coef = _affine_coef(values)
     (z, z_odd), (phase, phase_odd), (square, square_odd) = _gram_ends(
         config, T, h, coef, tables, forms)
     hbar = config.hbar

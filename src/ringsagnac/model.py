@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -210,6 +211,34 @@ def _pairwise_sum(terms, lo: int, hi: int, unroll: int):
     return total
 
 
+def _sample_floats(samples) -> list[float]:
+    """The tabulated samples as Python floats, refusing what is not a 1-d sequence of numbers.
+
+    A 1-d array or a sequence other than a string is read element by
+    element; a string, a mapping, a set, an iterator or an array of
+    another rank is refused, as is an element that is itself an array or
+    not a real number.
+    """
+    if hasattr(samples, "ndim"):
+        one_d = samples.ndim == 1
+    else:
+        one_d = isinstance(samples, Sequence) and not isinstance(samples, (str, bytes, bytearray))
+    values = []
+    if one_d:
+        for value in samples:
+            if getattr(value, "ndim", 0) != 0:
+                break
+            try:
+                values.append(float(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"tabulated sweep rates must be real numbers, got {value!r}") from None
+        else:
+            if len(values) >= 2:
+                return values
+    raise ConfigurationError("tabulated profile needs a 1-d sequence of at least 2 samples")
+
+
 def make_profile(family, duration, samples=None) -> SweepProfile:
     """Build an admissible sweep profile.
 
@@ -223,12 +252,7 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     if family is not ProfileFamily.TABULATED:
         return SweepProfile(family, float(duration))
 
-    try:
-        values = [float(value) for value in samples] if getattr(samples, "ndim", 1) == 1 else []
-    except TypeError:  # not a sequence, or one of sequences
-        values = []
-    if len(values) < 2:
-        raise ConfigurationError("tabulated profile needs a 1-d sequence of at least 2 samples")
+    values = _sample_floats(samples)
     if any(value < 0 for value in values):
         raise NegativeSample("tabulated sweep rates must be non-negative")
     if not all(math.isfinite(value) for value in values):

@@ -157,7 +157,10 @@ TABULATED = ["--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4"]
 # the readout, sensitivity and end-value closed forms, sweeps of them, the
 # tabulated zero search, and the inputs the benchmark's cli mix expects
 # refused, each with the library modules it may load besides those of the
-# steps before it; decompose takes the end values from ringsagnac.evolution
+# steps before it.  A module stays loaded, so each step that adds one comes
+# as late as it can: the design steps load ringsagnac.design, and decompose
+# takes the end values from ringsagnac.evolution; that decompose loads no
+# design module is checked in a fresh interpreter below
 SCALAR = [
     (["simulate"], 0, set()),
     (["sensitivity", "--family", "sinusoidal"], 0, set()),
@@ -167,12 +170,12 @@ SCALAR = [
     (["simulate", "--rotation", "nan"], 2, set()),
     (["simulate", *TABULATED], 0, set()),
     (["sensitivity", *TABULATED, "--sweep", "duration=4:8:4"], 0, set()),
-    (["decompose"], 0, {"ringsagnac.evolution", "ringsagnac.geometry"}),
-    (["decompose", *TABULATED], 0, set()),
-    (["decompose", *TABULATED, "--sweep", "duration=4:8:4"], 0, set()),
     (["design", "--family", "cosinusoidal", "--index", "1"], 2, {"ringsagnac.design"}),
     (["design", "--family", "tabulated", "--samples", "0.4,1,1,0.4", "--bracket", "7:8.5"],
      0, set()),
+    (["decompose"], 0, {"ringsagnac.evolution", "ringsagnac.geometry"}),
+    (["decompose", *TABULATED], 0, set()),
+    (["decompose", *TABULATED, "--sweep", "duration=4:8:4"], 0, set()),
 ]
 
 
@@ -192,12 +195,16 @@ def test_import_and_scalar_commands_load_no_numpy():
      {"ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry", "ringsagnac.design"}),
     (["decompose"], {"ringsagnac.evolution", "ringsagnac.geometry"},
      {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
+    (["decompose", *TABULATED, "--sweep", "duration=4:8:4"],
+     {"ringsagnac.evolution", "ringsagnac.geometry"},
+     {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
     (["decompose", "--family", "sinusoidal"],
      {"numpy", "ringsagnac.evolution", "ringsagnac.geometry"},
      {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
     (["trajectory"], {"numpy", "ringsagnac.evolution"},
      {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle", "ringsagnac.geometry"}),
-], ids=["spectrum", "decompose", "decompose-sinusoidal", "trajectory"])
+], ids=["spectrum", "decompose", "decompose-tabulated-sweep", "decompose-sinusoidal",
+        "trajectory"])
 def test_array_command_loads_only_what_it_runs(argv, needed, unloaded):
     # each in a fresh interpreter, so that no earlier step loaded a module
     _, (code, loaded) = _loads([argv])

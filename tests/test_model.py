@@ -116,6 +116,42 @@ def test_tabulated_validation():
         make_profile(ProfileFamily.TABULATED, 1.0, samples=[[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("samples", [
+    "12", b"12", bytearray(b"12"), "0.5", {1.0: 2.0, 3.0: 4.0}, {1.0, 2.0},
+    (value for value in [1.0, 2.0]), None, 3.0, np.array(2.0), np.ones((2, 2)),
+    [np.array([1.0]), np.array([2.0])], [1.0, "."], [1.0, 1j], [1.0, None], [10**400, 1.0],
+], ids=["str", "bytes", "bytearray", "str-decimal", "dict", "set", "generator", "none",
+        "scalar", "0-d", "2-d", "1-element-arrays", "bad-string", "complex", "none-element",
+        "huge-int"])
+def test_tabulated_refuses_what_is_not_a_1d_sequence_of_numbers(samples):
+    with pytest.raises(ConfigurationError):
+        make_profile(ProfileFamily.TABULATED, 1.0, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [
+    [0.3, 0.9, 0.6], (0.3, 0.9, 0.6), np.array([0.3, 0.9, 0.6]), ["0.3", "0.9", "0.6"],
+    [np.float32(0.3), 0.9, np.int64(1)], range(1, 4),
+], ids=["list", "tuple", "array", "numeric-strings", "numpy-scalars", "range"])
+def test_tabulated_samples_match_numpy_trapezoid(samples):
+    values = np.asarray(samples, dtype=float)
+    factor = np.pi / np.trapezoid(values, dx=2.5 / (values.size - 1))
+    profile = make_profile(ProfileFamily.TABULATED, 2.5, samples=samples)
+    assert profile.rescale_factor == factor
+    assert profile.samples == tuple((values * factor).tolist())
+
+
+def test_tabulated_rescale_is_numpy_trapezoid_bit_for_bit():
+    # numpy's pairwise order at every block boundary, and on long grids
+    rng = np.random.default_rng(23)
+    for size in [*range(2, 300), 4097, 10_001]:
+        values = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-5, 5, size)
+        T = 10.0 ** rng.uniform(-3, 3)
+        factor = np.pi / np.trapezoid(values, dx=T / (size - 1))
+        profile = make_profile(ProfileFamily.TABULATED, T, samples=values)
+        assert profile.rescale_factor == factor, size
+        assert profile.samples == tuple((values * factor).tolist()), size
+
+
 def test_family_accepts_plain_strings():
     profile = make_profile("flat", 2 * np.pi)
     assert profile.family is ProfileFamily.FLAT
