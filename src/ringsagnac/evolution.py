@@ -21,9 +21,8 @@ drive is a short sum lambda(a + d) = sum_r c_r b_r(d): the basis is
 {1, d/h} for tabulated and flat profiles, which are affine there, and
 {1, cos kd, sin kd} with k = 2 pi / T for the trigonometric families.
 Factoring exp(i omega0 tau) = exp(i omega0 a) exp(i omega0 d) leaves
-tables that depend on h alone, built once per distinct interval width
-(by a nested 6x6 Gauss-Legendre rule, or in closed form for the affine
-kink grid, below):
+tables that depend on h alone, built once per distinct interval width by
+one builder per basis (below):
 
     P_r(d) = int_0^d b_r(x) exp(i omega0 x) dx,   G_r = P_r(h),
     S_r    = int_0^h P_r(d) dd,
@@ -41,37 +40,8 @@ in their coefficients, lambda = D (Omega +/- omega_P), so one set of
 tables serves both.  _interval_terms computes these terms, and _sweep
 runs them through the sample grid for full paths.
 
-The path sweep's tables come from the nested rule, which is exact
-through degree 11 and so reaches rounding once nu h <= 1.  A wider
-interval gets its tables by scaling and doubling (scaling and squaring,
-Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), applied to these
-tables): the rule runs on w = h / 2^s with s = ceil(log2(nu h)), and s
-doublings carry the tables to h; nu is omega0, plus k for the
-trigonometric basis.  A shift acts linearly on the basis,
-b(w + x) = M b(x), with M = [[1, 0], [w/h, 1]] for {1, d/h} and a rotation
-by k w for {1, cos kd, sin kd}, so with e = exp(i omega0 w) one doubling is
-
-    G' = G + e M G,
-    S' = S + w G + e M S,
-    K' = K + M (Im[conj(e) conj(G) G^T] + K M^T),
-    L' = L + w Re[conj(G) G^T] + X + X^T + M L M^T,
-         X = Re[conj(G) (e M S)^T].
-
-Every interval is then exact to rounding at any nu h up to
-2^_MAX_DOUBLINGS; beyond it one ulp of nu h is a radian or more, and the
-sweep is refused before any table is built.  _sweep keeps the uniform
-grid of n_samples intervals, split at the kinks, and doubles with the
-common s of its widest interval.  _check_samples refuses an n_samples
-above _MAX_SAMPLES before anything is built.
-
-_sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
-uniform for every family, so one width table serves it and no sample
-count sizes it.  It runs on Python floats: the kink grid has a few
-intervals, where numpy's per-call cost would exceed the arithmetic, and
-the module loads numpy only when the path sweep or a trigonometric width
-table first needs it.  The affine table is exact (_affine_table): with
-theta = omega0 h and the phi-functions phi_k(z) = sum_j z^j / (j + k)!
-at z = i theta,
+The affine table is exact (_affine_table): with theta = omega0 h and the
+phi-functions phi_k(z) = sum_j z^j / (j + k)! at z = i theta,
 
     g = (phi_1, phi_1 - phi_2),           s = (phi_2, phi_2 - 2 phi_3),
     k = -Im[[phi_2, phi_3], [phi_2 - phi_3, phi_3 - phi_4]],
@@ -81,17 +51,47 @@ and G = h g, S = h^2 s, K = h^2 k, L = h^3 l.  Below theta = 2, where
 their closed forms in sin theta and cos theta cancel, phi_5 comes from
 its Taylor series and phi_4 ... phi_1 from the downward recurrence
 phi_(k-1) = z phi_k + 1/(k-1)!, stable there; above it the closed forms
-serve.  The trigonometric grids keep the rule.  On one width every sum
-over the intervals is a quadratic form in c = a e_0 + sign b coef
-(a = D Omega, b = D), a part common to both branches and a part the
-sign flips, which _gram_ends accumulates in one pass over the
-intervals: running prefix sums of the turns and of dZ, and the sums of
-their products with the interval terms above.
+serve.  It runs on Python floats, one call per distinct interval width.
+
+The trigonometric tables come from a nested 6x6 Gauss-Legendre rule,
+exact through degree 11, so at rounding once nu h <= 1, nu = omega0 + k.
+A wider interval gets its tables by scaling and doubling (scaling and
+squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), applied to
+these tables): the rule runs on w = h / 2^s with s = ceil(log2(nu h)),
+and s doublings carry the tables to h.  A shift rotates the basis,
+b(w + x) = M b(x) with M the rotation by k w of (cos, sin), so with
+e = exp(i omega0 w) one doubling is
+
+    G' = G + e M G,
+    S' = S + w G + e M S,
+    K' = K + M (Im[conj(e) conj(G) G^T] + K M^T),
+    L' = L + w Re[conj(G) G^T] + X + X^T + M L M^T,
+         X = Re[conj(G) (e M S)^T].
+
+Both tables are exact to rounding up to nu h = 2^_MAX_DOUBLINGS (nu =
+omega0 for the affine basis); beyond it one ulp of nu h is a radian or
+more, and a sweep is refused before any table is built.  _sweep keeps
+the uniform grid of n_samples intervals, split at the kinks, and doubles
+with the common s of its widest interval.  _check_samples refuses an
+n_samples above _MAX_SAMPLES before anything is built.
+
+_sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
+uniform for every family, so one width table serves it and no sample
+count sizes it.  It runs on Python floats: the kink grid has a few
+intervals, where numpy's per-call cost would exceed the arithmetic, and
+the module loads numpy only when the path sweep or a trigonometric width
+table first needs it.  On one width every sum over the intervals is a
+quadratic form in c = a e_0 + sign b coef (a = D Omega, b = D), a part
+common to both branches and a part the sign flips, which _gram_ends
+accumulates in one pass over the intervals: running prefix sums of the
+turns and of dZ, and the sums of their products with the interval terms
+above.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,14 +128,11 @@ _GL_X = (0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
          0.6193095930415985, 0.8306046932331322, 0.9662347571015759)
 _GL_W = (0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
          0.23395696728634552, 0.18038078652406936, 0.08566224618958514)
-# widths per block of the Gauss tables: a block's node arrays take about
-# 4 MB; a path sweep whose kinks make most interval widths distinct needs
-# several blocks
-_TABLE_BLOCK = 1024
 # below theta = omega0 h = 2 the affine table comes from the phi-functions,
 # above it from the closed forms (module docstring); against mpmath, the
 # first side is within 3.2e-16 and the second within 4.3e-16 of the exact
-# entries, scaled by the largest of each of g, s, k and l.  phi_5(i theta) splits into its even and odd powers, polynomials in
+# entries, scaled by the largest of each of g, s, k and l.
+# phi_5(i theta) splits into its even and odd powers, polynomials in
 # -theta^2 written highest power first for Horner's rule; twelve terms each
 # leave less than 1e-21 at the switch
 _AFFINE_SWITCH = 2.0
@@ -209,14 +206,8 @@ def _affine_coef(values):
     return left, right - left
 
 
-def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None):
-    """Coefficients, basis and shift with omega_P(a + d) = sum_r coef[r] basis(d, h)[r].
-
-    The affine families read their coefficients from values, the profile
-    at the interval edges; the trigonometric ones take them by angle
-    addition at the left edges a.  shift(w, h) is the matrix M, stacked as
-    (..., r, r) over the shape of w, with basis(w + x, h) = M basis(x, h).
-    """
+def _trig_coef(profile: SweepProfile, a: np.ndarray) -> np.ndarray:
+    """Coefficients of omega_P(a + d) in {1, cos kd, sin kd}, by angle addition at a."""
     import numpy as np
 
     T = profile.duration
@@ -224,29 +215,8 @@ def _drive_basis(profile: SweepProfile, a: np.ndarray, values: np.ndarray | None
     if profile.family is ProfileFamily.SINUSOIDAL:
         # |sin| flips sign at T/2, which is an edge
         amplitude = np.pi**2 / (2 * T) * np.where(a < T / 2, 1.0, -1.0)
-        coef = amplitude * np.stack([np.zeros_like(a), np.sin(k * a), np.cos(k * a)])
-    elif profile.family is ProfileFamily.COSINUSOIDAL:
-        coef = np.pi / T * np.stack([np.ones_like(a), -np.cos(k * a), np.sin(k * a)])
-    else:
-        def affine_shift(w, h):
-            M = np.zeros((*w.shape, 2, 2))
-            M[..., 0, 0] = M[..., 1, 1] = 1.0
-            M[..., 1, 0] = w / h
-            return M
-
-        return (np.array(_affine_coef(values)),
-                lambda d, h: np.array([np.ones_like(d), d / h]), affine_shift)
-
-    def rotation(w, h):
-        M = np.zeros((*w.shape, 3, 3))
-        M[..., 0, 0] = 1.0
-        M[..., 1, 1] = M[..., 2, 2] = np.cos(k * w)
-        M[..., 2, 1] = np.sin(k * w)
-        M[..., 1, 2] = -M[..., 2, 1]
-        return M
-
-    return (coef, lambda d, h: np.array([np.ones_like(d), np.cos(k * d), np.sin(k * d)]),
-            rotation)
+        return amplitude * np.stack([np.zeros_like(a), np.sin(k * a), np.cos(k * a)])
+    return np.pi / T * np.stack([np.ones_like(a), -np.cos(k * a), np.sin(k * a)])
 
 
 def _doublings(profile: SweepProfile, w0: float, h: float) -> int:
@@ -256,7 +226,8 @@ def _doublings(profile: SweepProfile, w0: float, h: float) -> int:
     an interval's integrand: omega0, plus k = 2 pi / T for the
     trigonometric basis, whose half-period kink grid would otherwise leave
     k w near pi.  A nu h above 2^_MAX_DOUBLINGS, or not finite, is refused
-    before any table is built.
+    before any table is built; the affine tables, in closed form, use only
+    that check.
     """
     nu = w0
     if profile.family in (ProfileFamily.SINUSOIDAL, ProfileFamily.COSINUSOIDAL):
@@ -271,18 +242,40 @@ def _doublings(profile: SweepProfile, w0: float, h: float) -> int:
     return math.ceil(math.log2(span)) if span > 1.0 else 0
 
 
-def _doubled(G, S, K, L, w, h, w0: float, shift, doublings: int):
-    """The tables on [0, w 2^doublings] from those on [0, w] (module docstring).
+def _width_tables(hs: np.ndarray, w0: float, k: float, doublings: int):
+    """G, S, K and L of {1, cos kd, sin kd} on [0, h], one column per width h.
 
-    Takes G and S as (u, r) and K and L as (u, r, r); returns them as
-    (r, u) and (r, r, u).  Every level's turn e and shift M are formed in
-    one pass before the loop.
+    The nested rule runs on w = h / 2^doublings and each doubling carries
+    the tables from [0, w] to [0, 2 w] (module docstring); every level's
+    turn e and rotation M are formed before the loop.  Returns (Re G, Im G,
+    Re S, Im S) stacked as (4, 3, u) and (K, L) as (2, 3, 3, u).
     """
     import numpy as np
 
+    w = hs / 2**doublings
+    # outer nodes d_j on [0, w], inner nodes x on [0, d_j],
+    # P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
+    d = w[:, None] * np.array(_GL_X)                                     # (u, 6)
+    weight = w[:, None] * np.array(_GL_W)
+    x = d[:, :, None] * np.array(_GL_X)                                  # (u, 6, 6)
+    v = d[:, :, None] * np.array(_GL_W)
+    turn_d = np.exp(1j * w0 * d)
+    basis_d = np.array([np.ones_like(d), np.cos(k * d), np.sin(k * d)])  # (3, u, 6)
+    basis_x = np.array([np.ones_like(x), np.cos(k * x), np.sin(k * x)])
+    partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis_x)
+    G = np.einsum("uj,ruj->ur", weight * turn_d, basis_d)
+    S = np.einsum("uj,ruj->ur", weight, partial)
+    K = np.einsum("uj,ruj,suj->urs", weight, basis_d, (turn_d.conj() * partial).imag)
+    L = np.einsum("uj,ruj,suj->urs", weight, partial.conj(), partial).real
+
     ws = w * 2.0 ** np.arange(doublings)[:, None]                     # (s, u)
     turns = np.exp(1j * w0 * ws)[..., None]
-    for w, e, M in zip(ws[..., None], turns, shift(ws, h)):
+    rotations = np.zeros((*ws.shape, 3, 3))
+    rotations[..., 0, 0] = 1.0
+    rotations[..., 1, 1] = rotations[..., 2, 2] = np.cos(k * ws)
+    rotations[..., 2, 1] = np.sin(k * ws)
+    rotations[..., 1, 2] = -rotations[..., 2, 1]
+    for w, e, M in zip(ws[..., None], turns, rotations):
         Mt = M.swapaxes(-1, -2)
         eMS = e * (M @ S[..., None])[..., 0]
         Gc = G.conj()[..., None]
@@ -292,47 +285,8 @@ def _doubled(G, S, K, L, w, h, w0: float, shift, doublings: int):
         L = L + w[..., None] * outer.real + cross + cross.swapaxes(-1, -2) + M @ L @ Mt
         S = S + w * G + eMS
         G = G + e * (M @ G[..., None])[..., 0]
-    return G.T, S.T, K.transpose(1, 2, 0), L.transpose(1, 2, 0)
-
-
-def _width_tables(hs: np.ndarray, w0: float, basis, shift, n_basis: int, doublings: int):
-    """G, S, K and L on [0, h], one column per width h.
-
-    The nested rule runs on w = h / 2^doublings and each doubling carries
-    the tables from [0, w] to [0, 2 w] (module docstring).  Returns
-    (Re G, Im G, Re S, Im S) stacked as (4, r, u) and (K, L) as
-    (2, r, r, u).  The rule's (6, 6) node arrays are built for
-    _TABLE_BLOCK widths at a time, so profiles whose kinks make most
-    interval widths distinct stay within a fixed working set.
-    """
-    import numpy as np
-
-    gl_x, gl_w = np.array(_GL_X), np.array(_GL_W)
-    vectors = np.empty((4, n_basis, len(hs)))
-    forms = np.empty((2, n_basis, n_basis, len(hs)))
-    for start in range(0, len(hs), _TABLE_BLOCK):
-        block = slice(start, start + _TABLE_BLOCK)
-        h = hs[block]
-        w = h / 2**doublings
-        # outer nodes d_j on [0, w], inner nodes x on [0, d_j],
-        # P_r(d_j) = int_0^d_j b_r(x) exp(i w0 x) dx
-        d = w[:, None] * gl_x                                            # (u, 6)
-        weight = w[:, None] * gl_w
-        x = d[:, :, None] * gl_x                                         # (u, 6, 6)
-        v = d[:, :, None] * gl_w
-        turn_d = np.exp(1j * w0 * d)
-        basis_d = basis(d, h[:, None])                                   # (r, u, 6)
-        partial = np.einsum("ujk,rujk->ruj", v * np.exp(1j * w0 * x), basis(x, h[:, None, None]))
-        G = np.einsum("uj,ruj->ru", weight * turn_d, basis_d)
-        S = np.einsum("uj,ruj->ru", weight, partial)
-        K = np.einsum("uj,ruj,suj->rsu", weight, basis_d, (turn_d.conj() * partial).imag)
-        L = np.einsum("uj,ruj,suj->rsu", weight, partial.conj(), partial).real
-        if doublings:
-            G, S, K, L = _doubled(G.T, S.T, K.transpose(2, 0, 1), L.transpose(2, 0, 1),
-                                  w, h, w0, shift, doublings)
-        vectors[..., block] = G.real, G.imag, S.real, S.imag
-        forms[..., block] = K, L
-    return vectors, forms
+    return (np.array([G.T.real, G.T.imag, S.T.real, S.T.imag]),
+            np.array([K.transpose(1, 2, 0), L.transpose(1, 2, 0)]))
 
 
 def _phi_functions(theta: float) -> tuple[complex, ...]:
@@ -487,8 +441,19 @@ def _sweep(
         hs, which = np.unique(widths, return_inverse=True)
         doublings = _doublings(profile, w0, hs[-1])
         values = eval_profile(profile, edges)
-        coef, basis, shift = _drive_basis(profile, edges[:-1], values)
-        vectors, forms = _width_tables(hs, w0, basis, shift, len(coef), doublings)
+        if profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED):
+            coef = np.array(_affine_coef(values))
+            # (u, [G, S], r) and (u, [K, L], r, r) into _width_tables' layout;
+            # numpy reads flat lists several times faster than nested ones
+            tables, forms = zip(*(_affine_table(h, w0 * h) for h in hs.tolist()))
+            flat = itertools.chain.from_iterable
+            tables = np.array([*flat(flat(tables))]).reshape(-1, 2, 2)
+            forms = np.array([*flat(flat(flat(forms)))]).reshape(-1, 2, 2, 2)
+            vectors = np.stack([tables.real, tables.imag], axis=2).reshape(-1, 4, 2)
+            vectors, forms = vectors.transpose(1, 2, 0), forms.transpose(1, 2, 3, 0)
+        else:
+            coef = _trig_coef(profile, edges[:-1])
+            vectors, forms = _width_tables(hs, w0, 2 * math.pi / T, doublings)
         # take keeps the interval axis contiguous, which einsum needs to be fast
         y, d_phase, d_abs2 = _interval_terms(
             config, branches, edges, widths, coef,
@@ -608,8 +573,8 @@ def _sweep_ends(config: TrapConfig, profile: SweepProfile):
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):
-            coef, basis, shift = _drive_basis(profile, h * np.arange(float(count)), None)
-            vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+            coef = _trig_coef(profile, h * np.arange(float(count)))
+            vectors, forms = _width_tables(np.array([h]), w0, 2 * math.pi / T, doublings)
             tables = vectors[0::2, :, 0] + 1j * vectors[1::2, :, 0]
         tables, forms, coef = tables.tolist(), forms[..., 0].tolist(), coef.tolist()
     else:

@@ -119,14 +119,6 @@ class FockState:
         return complex(np.sum(np.conj(c[:-1]) * np.sqrt(n) * c[1:]))
 
 
-def _operators(n_max: int):
-    n = np.arange(n_max)
-    lower = np.diag(np.sqrt(n[1:]).astype(complex), 1)
-    body = np.diag(n + 0.5).astype(complex)          # units of hbar*omega0
-    drive = 1j * (lower - lower.conj().T)            # units of lambda
-    return body, drive
-
-
 @lru_cache(maxsize=4)
 def _drive_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenvalues and eigenvectors of i(a - a^dag) at n_max levels.
@@ -136,7 +128,8 @@ def _drive_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     depend on n_max alone; the cache holds four sizes, 17 MB at the 512-level
     ceiling.
     """
-    levels, vecs = np.linalg.eigh(_operators(n_max)[1])
+    lower = np.diag(np.sqrt(np.arange(1, n_max)).astype(complex), 1)
+    levels, vecs = np.linalg.eigh(1j * (lower - lower.conj().T))
     levels = 0.5 * (levels - levels[::-1])
     levels.flags.writeable = vecs.flags.writeable = False
     return levels, vecs

@@ -155,7 +155,9 @@ def decompose(
     residual = _residual_angle(alpha + alpha_odd, alpha - alpha_odd)
     dgg_path = 2 * _swept_geometric_phase(phi_odd, square_odd, w0) + residual
     gap = abs(dgg_path - dgg_spectral)
-    if not gap <= _PATH_AGREEMENT_TOL:
+    # a gap of a few ulps of dgg is rounding at any size of dgg
+    ulps = 4 * math.ulp(dgg_spectral) if math.isfinite(dgg_spectral) else 0.0
+    if not gap <= max(_PATH_AGREEMENT_TOL, ulps):
         # beyond it, a gap is taken as rounding of the branch phases, whose size
         # 2 T (D/hbar)^2 (|Omega| + pi/T)^2 / omega0 (D = drive_scale, pi/T the
         # mean sweep rate) comes from the inputs alone, so that an under-resolved

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -168,7 +169,6 @@ def test_nonfinite_input_rejected(capsys, argv):
         ["trajectory", "--duration", "1e300", "--format", "human"],
         ["trajectory", "--rotation", "1e200"],
         ["fig2", "--panel", "c", "--rotation", "1e300"],
-        ["decompose", "--rotation", "1e150"],
         ["sensitivity", "--hbar", "1e-300"],
         ["sensitivity", "--radius", "1e150"],
         ["sensitivity", "--radius", "1e-154", "--rotation", "1.1540420280551653",
@@ -188,11 +188,9 @@ def test_nan_quadrature_error_is_a_convergence_error(capsys, argv):
     # a NaN error estimate fails the budget instead of passing it; decompose
     # gets its spectrum exactly, and an overflowing path sweep is refused
     # instead of handing on inf or NaN; an interval with omega0 h beyond the
-    # doubling ceiling is refused before its tables are built; a rotation so
-    # fast that the branch difference is lost in the rounding of the branch
-    # phases fails the path/spectral agreement check; a scheme class that
-    # the routes cannot resolve is not given; a Fisher information that
-    # over- or underflows is refused too
+    # doubling ceiling is refused before its tables are built; a scheme
+    # class that the routes cannot resolve is not given; a Fisher
+    # information that over- or underflows is refused too
     _assert_one_line_failure(capsys, argv, 3, "convergence error:")
 
 
@@ -228,6 +226,18 @@ def test_fast_traps_decompose(capsys, argv, label):
         assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
     if label == "dynamic":
         assert dec["kappa"] is None
+
+
+def test_one_ulp_route_gap_decomposes(capsys):
+    # at Omega = 1e150 the path and spectral dgg (6.3e150) differ in their
+    # last bit: a gap far above the absolute tolerance, yet rounding at their
+    # size, so the flat scheme is labelled pure-geometric with kappa 1
+    assert run(["decompose", "--rotation", "1e150"]) == 0
+    dec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    gap = abs(dec["delta_geometric_path"] - dec["delta_geometric"])
+    assert 0 < gap <= 4 * math.ulp(dec["delta_geometric"])
+    assert dec["scheme_class"] == "pure-geometric"
+    assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_si_design_kappa_follows_label(capsys, rubidium):

@@ -29,14 +29,15 @@ from ringsagnac import (
 import ringsagnac.cli
 from ringsagnac.evolution import (
     _AFFINE_SWITCH,
+    _affine_coef,
     _affine_table,
     _doublings,
-    _drive_basis,
     _gram_ends,
     _interval_terms,
     _kink_grid,
     _sweep,
     _sweep_ends,
+    _trig_coef,
     _width_tables,
 )
 from ringsagnac.oracle import alpha_at, phi_at, spectrum_numeric
@@ -311,22 +312,23 @@ def _record_grids(monkeypatch) -> list:
 
 
 def _record_tables(monkeypatch) -> list:
-    """Record (widths, doublings, builder) of every width-table build.
+    """Record (builder, widths) of every width-table build.
 
-    The builders are the Gauss rule on arrays of widths, _width_tables,
-    and the closed form for one affine width, _affine_table, which takes
-    no doublings.
+    The builders are the trigonometric basis's Gauss rule on an array of
+    widths, _width_tables, recorded with its width count, and the affine
+    basis's closed form on one width, _affine_table, recorded with that
+    width.
     """
     builds = []
     build = ringsagnac.evolution._width_tables
     build_affine = ringsagnac.evolution._affine_table
 
-    def counted(hs, w0, basis, shift, n_basis, doublings):
-        builds.append((len(hs), doublings, "_width_tables"))
-        return build(hs, w0, basis, shift, n_basis, doublings)
+    def counted(hs, w0, k, doublings):
+        builds.append(("_width_tables", len(hs)))
+        return build(hs, w0, k, doublings)
 
     def counted_affine(h, theta):
-        builds.append((1, 0, "_affine_table"))
+        builds.append(("_affine_table", h))
         return build_affine(h, theta)
 
     monkeypatch.setattr(ringsagnac.evolution, "_width_tables", counted)
@@ -334,16 +336,22 @@ def _record_tables(monkeypatch) -> list:
     return builds
 
 
-# omega0 T = 61.2 is above the 32 samples, so the path sweep doubles its tables
+# omega0 T = 61.2 on 32 samples: omega0 h up to 1.9, just below the affine
+# table's switch at theta = 2
 CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 0.9, 0.2, 0.5])
 # 4096 kink-grid intervals, whose Gram sums run over long prefix rows
 LONG_GRID = make_profile(ProfileFamily.TABULATED, 7.3,
                          samples=np.random.default_rng(11).uniform(0.1, 1.0, 4097))
+# 3001 nodes off the 2048-sample grid: 1359 distinct interval widths, each
+# with its own closed-form table
+MANY_WIDTHS = make_profile(ProfileFamily.TABULATED, 7.3,
+                           samples=np.random.default_rng(5).uniform(0.1, 1.0, 3001))
 
 
 @pytest.mark.parametrize("profile, n_samples",
                          [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds"),
-                          pytest.param(LONG_GRID, 4096, id="4097-nodes")],
+                          pytest.param(LONG_GRID, 4096, id="4097-nodes"),
+                          pytest.param(MANY_WIDTHS, 2048, id="1359-widths")],
                          ids=lambda value: getattr(value, "family", value))
 def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
     # the end values take the sums of the interval terms of the kink grid
@@ -361,8 +369,15 @@ def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
         assert abs(square - ev.abs2_integrals[-1]) <= 1e-12 * max(1.0, ev.abs2_integrals[-1])
 
 
+def _as_vectors(tables, forms):
+    """_affine_table's complex [G, S] and [K, L] in _width_tables' one-width layout."""
+    tables = np.array(tables)
+    vectors = np.array([tables[0].real, tables[0].imag, tables[1].real, tables[1].imag])
+    return vectors[..., None], np.array(forms)[..., None]
+
+
 def _gram_and_reference(config, profile):
-    """Both branches' end values on the kink grid from the Gauss-rule width table.
+    """Both branches' end values on the kink grid from its basis's width table.
 
     The scalar Gram pass, _gram_ends, and the path sweep's vectorised stage,
     _interval_terms, with the final Y and the summed interval terms, take
@@ -375,10 +390,13 @@ def _gram_and_reference(config, profile):
     h = T / count
     edges = h * np.arange(count + 1.0)
     edges[-1] = T
-    coef, basis, shift = _drive_basis(profile, edges[:-1],
-                                      None if values is None else np.asarray(values))
-    vectors, forms = _width_tables(np.array([h]), w0, basis, shift, len(coef),
-                                   _doublings(profile, w0, h))
+    if values is None:
+        coef = _trig_coef(profile, edges[:-1])
+        vectors, forms = _width_tables(np.array([h]), w0, 2 * np.pi / T,
+                                       _doublings(profile, w0, h))
+    else:
+        coef = np.array(_affine_coef(np.asarray(values)))
+        vectors, forms = _as_vectors(*_affine_table(h, w0 * h))
     branches = (Branch.CO, Branch.COUNTER)
     y, d_phase, d_abs2 = _interval_terms(
         config, branches, edges, np.full(count, h), coef,
@@ -464,9 +482,10 @@ FAMILY_CASES.append(OFF_GRID)
 @pytest.mark.parametrize("span", [7.3, 1e3, 1e5])
 @pytest.mark.parametrize("profile", FAMILY_CASES, ids=lambda profile: profile.family.value)
 def test_end_values_match_a_resolved_path_sweep(config, span, profile):
-    # the kink grid doubles its tables up to omega0 h = span; the path sweep
-    # at n_samples >= (omega0 + 2 pi / T) T needs no doubling.  Both round
-    # omega0 t to about eps omega0 T, which bounds their gap beyond 1e-12
+    # the kink grid's tables reach omega0 h = span (doubled for the
+    # trigonometric basis); the path sweep at n_samples >= (omega0 + 2 pi / T) T
+    # needs no doubling.  Both round omega0 t to about eps omega0 T, which
+    # bounds their gap beyond 1e-12
     config = dataclasses.replace(config, trap_frequency=span / profile.duration)
     n_samples = max(16, math.ceil(span + 2 * np.pi))
     branches = (Branch.CO, Branch.COUNTER)
@@ -486,32 +505,55 @@ def test_end_value_sweep_builds_one_table(monkeypatch, config, profile):
     # the affine families take it in closed form
     builds = _record_tables(monkeypatch)
     _sweep_ends(config, profile)
-    assert len(builds) == 1 and builds[0][0] == 1
+    h = profile.duration / _kink_grid(profile)[0]
     affine = profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED)
-    assert builds[0][2] == ("_affine_table" if affine else "_width_tables")
+    assert builds == [("_affine_table", h) if affine else ("_width_tables", 1)]
 
 
-@pytest.mark.parametrize("profile", [OFF_GRID, make_profile(ProfileFamily.COSINUSOIDAL, 7.3)],
-                         ids=["affine", "trigonometric"])
-def test_one_doubling_matches_the_plain_rule(profile):
+@pytest.mark.parametrize("profile, n_samples",
+                         [*SWEEP_CASES, pytest.param(MANY_WIDTHS, 2048, id="1359-widths")],
+                         ids=lambda value: getattr(value, "family", value))
+def test_path_sweep_builds_one_table_per_width(monkeypatch, profile, n_samples):
+    # the affine basis takes one closed-form table per distinct interval
+    # width and no Gauss table; the trigonometric basis one Gauss-rule call
+    # over all its widths
+    builds = _record_tables(monkeypatch)
+    widths = []
+    terms = ringsagnac.evolution._interval_terms
+
+    def recording_terms(config, branches, edges, interval_widths, *rest):
+        widths.append(interval_widths)
+        return terms(config, branches, edges, interval_widths, *rest)
+
+    monkeypatch.setattr(ringsagnac.evolution, "_interval_terms", recording_terms)
+    _sweep(DIMENSIONAL, profile, (Branch.CO, Branch.COUNTER), n_samples)
+    distinct = np.unique(widths[0]).tolist()
+    if profile.family in (ProfileFamily.FLAT, ProfileFamily.TABULATED):
+        assert builds == [("_affine_table", h) for h in distinct]
+    else:
+        assert builds == [("_width_tables", len(distinct))]
+    if profile is MANY_WIDTHS:
+        assert len(distinct) == 1359
+
+
+# k h = 2^-30 on a width h: there sin(kd) / (k h) is d / h and cos kd is 1 to
+# rounding, so the Gauss rule of {1, cos kd, sin kd} gives the tables of the
+# affine basis {1, d/h} in its rows 0 and 2
+_AFFINE_LIMIT = 2.0**-30
+
+
+@pytest.mark.parametrize("k", [_AFFINE_LIMIT, 2 * np.pi / 7.3], ids=["affine", "trigonometric"])
+def test_one_doubling_matches_the_plain_rule(k):
     # on [0, 2 w] with (omega0 + k) 2 w <= 1 the rule is exact to rounding, so
     # the tables of [0, w] doubled once must give the same, to the rounding
-    # of the few products of table size that one doubling adds
-    count, values = _kink_grid(profile)
-    coef, basis, shift = _drive_basis(profile, np.zeros(count), np.asarray(values))
+    # of the few products of table size that one doubling adds; also in the
+    # affine limit k h < 2^-30, where a doubling rotates by almost nothing
     hs, w0 = np.array([0.3, 0.55]), 0.8
-    assert (w0 + 2 * np.pi / profile.duration) * hs.max() <= 1
-    plain = _width_tables(hs, w0, basis, shift, len(coef), 0)
-    doubled = _width_tables(hs, w0, basis, shift, len(coef), 1)
+    assert (w0 + k) * hs.max() <= 1
+    plain = _width_tables(hs, w0, k, 0)
+    doubled = _width_tables(hs, w0, k, 1)
     for exact, table in zip(plain, doubled):
         np.testing.assert_allclose(table, exact, rtol=0, atol=1e-14 * np.abs(exact).max())
-
-
-def _as_vectors(tables, forms):
-    """_affine_table's complex [G, S] and [K, L] in _width_tables' one-width layout."""
-    tables = np.array(tables)
-    vectors = np.array([tables[0].real, tables[0].imag, tables[1].real, tables[1].imag])
-    return vectors[..., None], np.array(forms)[..., None]
 
 
 @pytest.mark.parametrize("config", [TrapConfig(), DIMENSIONAL], ids=["natural", "scaled"])
@@ -519,17 +561,20 @@ def _as_vectors(tables, forms):
 @pytest.mark.parametrize("profile", [make_profile(ProfileFamily.FLAT, 7.3), OFF_GRID],
                          ids=["flat", "tabulated"])
 def test_affine_width_table_matches_the_array_tables(config, span, profile):
-    # the closed-form table of the affine kink grid against the Gauss rule,
-    # at omega0 h = span (0 to 17 doublings of the rule): they agree to the
-    # rule's own error where it needs no doubling (1.1e-14 of the largest K
-    # and L entry at omega0 h = 1 against mpmath, where the closed form is
-    # within 6e-17), and to the end-value bound 1e-12 + eps nu h where it does
+    # the closed-form affine table against the Gauss rule in its affine
+    # limit, at omega0 h = span (0 to 17 doublings of the rule): they agree
+    # to the rule's own error where it needs no doubling (1.1e-14 of the
+    # largest K and L entry at omega0 h = 1 against mpmath, where the closed
+    # form is within 6e-17), and to the end-value bound 1e-12 + eps nu h
+    # where it does
     w0 = config.trap_frequency
     h = span / w0
     doublings = _doublings(profile, w0, h)
-    count, values = _kink_grid(profile)
-    coef, basis, shift = _drive_basis(profile, np.zeros(count), np.asarray(values))
-    reference = _width_tables(np.array([h]), w0, basis, shift, len(coef), doublings)
+    vectors, forms = _width_tables(np.array([h]), w0, _AFFINE_LIMIT / h, doublings)
+    # rows 0 and 2, the second over k h
+    scale = np.array([1.0, 1 / _AFFINE_LIMIT])
+    reference = (vectors[:, [0, 2]] * scale[:, None],
+                 forms[:, [0, 2]][:, :, [0, 2]] * scale[:, None, None] * scale[:, None])
     tol = 2e-14 if doublings == 0 else 1e-12 + np.finfo(float).eps * span
     for exact, table in zip(reference, _as_vectors(*_affine_table(h, w0 * h))):
         assert table.shape == exact.shape
@@ -646,7 +691,7 @@ def test_affine_table_matches_the_exact_entries():
 @pytest.mark.parametrize("duration", [1e300, 2.0**53 * 4096 * 1.01])
 def test_doubling_ceiling_is_refused_before_any_table(monkeypatch, sweep, duration):
     # beyond omega0 h = 2^52 one ulp of omega0 h is a radian; such an
-    # interval is refused before its table, and its 1000 doublings, are built
+    # interval is refused before any table is built
     builds = _record_tables(monkeypatch)
     with pytest.raises(InsufficientResolution, match="omega0 h"):
         sweep(TrapConfig(), make_profile(ProfileFamily.FLAT, duration))
@@ -654,8 +699,8 @@ def test_doubling_ceiling_is_refused_before_any_table(monkeypatch, sweep, durati
 
 
 def test_fast_trap_path_matches_the_fine_run(capsys):
-    # omega0 h = 15 on 4096 samples: the doubled tables make every sample
-    # exact, so the coarse run equals the 65536-sample run at the shared
+    # omega0 h = 15 on 4096 samples: the closed-form affine tables make every
+    # sample exact, so the coarse run equals the 65536-sample run at the shared
     # times, to the rounding of omega0 t
     runs = []
     for n_samples in (4096, 65536):
@@ -691,23 +736,6 @@ def test_gauss_constants_are_the_mapped_legendre_rule():
     x, w = np.polynomial.legendre.leggauss(6)
     assert np.array(ringsagnac.evolution._GL_X).tobytes() == ((x + 1) / 2).tobytes()
     assert np.array(ringsagnac.evolution._GL_W).tobytes() == (w / 2).tobytes()
-
-
-def test_width_tables_in_blocks_equal_one_block(monkeypatch):
-    # a profile with nodes off the sample grid has more distinct interval
-    # widths than one table block holds; building the tables block by block
-    # gives the same sweep as one block over all widths
-    nodes = np.random.default_rng(5).uniform(0.1, 1.0, 3001)
-    profile = make_profile(ProfileFamily.TABULATED, 7.3, samples=nodes)
-    edges = np.union1d(np.linspace(0.0, 7.3, 2049), profile.grid)
-    assert len(np.unique(np.diff(edges))) > ringsagnac.evolution._TABLE_BLOCK
-    branches = (Branch.CO, Branch.COUNTER)
-    blocked = _sweep(DIMENSIONAL, profile, branches, 2048)
-    monkeypatch.setattr(ringsagnac.evolution, "_TABLE_BLOCK", 10**9)
-    whole = _sweep(DIMENSIONAL, profile, branches, 2048)
-    for a, b in zip(blocked, whole):
-        for name in ("alphas", "alpha_dots", "phases", "abs2_integrals"):
-            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-14)
 
 
 def _imported_modules(name):

@@ -92,6 +92,12 @@ def test_two_component_truncation_guard_trips(natural):
         evolve_two_component(natural, profile, n_max=8, steps=512)
 
 
+def _number_operators(n_max):
+    """(n + 1/2) and i(a - a^dag) in the number basis, built here, sharing nothing with fock."""
+    lower = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
+    return np.diag(np.arange(n_max) + 0.5), 1j * (lower - lower.T)
+
+
 def _held_drives(config, profile, steps):
     """Midpoint drives, one column per step, and the flags of held steps."""
     mids = (np.arange(steps) + 0.5) * profile.duration / steps
@@ -183,7 +189,7 @@ def test_held_run_matches_dense_exponential(natural, monkeypatch, branches):
     real_check = fock._check_tails
     monkeypatch.setattr(fock, "_check_tails", recording_check)
     fock._propagate(natural, profile, branches, 40, steps, profile.duration)
-    body, drive = fock._operators(40)
+    body, drive = _number_operators(40)
     generator = linalg.block_diag(*(
         natural.hbar * natural.trap_frequency * body
         + lambda_drive(natural, profile, branch, dt / 2) * drive
@@ -266,7 +272,7 @@ def test_held_step_is_unitary_to_rounding(n_max):
     # a held run maps thousands of states through one eigenbasis, so the
     # eigenvectors, and with them every held-run map, must be unitary to
     # rounding; eigh's eigenvectors alone miss that by up to 6e-15
-    body, drive = fock._operators(n_max)
+    body, drive = _number_operators(n_max)
     for lam in np.linspace(-1.5, 1.5, 13):
         _, vecs = fock._held_basis(body + lam * drive)
         assert np.abs(vecs.conj().T @ vecs - np.eye(n_max)).max() <= 2e-15
@@ -279,7 +285,7 @@ def test_drive_levels_are_exactly_antisymmetric(n_max):
     # pairs them only to a few ulps, and the cached levels stay that close
     levels, _ = fock._drive_eigensystem(n_max)
     assert np.array_equal(levels, -levels[::-1])
-    raw = np.linalg.eigh(fock._operators(n_max)[1])[0]
+    raw = np.linalg.eigh(_number_operators(n_max)[1])[0]
     assert np.abs(levels - raw).max() <= 4 * np.spacing(np.abs(raw).max())
 
 
@@ -296,7 +302,7 @@ def test_real_gauge_basis_matches_dense_exponential(n_max, drives, dt):
     assert np.isrealobj(basis)
     gauge = np.tile(np.array([1, 1j, -1, -1j])[np.arange(n_max) % 4], len(drives))
     vecs = gauge[:, None] * basis
-    body, drive = fock._operators(n_max)
+    body, drive = _number_operators(n_max)
     generator = linalg.block_diag(*(body + lam * drive for lam in drives))
     step = (vecs * np.exp(-1j * dt * energies)) @ vecs.conj().T
     assert np.abs(step - linalg.expm(-1j * dt * generator)).max() <= 1e-13
@@ -347,10 +353,7 @@ def _reference_run(config, profile, branch, n_max, steps):
     above tolerance.
     """
     expm = pytest.importorskip("scipy.linalg").expm
-    # the ladder operators are built here, sharing nothing with fock
-    lower = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
-    body = np.diag(np.arange(n_max) + 0.5)
-    drive = 1j * (lower - lower.T)
+    body, drive = _number_operators(n_max)
     dt = profile.duration / steps
     lams = lambda_drive(config, profile, branch, (np.arange(steps) + 0.5) * dt)
     repeats = np.concatenate(([False], lams[1:] == lams[:-1]))

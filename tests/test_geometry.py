@@ -365,15 +365,20 @@ _EXTREME_OUTCOMES = (
 # the vectors whose drive underflows to 0 with a subnormal hbar and whose
 # tables stay finite (see below)
 _ZERO_DRIVE_MENDED = {1629, 1879, 1921, 2332, 2735}
+# the vectors whose path and spectral dgg differ by a few ulps of dgg, above
+# the absolute tolerance and once refused, now taken as rounding (see below)
+_ULP_GAP_MENDED = {365, 1473}
 
 
 def test_extreme_inputs_keep_their_outcome():
     # every vector gives finite fields or one of the three refusals, with no
-    # other exception and no RuntimeWarning, and keeps its outcome class.  The
-    # one change: where m hbar omega0 underflows with a subnormal hbar, the
+    # other exception and no RuntimeWarning, and keeps its outcome class.  Two
+    # changes: where m hbar omega0 underflows with a subnormal hbar, the
     # drive is 0 and so are the end values, which the earlier sweep turned
     # into NaN (numpy's complex division by hbar forms 1/hbar = inf) and
-    # refused as an overflow; they are now the finite zeros
+    # refused as an overflow; they are now the finite zeros.  And where the
+    # path and spectral dgg part by at most 4 ulps of dgg, the routes agree
+    # to rounding however large dgg is, so what was refused is decomposed
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -402,5 +407,8 @@ def test_extreme_inputs_keep_their_outcome():
         if index in _ZERO_DRIVE_MENDED:
             assert before == "V" and config.drive_scale == 0.0
             assert config.hbar < sys.float_info.min
+            before = "F"
+        if index in _ULP_GAP_MENDED:
+            assert before == "I"
             before = "F"
         assert got == before, f"vector {index}: {got}, was {before}"
