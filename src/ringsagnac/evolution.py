@@ -77,15 +77,14 @@ n_samples above _MAX_SAMPLES before anything is built.
 
 _sweep_ends takes the end values on the kink grid {0, kinks, T} alone,
 uniform for every family, so one width table serves it and no sample
-count sizes it.  It runs on Python floats: the kink grid has a few
-intervals, where numpy's per-call cost would exceed the arithmetic, and
-the module loads numpy only when the path sweep or a trigonometric width
-table first needs it.  On one width every sum over the intervals is a
-quadratic form in c = a e_0 + sign b coef (a = D Omega, b = D), a part
-common to both branches and a part the sign flips, which _gram_ends
-accumulates in one pass over the intervals: running prefix sums of the
-turns and of dZ, and the sums of their products with the interval terms
-above.
+count sizes it; it runs on Python floats, and the module loads numpy only
+when the path sweep or a trigonometric width table first needs it.  On
+one width every sum over the intervals is a quadratic form in
+c = a e_0 + sign b coef (a = D Omega, b = D), a part common to both
+branches and a part the sign flips, which _gram_ends accumulates in one
+pass over the intervals (prefix sums of the turns and of dZ, and the sums
+of their products with the interval terms above) on coef: D joins each
+sum after it, so b coef, which overflows where D pi / T does, never forms.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -486,71 +484,64 @@ def _sweep(
 def _gram_ends(config: TrapConfig, T: float, h: float, coef, tables, forms):
     """Z(T) exp(-i w0 T), phi hbar^2, int |Z|^2 of both branches, as (even, odd) pairs.
 
-    The kink grid's i-th interval lies at a_i = i h and has the
-    coefficients coef[r][i].  With E = exp(i w0 a_i), beta = b coef
-    (b = D), u = E beta . G, v = E beta . S and the exclusive prefix sums
-    P_E and P_u of E and u, one pass over the intervals accumulates the
-    sums of conj(P_E) and conj(P_u) times E, u, v, P_E and P_u; with the
-    sums of beta^T K beta, beta^T L beta and beta they give every
-    end value, the rotation's rows being a G_0 E and a S_0 E
-    (a = D Omega).  A form acts on one coefficient of beta, then on the
-    other, so no square of the drive is formed.  coef is r sequences over
-    the intervals, tables [G, S] (2 x r, complex) and forms [K, L]
-    (2 x r x r) for width h, all of Python numbers.
+    The i-th interval lies at a_i = i h and has the coefficients coef[r][i]:
+    the last two rows vary, and a third, the trigonometric constant term's,
+    is one number.  With E = exp(i w0 a_i), u = E coef . G, v = E coef . S
+    and the exclusive prefix sums P_E and P_u of E and u, one pass sums
+    conj(P_E) and conj(P_u) times E, u, v (as E times each varying row,
+    through the tables after the pass), P_E and P_u, and coef^T K coef,
+    coef^T L coef and coef; a sum of degree k in coef then takes D^k.  The
+    rotation's rows are a G_0 E and a S_0 E (a = D Omega); tables [G, S]
+    (2 x r, complex) and forms [K, L] (2 x r x r) are those of width h.
     """
     w0, drive = config.trap_frequency, config.drive_scale
     (g_rows, s_rows), (k_rows, l_rows) = tables, forms
-    betas = [[drive * c for c in row] for row in coef]
-    # sum_i beta_i^T F beta_i over r <= q, and each interval's beta . G and
-    # beta . S
-    k_quad = l_quad = 0.0
-    for r, beta_r in enumerate(betas):
-        for q in range(r, len(betas)):
-            k_rq, l_rq = ((k_rows[r][q] + k_rows[q][r], l_rows[r][q] + l_rows[q][r]) if q != r
-                          else (k_rows[r][r], l_rows[r][r]))
-            for b_r, b_q in zip(beta_r, betas[q]):
-                k_quad += k_rq * b_r * b_q
-                l_quad += l_rq * b_r * b_q
-    us = list(map(g_rows[0].__rmul__, betas[0]))
-    vs = list(map(s_rows[0].__rmul__, betas[0]))
-    for row, g_r, s_r in zip(betas[1:], g_rows[1:], s_rows[1:]):
-        us = list(map(operator.add, us, map(g_r.__rmul__, row)))
-        vs = list(map(operator.add, vs, map(s_r.__rmul__, row)))
-    p_e = p_u = ee = eu = ev = e_p = pe = pu = pv = 0j
-    e_e = p_p = 0.0
-    for i, (u, v) in enumerate(zip(us, vs)):
-        turn = cmath.exp(1j * (w0 * (h * i)))
-        u, v = u * turn, v * turn
+    *lead, xs, ys = coef
+    count, x_, y_ = len(xs), len(coef) - 2, len(coef) - 1
+    const = lead[0][0] if lead else 0.0
+    u_const, v_const = (const * g_rows[0], const * s_rows[0]) if lead else (0j, 0j)
+    (g_x, g_y), (s_x, s_y) = g_rows[x_:], s_rows[x_:]
+    k_xx, k_xy, k_yy = k_rows[x_][x_], k_rows[x_][y_] + k_rows[y_][x_], k_rows[y_][y_]
+    l_xx, l_xy, l_yy = l_rows[x_][x_], l_rows[x_][y_] + l_rows[y_][x_], l_rows[y_][y_]
+    p_e = p_u = ee = pe = e_x = e_y = p_x = p_y = e_p = 0j
+    e_e = p_p = k_quad = l_quad = x_total = y_total = 0.0
+    rect = cmath.rect
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        turn = rect(1.0, w0 * (h * i))
+        k_quad += (k_xx * x + k_xy * y) * x + k_yy * y * y  # tables first: x * x may overflow
+        l_quad += (l_xx * x + l_xy * y) * x + l_yy * y * y
+        x_total, y_total = x_total + x, y_total + y
         ce, cu = p_e.conjugate(), p_u.conjugate()
-        ee += ce * turn
-        eu += ce * u
-        ev += ce * v
-        e_e += (ce * p_e).real
+        e_turn, p_turn = ce * turn, cu * turn
+        ee, pe = ee + e_turn, pe + p_turn
+        e_x, e_y = e_x + x * e_turn, e_y + y * e_turn
+        p_x, p_y = p_x + x * p_turn, p_y + y * p_turn
+        e_e, p_p = e_e + (ce * p_e).real, p_p + (cu * p_u).real
         e_p += ce * p_u
-        pe += cu * turn
-        pu += cu * u
-        pv += cu * v
-        p_p += (cu * p_u).real
         p_e += turn
-        p_u += u
+        p_u += turn * (u_const + x * g_x + y * g_y)
+    eu, ev = u_const * ee + g_x * e_x + g_y * e_y, v_const * ee + s_x * e_x + s_y * e_y
+    pu, pv = u_const * pe + g_x * p_x + g_y * p_y, v_const * pe + s_x * p_x + s_y * p_y
+    # sum_i c_i^T F c_i, c_i = a e_0 + sign D coef_i: even a F_00 a count
+    # + D^2 sum_i coef_i^T F coef_i, odd a D sum_r (F_0r + F_r0) sum_i coef_ir
+    k_odd = l_odd = 0.0
+    for r, total in enumerate((count * const, x_total, y_total)[1 - x_:]):
+        k_odd += (k_rows[0][r] + k_rows[r][0]) * total
+        l_odd += (l_rows[0][r] + l_rows[r][0]) * total
+    if lead:  # the constant term's square and its products with x and y
+        k_quad += const * (k_odd - k_rows[0][0] * const * count)
+        l_quad += const * (l_odd - l_rows[0][0] * const * count)
+    # the sums of degree 1 in coef take one D, those of degree 2 two
+    eu, ev, e_p, pe, p_u = drive * eu, drive * ev, drive * e_p, drive * pe, drive * p_u
+    pu, pv, p_p = drive * (drive * pu), drive * (drive * pv), drive * (drive * p_p)
     a = drive * config.rotation
     g, s = a * g_rows[0], a * s_rows[0]
     gg, gc = g.real * g.real + g.imag * g.imag, g.conjugate()
-    # sum_i c_i^T F c_i with c_i = a e_0 + sign beta_i: even
-    # a F_00 a count + sum_i beta_i^T F beta_i, odd
-    # a sum_r (F_0r + F_r0) (sum_i beta_i)_r
-    k_odd = l_odd = 0.0
-    for r, row in enumerate(betas):
-        total = 0.0
-        for b in row:
-            total += b
-        k_odd += (k_rows[0][r] + k_rows[r][0]) * total
-        l_odd += (l_rows[0][r] + l_rows[r][0]) * total
-    k_even = a * k_rows[0][0] * a * len(us) + k_quad
-    l_even = a * l_rows[0][0] * a * len(us) + l_quad
-    phase = ((gg * ee + pu).imag - k_even, (gc * eu + g * pe).imag - k_odd * a)
+    k_even = a * k_rows[0][0] * a * count + drive * (drive * k_quad)
+    l_even = a * l_rows[0][0] * a * count + drive * (drive * l_quad)
+    phase = ((gg * ee + pu).imag - k_even, (gc * eu + g * pe).imag - drive * k_odd * a)
     square = (h * (gg * e_e + p_p) + 2 * (gc * s * ee + pv).real + l_even,
-              2 * (h * (gc * e_p).real + (gc * ev + s * pe).real) + l_odd * a)
+              2 * (h * (gc * e_p).real + (gc * ev + s * pe).real) + drive * l_odd * a)
     back = cmath.exp(1j * (w0 * T)).conjugate()
     return (g * p_e * back, p_u * back), phase, square
 

@@ -181,28 +181,26 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return points
 
 
-def _pairwise_sum(terms, lo: int, hi: int, unroll: int):
-    """Sum of terms[lo:hi] in the order, and so with the bits, of numpy's sum.
+def _pairwise_sum(terms, lo: int, hi: int):
+    """Sum of the floats terms[lo:hi] in the order, and so with the bits, of numpy's sum.
 
-    numpy sums float64 pairwise, unrolled by eight doubles: eight real or
-    four complex accumulators (unroll) run over blocks of up to 16 unroll
-    terms and meet as a balanced tree, then take the rest in order; a
-    longer range splits in two at a multiple of unroll.
+    numpy sums float64 pairwise with eight accumulators, which run over
+    blocks of up to 128 terms and meet as a balanced tree, then take the
+    rest in order; a longer range splits in two at a multiple of eight.
     """
     n = hi - lo
-    if n < unroll:
+    if n < 8:
         total = 0.0
         for term in terms[lo:hi]:
             total += term
         return total
-    if n > 16 * unroll:
-        half = n // 2 - n // 2 % unroll
-        return (_pairwise_sum(terms, lo, lo + half, unroll)
-                + _pairwise_sum(terms, lo + half, hi, unroll))
-    stop = hi - n % unroll
-    partial = terms[lo:lo + unroll]
-    for i in range(lo + unroll, stop, unroll):
-        partial = list(map(operator.add, partial, terms[i:i + unroll]))
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms, lo, lo + half) + _pairwise_sum(terms, lo + half, hi)
+    stop = hi - n % 8
+    partial = terms[lo:lo + 8]
+    for i in range(lo + 8, stop, 8):
+        partial = list(map(operator.add, partial, terms[i:i + 8]))
     while len(partial) > 1:
         partial = list(map(operator.add, partial[::2], partial[1::2]))
     total = partial[0]
@@ -261,7 +259,7 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     duration = float(duration)
     dx = duration / (len(values) - 1)
     terms = [dx * (right + left) / 2.0 for left, right in zip(values, values[1:])]
-    integral = _pairwise_sum(terms, 0, len(terms), 8)
+    integral = _pairwise_sum(terms, 0, len(terms))
     if integral == 0.0:
         raise ZeroProfile("all-zero tabulated profile cannot be rescaled")
     factor = SWEEP_TOTAL_ANGLE / integral

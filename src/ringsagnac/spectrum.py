@@ -38,13 +38,19 @@ where A = h fbar, B = h df / 2 and
     j1 = int_0^1 x sin(theta x) dx     = (sin(theta) - theta cos(theta))/theta^2
     q  = int_0^1 x^2 cos(theta x) dx.
 
-A tabulated profile is a sum of such segments with nu = omega.  Its
-samples lie on a uniform grid, so every segment has the width
-h = T / (n - 1) and one theta = omega h / 2: m0, j1 and q are three
-scalars, evaluated once per call, and one pass over the segments, on
-Python floats, forms each segment's phase exp(-i omega mid) and its terms
-of W and of the slope moment, which are summed pairwise.  The analytic
-profiles are, on each kink-free segment, constants times
+A tabulated profile is a sum of such segments with nu = omega on a
+uniform grid, h = T / (n - 1), so one kernel evaluation serves them all.
+Regrouped by node (Press et al., Numerical Recipes, 3rd ed., 13.9), with
+g_j = (h/2) f_j, c = exp(-i theta), z = c^2, a = c (m0 + i j1),
+e = c (m0 - q), w = 2 Re a = 2 m0^2 and m = n - 1, they are
+
+    int f exp(-i omega t) dt   = w P + (w - conj a) g_0 + (w - a) g_m z^m
+    int t f exp(-i omega t) dt = (h/2) [2 w Q + 2 i Im(e) P + e g_0
+                                        + (2 m (w - a) - conj e) g_m z^m],
+
+P = sum g_j z^j and Q = sum j g_j z^j over the interior nodes, which one
+Horner pass gives in blocks of _BLOCK nodes, each from an exact phase.
+The analytic profiles are, on each kink-free segment, constants times
 exp(0, +/- i 2 pi t / T), so the same moments at nu = omega -/+ 2 pi / T,
 at most four single segments with a theta each, give their slope
 d Re W / d omega = Im(int t f exp(-i omega t) dt) / sqrt(2 pi); their
@@ -59,7 +65,7 @@ import cmath
 import math
 
 from .errors import ConfigurationError, UnsupportedFamily
-from .model import ProfileFamily, SpectrumValue, SweepProfile, _pairwise_sum
+from .model import ProfileFamily, SpectrumValue, SweepProfile
 
 __all__ = ["spectrum_closed_form"]
 
@@ -76,6 +82,8 @@ _FACTORED_WINDOW = 0.5
 # truncation error below 1e-19 there.
 _SERIES_SWITCH = 0.5
 _SERIES_TERMS = 8
+# nodes per Horner block: the rounding of z is raised to at most the 31st power
+_BLOCK = 32
 
 
 def _sinc(x: float) -> float:
@@ -180,30 +188,33 @@ def _kernel(theta: float) -> tuple[float, float, float]:
 
 
 def _tabulated_moments(profile: SweepProfile, w: float) -> tuple[complex, complex]:
-    """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile.
+    """int f e^(-i w t) dt and int t f e^(-i w t) dt of a tabulated profile, by node.
 
-    Every segment has the grid width h, so one kernel at theta = w h / 2
-    serves them all, and one pass over the segments sums both integrals.
-    Only products of order h f are formed, never h^2, so durations near
-    the float range stay finite.
+    The Horner pass runs on g_j = (h/2) f_j <= pi, so its sums stay finite
+    at durations near the float range.
     """
-    f = profile.samples
-    h = profile.duration / (len(f) - 1)
+    f, n = profile.samples, len(profile.samples)
+    h = profile.duration / (n - 1)
     half = h / 2
     m0, j1, q = _kernel(w * half)
-    odd, turn = -1j * j1, -1j * w
-    values, moments = [], []
-    for i, (left, right) in enumerate(zip(f, f[1:])):
-        mid = h * (i + 0.5)
-        area, tilt = half * (right + left), half * (right - left)
-        phase = cmath.exp(turn * mid)
-        terms = area * m0 + odd * tilt
-        values.append(phase * terms)
-        moments.append(phase * (mid * terms + half * (tilt * q + odd * area)))
-    # summed pairwise in numpy's order, as the vectorised sums were: the
-    # rounding error grows like log n over the nodes, not like n
-    return (_pairwise_sum(values, 0, len(values), 4),
-            _pairwise_sum(moments, 0, len(moments), 4))
+    c = cmath.exp(-1j * (w * half))
+    z = c * c
+    p_sum = q_sum = 0j
+    for start in range(1, n - 1, _BLOCK):
+        # the block's P and P' about its first node, highest power first
+        p = d = 0j
+        for sample in f[min(start + _BLOCK, n - 1) - 1:start - 1:-1]:
+            d = d * z + p
+            p = p * z + half * sample
+        phase = cmath.exp(-1j * (w * (h * start)))
+        p_sum += phase * p
+        q_sum += phase * (z * d + start * p)
+    a, e, weight = c * complex(m0, j1), c * (m0 - q), 2 * m0 * m0
+    first, last = half * f[0], half * f[-1] * cmath.exp(-1j * (w * (h * (n - 1))))
+    value = weight * p_sum + (weight - a.conjugate()) * first + (weight - a) * last
+    moment = half * (2 * weight * q_sum + 2j * e.imag * p_sum + e * first
+                     + ((2 * n - 2) * (weight - a) - e.conjugate()) * last)
+    return value, moment
 
 
 def _exponential_rows(profile: SweepProfile, w: float):

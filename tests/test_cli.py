@@ -266,15 +266,24 @@ def test_deepest_doublings_decompose(capsys, frequency):
     assert record["scheme_class"] == "pure-geometric"
 
 
+def test_deepest_tabulated_decompose_resolves(capsys):
+    # omega0 h = 7.3e14 on the 4-node kink grid, eps omega0 T about 0.5 rad:
+    # the tabulated spectrum takes its two end nodes' phases exactly, so the
+    # spectral and path geometric parts agree, and with 60-digit mpmath of
+    # the same float inputs (dgg = 0.30566847440333036727)
+    argv = ["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
+            "--trap-frequency", "3.5e14"]
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    for name in ("delta_geometric", "delta_geometric_path"):
+        assert record[name] == pytest.approx(0.30566847440333036727, abs=1e-8)
+
+
 @pytest.mark.parametrize("argv, message", [
-    # omega0 h = 7.3e14 with a closed-form table, yet the unconventional
-    # tabulated scheme's routes part: eps omega0 T is about 0.5 rad
-    (["decompose", "--family", "tabulated", "--samples", "0.3,1,0.6,0.2",
-      "--trap-frequency", "3.5e14"], "path/spectral geometric parts disagree"),
     # omega0 h = 6.3e15, above the 2^52 ceiling
     (["decompose", "--family", "flat", "--trap-frequency", "1e15"],
      "the width tables cannot resolve omega0 h"),
-], ids=["tabulated-3.5e14", "flat-1e15"])
+], ids=["flat-1e15"])
 def test_deepest_doublings_refusals(capsys, argv, message):
     assert run(argv) == 3
     captured = capsys.readouterr()
@@ -880,7 +889,7 @@ def test_fig2_area_measures(capsys):
 @pytest.mark.parametrize(
     ("panel", "expected"),
     [
-        ("c", "area_measure = 0.38757845850374778\nhalf_sagnac = 0.31415926535897931\n"
+        ("c", "area_measure = 0.387578458503748\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.81056946913870209\nscheme_class = unconventional-geometric\n"),
         ("f", "area_measure = 0.31415926535897948\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.99999999999999978\nscheme_class = pure-geometric\n"),

@@ -342,6 +342,10 @@ CAP_BINDS = make_profile(ProfileFamily.TABULATED, 36.0, samples=[0.3, 1.0, 0.6, 
 # 4096 kink-grid intervals, whose Gram sums run over long prefix rows
 LONG_GRID = make_profile(ProfileFamily.TABULATED, 7.3,
                          samples=np.random.default_rng(11).uniform(0.1, 1.0, 4097))
+# and over T = 6000, omega0 h = 2.5 at DIMENSIONAL: above the affine table's
+# switch, with the per-interval turns round the circle 1600 times
+LONG_FAST = make_profile(ProfileFamily.TABULATED, 6000.0,
+                         samples=np.random.default_rng(13).uniform(0.0, 1.0, 4097))
 # 3001 nodes off the 2048-sample grid: 1359 distinct interval widths, each
 # with its own closed-form table
 MANY_WIDTHS = make_profile(ProfileFamily.TABULATED, 7.3,
@@ -351,6 +355,7 @@ MANY_WIDTHS = make_profile(ProfileFamily.TABULATED, 7.3,
 @pytest.mark.parametrize("profile, n_samples",
                          [*SWEEP_CASES, pytest.param(CAP_BINDS, 32, id="cap-binds"),
                           pytest.param(LONG_GRID, 4096, id="4097-nodes"),
+                          pytest.param(LONG_FAST, 4096, id="4097-nodes-fast"),
                           pytest.param(MANY_WIDTHS, 2048, id="1359-widths")],
                          ids=lambda value: getattr(value, "family", value))
 def test_end_values_match_the_path_sweep(monkeypatch, profile, n_samples):
@@ -436,12 +441,15 @@ def _deepest(family):
     *_seeded_end_cases(5, 24),
     (DIMENSIONAL, LONG_GRID),
     *(_deepest(family) for family in ProfileFamily),
+    (DIMENSIONAL, LONG_FAST),
 ], ids=lambda value: getattr(value, "family", None) and value.family.value)
 def test_gram_pass_matches_the_vectorised_interval_terms(config, profile):
     # same table, same coefficients: the scalar pass and the array stage
     # differ only in summation order, so they agree to a few ulps of the
-    # parts and terms summed (measured: 5e-15), down to the 4096 intervals
-    # of LONG_GRID and up to omega0 h near the 2^52 ceiling
+    # parts and terms summed (measured: 4e-15, and 1.1e-14 on LONG_FAST,
+    # whose 1600 turns the array stage's running sums round), down to the
+    # 4096 intervals of LONG_GRID and LONG_FAST and up to omega0 h near the
+    # 2^52 ceiling
     with np.errstate(over="ignore", invalid="ignore"):
         cases = _gram_and_reference(config, profile)
     for got, reference, scales in cases:

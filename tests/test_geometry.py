@@ -368,6 +368,20 @@ _ZERO_DRIVE_MENDED = {1629, 1879, 1921, 2332, 2735}
 # the vectors whose path and spectral dgg differ by a few ulps of dgg, above
 # the absolute tolerance and once refused, now taken as rounding (see below)
 _ULP_GAP_MENDED = {365, 1473}
+# the vectors where D pi / T overflows: the end values were refused as an
+# overflow of the products D coef, and take D after their sums now (see
+# below).  These are finite...
+_DRIVE_LAST_MENDED = {151, 349, 560, 1102, 1158, 1426, 1456, 1696, 1840, 2015, 2133, 2185,
+                      2431, 2685, 2910}
+# ...and these finite too, but with path and spectral dgg apart by more than
+# a tolerance above the Sagnac-phase scale, so refused as unresolved
+_DRIVE_LAST_UNRESOLVED = {362, 632, 951, 1306, 1564, 1670, 1799, 1888, 2232, 2500, 2550, 2989}
+# the vectors whose outcome turns on one ulp of a rounded sum, with the
+# outcome they have now: sqrt(2 pi) Re W within an ulp of pi at omega0 T
+# below 1e-200, whose rounding times a Sagnac phase of 1e12 to 1e69 decides
+# the dgd threshold check (100, 764, 2318), and a path/spectral dgg gap at
+# the 4-ulp floor of the route gate (2688)
+_SUMMATION_ORDER = {100: "F", 764: "I", 2318: "I", 2688: "F"}
 
 
 def test_extreme_inputs_keep_their_outcome():
@@ -378,7 +392,11 @@ def test_extreme_inputs_keep_their_outcome():
     # into NaN (numpy's complex division by hbar forms 1/hbar = inf) and
     # refused as an overflow; they are now the finite zeros.  And where the
     # path and spectral dgg part by at most 4 ulps of dgg, the routes agree
-    # to rounding however large dgg is, so what was refused is decomposed
+    # to rounding however large dgg is, so what was refused is decomposed.
+    # Since the end values take the drive scale D after their sums, where
+    # D pi / T overflows they are finite, not refused as an overflow; and the
+    # one-pass spectrum and end values round differently, which moves the
+    # outcomes that turn on one ulp
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -389,21 +407,21 @@ def test_extreme_inputs_keep_their_outcome():
                                     rotation=rotation)
                 dec = decompose(config, make_profile(family, duration, samples))
             except InsufficientResolution:
-                outcomes.append(("I", config))
+                outcomes.append(("I", config, duration))
             except ConvergenceError:
-                outcomes.append(("V", config))
+                outcomes.append(("V", config, duration))
             except ConfigurationError:
-                outcomes.append(("C", config))
+                outcomes.append(("C", config, duration))
             else:
                 fields = [dec.phase, dec.delta_dynamic, dec.delta_geometric,
                           dec.delta_geometric_path, dec.xi, dec.xi0, *dec.gamma_dynamic,
                           *dec.gamma_geometric, dec.residual_angle]
                 assert all(math.isfinite(value) for value in fields), (family, config)
                 assert dec.kappa is None or math.isfinite(dec.kappa)
-                outcomes.append(("F", config))
+                outcomes.append(("F", config, duration))
     expected = "".join(_EXTREME_OUTCOMES)
     assert len(outcomes) == len(expected)
-    for index, ((got, config), before) in enumerate(zip(outcomes, expected)):
+    for index, ((got, config, duration), before) in enumerate(zip(outcomes, expected)):
         if index in _ZERO_DRIVE_MENDED:
             assert before == "V" and config.drive_scale == 0.0
             assert config.hbar < sys.float_info.min
@@ -411,4 +429,10 @@ def test_extreme_inputs_keep_their_outcome():
         if index in _ULP_GAP_MENDED:
             assert before == "I"
             before = "F"
+        if index in _DRIVE_LAST_MENDED | _DRIVE_LAST_UNRESOLVED:
+            assert before == "V" and config.drive_scale * math.pi / duration == math.inf
+            before = "F" if index in _DRIVE_LAST_MENDED else "I"
+        if index in _SUMMATION_ORDER:
+            assert before != _SUMMATION_ORDER[index]
+            before = _SUMMATION_ORDER[index]
         assert got == before, f"vector {index}: {got}, was {before}"

@@ -1,5 +1,8 @@
 """Sweep-profile transform: closed forms, the exact route, quadrature, and derivative."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -211,37 +214,134 @@ def test_segment_kernels_on_both_sides_of_the_series_switch():
         assert m0 == m0_minus and q == q_minus and j1 == -j1_minus
 
 
+def _exact_angles(w, times_hi, times_lo):
+    """w (times_hi + times_lo) as hi + lo to about eps^2 of the angle, elementwise.
+
+    Dekker's splitting: each double is the sum of two 26-bit halves, whose
+    products are exact, so hi + lo carries the product with no rounding.
+    """
+    def halves(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    hi = w * times_hi
+    (w_hi, w_lo), (t_hi, t_lo) = halves(np.float64(w)), halves(times_hi)
+    lo = ((w_hi * t_hi - hi) + w_hi * t_lo + w_lo * t_hi) + w_lo * t_lo
+    return hi, lo + w * times_lo
+
+
 def _vectorised_moments(profile, w):
-    """The numpy segment sums that the scalar pass replaced, kept as a reference."""
+    """The numpy segment sums, with each phase exp(-i w mid) taken at the exact angle.
+
+    mid = h (i + 1/2) and w mid are formed without rounding (_exact_angles),
+    so the reference carries no phase error of order eps w T, which the
+    rounded products w mid of the segment loop had.
+    """
     f = np.asarray(profile.samples)
     h = profile.duration / (f.size - 1)
     half = h / 2
     m0, j1, q = _kernel(w * half)
     odd = -1j * j1
     mid = h * np.arange(0.5, f.size - 1)
+    _, mid_lo = _exact_angles(h, np.arange(0.5, f.size - 1), 0.0)
+    angle, angle_lo = _exact_angles(w, mid, mid_lo)
+    phase = np.exp(-1j * angle) * (1 - 1j * angle_lo)
     area, tilt = half * (f[1:] + f[:-1]), half * (f[1:] - f[:-1])
-    phase = np.exp((-1j * w) * mid)
     terms = area * m0 + odd * tilt
-    moment = (phase * (mid * terms + half * (tilt * q + odd * area))).sum()
+    moment = (phase * ((mid + mid_lo) * terms + half * (tilt * q + odd * area))).sum()
     return complex((phase * terms).sum()), complex(moment)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_scalar_moments_match_the_vectorised_sums(seed):
-    # 2 to 400 nodes, so numpy's pairwise sum runs sequentially, unrolled and
-    # split; the two routes round each segment term differently (numpy's
-    # complex products may fuse), so they agree to a few ulps of the
-    # integrals' scales, pi for W and pi T for the moment
+    # 2 to 400 nodes, and three grids of 1025 to 4097 nodes, so numpy's
+    # pairwise sum runs sequentially, unrolled and split and the Horner pass
+    # runs over up to 128 blocks; at frequencies up to omega T = 1e6 and at
+    # theta = omega h / 2 on both sides of the series switch.  The two
+    # routes round each term differently, so they agree to a few ulps of
+    # the integrals' scales, pi for W and pi T for the moment
     rng = np.random.default_rng(seed)
-    for _ in range(40):
+    for i in range(43):
         duration = float(10 ** rng.uniform(-3, 3))
+        size = rng.integers(2, 401) if i < 40 else (1025, 2049, 4097)[i - 40]
         profile = make_profile(ProfileFamily.TABULATED, duration,
-                               samples=rng.uniform(0.0, 1.0, rng.integers(2, 401)))
-        for w in (0.0, float(rng.uniform(0, 5)), float(10 ** rng.uniform(-3, 6)) / duration):
+                               samples=rng.uniform(0.0, 1.0, size))
+        switch = 2 * _SERIES_SWITCH * (size - 1) / duration
+        for w in (0.0, float(rng.uniform(0, 5)), float(10 ** rng.uniform(-3, 6)) / duration,
+                  switch * (1 - 1e-9), switch * (1 + 1e-9)):
             (value, moment), (ref_value, ref_moment) = (
                 _tabulated_moments(profile, w), _vectorised_moments(profile, w))
             assert abs(value - ref_value) <= 4e-15 * np.pi
             assert abs(moment - ref_moment) <= 4e-15 * np.pi * duration
+
+
+# W(omega) and d Re W / d omega of the exact piecewise-linear transform of the
+# rescaled float samples at the float T and omega, from 60-digit mpmath, each
+# with the error it is known to.  At omega T = 2.2e15 one rounding of
+# omega h / 2 moves a phase by up to eps omega T rad, so W and the slope are
+# known to eps omega T of themselves (the segment loop this pass replaced
+# was off by 2.2e-16 in W there, 2.4 times |W|); the 4097-node grids, at
+# theta = omega h / 2 = 1.5e-3 in the series and 4.5 in the closed forms,
+# to 1e-15 of their scales sqrt(pi/2) and sqrt(pi/2) T
+_EPS = np.finfo(float).eps
+_LONG = [((j * 7919) % 1000 + 100) / 1100 for j in range(4097)]
+MPMATH_SPECTRA = [
+    ([0.3, 1.0, 0.6, 0.2], 2 * np.pi, 3.5e14,
+     complex(-1.5825898776351331813e-17, -9.3097816588739847558e-17), 1.1571074270404380607e-15,
+     _EPS * 3.5e14 * 2 * np.pi),
+    (_LONG, 7.3, 1.7,
+     complex(-0.015860490392771511023, -0.0012921823721185886078), 0.73764686195308311734, None),
+    (_LONG, 7.3, 5000.0,
+     complex(-7.5433846675839606205e-6, -1.3638692006270713799e-6), 9.3861627212083566772e-7, None),
+]
+
+
+@pytest.mark.parametrize("samples, duration, omega, value, slope, relative", MPMATH_SPECTRA,
+                         ids=["4-nodes-3.5e14", "4097-nodes-series", "4097-nodes-closed"])
+def test_exact_route_matches_mpmath_on_long_grids_and_high_frequency(
+        samples, duration, omega, value, slope, relative):
+    profile = make_profile(ProfileFamily.TABULATED, duration, samples=samples)
+    sample, got_slope = _exact_spectrum(profile, omega)
+    if relative is None:
+        value_tol, slope_tol = 1e-15 * HALF_PI_SQRT, 1e-15 * HALF_PI_SQRT * duration
+    else:
+        value_tol, slope_tol = relative * abs(value), relative * abs(slope)
+    assert abs(sample.value - value) <= value_tol
+    assert abs(got_slope - slope) <= slope_tol
+
+
+class _CountedExp:
+    """cmath with its exp counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, z):
+        self.calls += 1
+        return cmath.exp(z)
+
+
+@pytest.mark.parametrize("size", [2, 3, 32, 33, 34, 65, 100, 4097])
+def test_tabulated_moments_take_one_kernel_and_an_exp_per_block(monkeypatch, size):
+    # one kernel for the grid's one width; one exact phase per Horner block
+    # of 32 nodes, one for exp(-i omega h / 2) and one for the last node
+    kernels = []
+
+    def counted(theta):
+        kernels.append(theta)
+        return _kernel(theta)
+
+    exps = _CountedExp()
+    monkeypatch.setattr(ringsagnac.spectrum, "_kernel", counted)
+    monkeypatch.setattr(ringsagnac.spectrum, "cmath", exps)
+    samples = [((j * 7919) % 1000 + 100) / 1100 for j in range(size)]
+    _tabulated_moments(make_profile(ProfileFamily.TABULATED, 7.3, samples=samples), 2.3)
+    assert len(kernels) == 1
+    assert exps.calls <= math.ceil(size / 32) + 2
 
 
 @pytest.mark.parametrize("family,count", [("tabulated", 1), ("flat", 1), ("cosinusoidal", 3),
