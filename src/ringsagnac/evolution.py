@@ -47,11 +47,11 @@ phi-functions phi_k(z) = sum_j z^j / (j + k)! at z = i theta,
     k = -Im[[phi_2, phi_3], [phi_2 - phi_3, phi_3 - phi_4]],
     l = Re[[2 phi_3, phi_3 - phi_4], [phi_3 - phi_4, 2 (phi_4 - 2 phi_5)]],
 
-and G = h g, S = h^2 s, K = h^2 k, L = h^3 l.  Below theta = 2, where
-their closed forms in sin theta and cos theta cancel, phi_5 comes from
-its Taylor series and phi_4 ... phi_1 from the downward recurrence
-phi_(k-1) = z phi_k + 1/(k-1)!, stable there; above it the closed forms
-serve.  It runs on Python floats, one call per distinct interval width.
+and G = h g, S = h^2 s, K = h^2 k, L = h^3 l.  Below theta = 2 phi_5
+comes from its Taylor series and phi_4 ... phi_1 from the downward
+recurrence phi_(k-1) = z phi_k + 1/(k-1)!; above it phi_1 = (exp(z) - 1)/z
+and phi_2 ... phi_5 come from the upward one, each stable on its side.
+It runs on Python floats, one call per distinct interval width.
 
 The trigonometric tables come from a nested 6x6 Gauss-Legendre rule,
 exact through degree 11, so at rounding once nu h <= 1, nu = omega0 + k.
@@ -126,30 +126,16 @@ _GL_X = (0.03376524289842403, 0.16939530676686776, 0.38069040695840156,
          0.6193095930415985, 0.8306046932331322, 0.9662347571015759)
 _GL_W = (0.08566224618958514, 0.18038078652406936, 0.23395696728634552,
          0.23395696728634552, 0.18038078652406936, 0.08566224618958514)
-# below theta = omega0 h = 2 the affine table comes from the phi-functions,
-# above it from the closed forms (module docstring); against mpmath, the
-# first side is within 3.2e-16 and the second within 4.3e-16 of the exact
-# entries, scaled by the largest of each of g, s, k and l.
+# the affine table's recurrences switch at theta = omega0 h = 2 (module
+# docstring): against mpmath the table is within 3.2e-16 of the exact
+# entries, scaled by the largest of each of g, s, k and l, on both sides;
+# the upward recurrence is already 1.7e-13 off at theta = 0.25.
 # phi_5(i theta) splits into its even and odd powers, polynomials in
 # -theta^2 written highest power first for Horner's rule; twelve terms each
 # leave less than 1e-21 at the switch
 _AFFINE_SWITCH = 2.0
 _PHI5_EVEN = tuple(1 / math.factorial(2 * m + 5) for m in reversed(range(12)))
 _PHI5_ODD = tuple(1 / math.factorial(2 * m + 6) for m in reversed(range(12)))
-# the closed forms: each real entry (g and s as re, im pairs, then k by
-# rows, l00, l01 = l10 and l11) is (weights . columns) / (6 theta^p), the
-# columns being 1, theta, theta^2, theta^3, sin, theta sin, cos and
-# theta cos of theta; the rows keep the nonzero (weight, column) pairs
-_AFFINE_ROWS = tuple((p, tuple((w, j) for j, w in enumerate(weights) if w)) for p, weights in (
-    (1, (0, 0, 0, 0, 6, 0, 0, 0)), (1, (6, 0, 0, 0, 0, 0, -6, 0)),         # Re, Im g0
-    (2, (-6, 0, 0, 0, 0, 6, 6, 0)), (2, (0, 0, 0, 0, 6, 0, 0, -6)),        # Re, Im g1
-    (2, (6, 0, 0, 0, 0, 0, -6, 0)), (2, (0, 6, 0, 0, -6, 0, 0, 0)),        # Re, Im s0
-    (3, (0, -6, 0, 0, 12, 0, 0, -6)), (3, (12, 0, 0, 0, 0, -6, -12, 0)),   # Re, Im s1
-    (2, (0, -6, 0, 0, 6, 0, 0, 0)), (3, (6, 0, -3, 0, 0, 0, -6, 0)),       # k00, k01
-    (3, (-6, 0, -3, 0, 0, 6, 6, 0)), (4, (0, 0, 0, -2, 6, 0, 0, -6)),      # k10, k11
-    (3, (0, 12, 0, 0, -12, 0, 0, 0)), (4, (6, 0, 3, 0, 0, -6, -6, 0)),     # l00, l01
-    (5, (0, 12, 0, 2, -24, 0, 0, 12)),                                     # l11
-))
 
 
 @dataclass(frozen=True)
@@ -288,13 +274,19 @@ def _width_tables(hs: np.ndarray, w0: float, k: float, doublings: int):
 
 
 def _phi_functions(theta: float) -> tuple[complex, ...]:
-    """phi_1 ... phi_5 at z = i theta (module docstring), for 0 <= theta < 2."""
+    """phi_1 ... phi_5 at z = i theta, theta >= 0 (module docstring)."""
+    z = 1j * theta
+    if theta >= _AFFINE_SWITCH:
+        p1 = complex(math.sin(theta), 1.0 - math.cos(theta)) / theta
+        p2 = (p1 - 1.0) / z
+        p3 = (p2 - 1 / 2) / z
+        p4 = (p3 - 1 / 6) / z
+        return p1, p2, p3, p4, (p4 - 1 / 24) / z
     x = -theta * theta
     even = odd = 0.0
     for c_even, c_odd in zip(_PHI5_EVEN, _PHI5_ODD):
         even = even * x + c_even
         odd = odd * x + c_odd
-    z = 1j * theta
     p5 = complex(even, theta * odd)
     p4 = z * p5 + 1 / 24
     p3 = z * p4 + 1 / 6
@@ -305,34 +297,18 @@ def _phi_functions(theta: float) -> tuple[complex, ...]:
 def _affine_table(h: float, theta: float):
     """[G, S] (complex, 2 x 2) and [K, L] (real, 2 x 2 x 2) of {1, d/h} on [0, h].
 
-    Nested lists: the phi-functions below theta = omega0 h = _AFFINE_SWITCH,
-    the closed forms above it (module docstring).  Overflow of h^2 or h^3
-    gives inf entries, for the end values' finiteness check.
+    Nested lists, from the phi-functions at theta = omega0 h (module
+    docstring).  Overflow of h^2 or h^3 gives inf entries, for the end
+    values' finiteness check.
     """
-    if theta < _AFFINE_SWITCH:
-        p1, p2, p3, p4, p5 = _phi_functions(theta)
-        g1, s1 = p1 - p2, p2 - 2 * p3
-        entries = (p1.real, p1.imag, g1.real, g1.imag, p2.real, p2.imag, s1.real, s1.imag,
-                   -p2.imag, -p3.imag, (p3 - p2).imag, (p4 - p3).imag,
-                   2 * p3.real, (p3 - p4).real, 2 * (p4 - 2 * p5).real)
-    else:
-        sin, cos = math.sin(theta), math.cos(theta)
-        t2 = theta * theta
-        columns = (1.0, theta, t2, t2 * theta, sin, theta * sin, cos, theta * cos)
-        scales = (6 * theta, 6 * t2, 6 * t2 * theta, 6 * t2 * t2, 6 * t2 * t2 * theta)
-        entries = []
-        for p, terms in _AFFINE_ROWS:
-            total = 0.0
-            for weight, column in terms:
-                total += weight * columns[column]
-            entries.append(total / scales[p - 1])
-    g0r, g0i, g1r, g1i, s0r, s0i, s1r, s1i, k00, k01, k10, k11, l00, l01, l11 = entries
+    p1, p2, p3, p4, p5 = _phi_functions(theta)
+    g1, s1, l01 = p1 - p2, p2 - 2 * p3, (p3 - p4).real
     h2 = h * h
     h3 = h2 * h
-    return ([[complex(g0r * h, g0i * h), complex(g1r * h, g1i * h)],
-             [complex(s0r * h2, s0i * h2), complex(s1r * h2, s1i * h2)]],
-            [[[k00 * h2, k01 * h2], [k10 * h2, k11 * h2]],
-             [[l00 * h3, l01 * h3], [l01 * h3, l11 * h3]]])
+    return ([[complex(p1.real * h, p1.imag * h), complex(g1.real * h, g1.imag * h)],
+             [complex(p2.real * h2, p2.imag * h2), complex(s1.real * h2, s1.imag * h2)]],
+            [[[-p2.imag * h2, -p3.imag * h2], [(p3 - p2).imag * h2, (p4 - p3).imag * h2]],
+             [[2 * p3.real * h3, l01 * h3], [l01 * h3, 2 * (p4 - 2 * p5).real * h3]]])
 
 
 def _interval_terms(config: TrapConfig, branches, edges, widths, coef, vectors, forms):

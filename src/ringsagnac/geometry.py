@@ -169,11 +169,11 @@ def decompose(
         path_tol = max(_PATH_AGREEMENT_TOL, _PATH_ROUNDING_TOL * size)
         phase_scale = max(1.0, abs(phi_s))
         if not gap <= path_tol <= phase_scale:
-            raise InsufficientResolution(
-                f"path/spectral geometric parts disagree by {gap:.3e} "
-                f"(tol {path_tol:.1e}, Sagnac-phase scale {phase_scale:.1e}) "
-                f"at {_end_grid_text(config, profile)}"
-            )
+            reason = (f"the branch phases' rounding tolerance {path_tol:.1e} exceeds the "
+                      f"Sagnac-phase scale {phase_scale:.1e}, so the path/spectral gap "
+                      f"{gap:.3e} cannot check the split" if path_tol > phase_scale else
+                      f"path/spectral geometric parts disagree by {gap:.3e} (tol {path_tol:.1e})")
+            raise InsufficientResolution(f"{reason}, at {_end_grid_text(config, profile)}")
     dgd = 2 * _swept_dynamic_phase(phi_odd, square_odd, w0, 0.0)
 
     tol = 1e-8 * max(1.0, abs(phase))

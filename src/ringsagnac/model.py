@@ -181,34 +181,6 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return points
 
 
-def _pairwise_sum(terms, lo: int, hi: int):
-    """Sum of the floats terms[lo:hi] in the order, and so with the bits, of numpy's sum.
-
-    numpy sums float64 pairwise with eight accumulators, which run over
-    blocks of up to 128 terms and meet as a balanced tree, then take the
-    rest in order; a longer range splits in two at a multiple of eight.
-    """
-    n = hi - lo
-    if n < 8:
-        total = 0.0
-        for term in terms[lo:hi]:
-            total += term
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms, lo, lo + half) + _pairwise_sum(terms, lo + half, hi)
-    stop = hi - n % 8
-    partial = terms[lo:lo + 8]
-    for i in range(lo + 8, stop, 8):
-        partial = list(map(operator.add, partial, terms[i:i + 8]))
-    while len(partial) > 1:
-        partial = list(map(operator.add, partial[::2], partial[1::2]))
-    total = partial[0]
-    for term in terms[stop:hi]:
-        total += term
-    return total
-
-
 def _sample_floats(samples) -> list[float]:
     """The tabulated samples as Python floats, refusing what is not a 1-d sequence of numbers.
 
@@ -255,11 +227,13 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
         raise NegativeSample("tabulated sweep rates must be non-negative")
     if not all(math.isfinite(value) for value in values):
         raise ConfigurationError("tabulated sweep rates must be finite")
-    # numpy.trapezoid's terms and sum, bit for bit
+    # the trapezoid rule, its terms summed exactly and rounded once
     duration = float(duration)
     dx = duration / (len(values) - 1)
-    terms = [dx * (right + left) / 2.0 for left, right in zip(values, values[1:])]
-    integral = _pairwise_sum(terms, 0, len(terms))
+    try:
+        integral = math.fsum(dx * (right + left) / 2.0 for left, right in zip(values, values[1:]))
+    except OverflowError:  # an exact sum beyond the float range
+        integral = math.inf
     if integral == 0.0:
         raise ZeroProfile("all-zero tabulated profile cannot be rescaled")
     factor = SWEEP_TOTAL_ANGLE / integral

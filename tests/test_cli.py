@@ -229,15 +229,19 @@ def test_fast_traps_decompose(capsys, argv, label):
 
 
 def test_one_ulp_route_gap_decomposes(capsys):
-    # at Omega = 1e150 the path and spectral dgg (6.3e150) differ in their
-    # last bit: a gap far above the absolute tolerance, yet rounding at their
-    # size, so the flat scheme is labelled pure-geometric with kappa 1
-    assert run(["decompose", "--rotation", "1e150"]) == 0
-    dec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    gap = abs(dec["delta_geometric_path"] - dec["delta_geometric"])
-    assert 0 < gap <= 4 * math.ulp(dec["delta_geometric"])
-    assert dec["scheme_class"] == "pure-geometric"
-    assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
+    # at Omega = 1e17 the path and spectral dgg (6.3e17) differ in their last
+    # bit: a gap far above the absolute tolerance, yet rounding at their
+    # size, so the flat scheme is labelled pure-geometric with kappa 1; at
+    # Omega = 1e150 (dgg 6.3e150) a gap stays within the same 4 ulps
+    for rotation in ("1e17", "1e150"):
+        assert run(["decompose", "--rotation", rotation]) == 0
+        dec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        gap = abs(dec["delta_geometric_path"] - dec["delta_geometric"])
+        if rotation == "1e17":
+            assert gap > 0
+        assert gap <= 4 * math.ulp(dec["delta_geometric"]), rotation
+        assert dec["scheme_class"] == "pure-geometric"
+        assert dec["kappa"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_si_design_kappa_follows_label(capsys, rubidium):
@@ -891,7 +895,7 @@ def test_fig2_area_measures(capsys):
     [
         ("c", "area_measure = 0.387578458503748\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.81056946913870209\nscheme_class = unconventional-geometric\n"),
-        ("f", "area_measure = 0.31415926535897948\nhalf_sagnac = 0.31415926535897931\n"
+        ("f", "area_measure = 0.31415926535897937\nhalf_sagnac = 0.31415926535897931\n"
               "kappa = 0.99999999999999978\nscheme_class = pure-geometric\n"),
     ],
     ids=["c", "f"],

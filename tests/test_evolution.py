@@ -706,17 +706,24 @@ def test_doubling_ceiling_is_refused_before_any_table(monkeypatch, sweep, durati
     assert builds == []
 
 
-def test_fast_trap_path_matches_the_fine_run(capsys):
+@pytest.mark.parametrize("profile", [
+    [],
+    ["--family", "tabulated", "--samples", "0.3,1,0.6,0.2"],
+], ids=["flat", "tabulated"])
+def test_fast_trap_path_matches_the_fine_run(capsys, profile):
     # omega0 h = 15 on 4096 samples: the closed-form affine tables make every
     # sample exact, so the coarse run equals the 65536-sample run at the shared
-    # times, to the rounding of omega0 t
+    # times, to the rounding of omega0 t; every cell of the coarse run is
+    # finite (assert_allclose takes NaN as equal to NaN)
     runs = []
     for n_samples in (4096, 65536):
-        assert ringsagnac.cli.run(["trajectory", "--trap-frequency", "1e4",
+        assert ringsagnac.cli.run(["trajectory", *profile, "--trap-frequency", "1e4",
                                    "--n-samples", str(n_samples)]) == 0
         out = capsys.readouterr().out
         runs.append(np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1))
     coarse, fine = runs[0], runs[1][::16]
+    assert coarse.shape[0] == 4097
+    assert np.isfinite(coarse).all()
     np.testing.assert_array_equal(coarse[:, 0], fine[:, 0])
     tol = 1e-12 + np.finfo(float).eps * 1e4 * 2 * np.pi
     np.testing.assert_allclose(coarse[:, 1:], fine[:, 1:], rtol=0, atol=tol)

@@ -6,7 +6,9 @@ profile, their sweeps and the design zero search) and every input
 refused while the run is configured load no numpy; the commands that
 build arrays load numpy and the library modules they call.  ringsagnac.oracle holds
 every quadrature route; the spectrum command is the one production step
-that loads it, and its spectral rule runs on numpy.
+that loads it, and its spectral rule runs on numpy.  The numpy checks run
+each command through its `__main__` entry, as `python -m ringsagnac.cli`
+does, and a command that prints a JSON record must print standard JSON.
 """
 
 import json
@@ -22,28 +24,32 @@ import ringsagnac
 
 SRC = Path(ringsagnac.__file__).resolve().parents[1]
 
-# numpy-only commands, run one after another in a fresh interpreter
+# numpy-only commands, run one after another in a fresh interpreter, each
+# with its exit code: a 256-step verify exits 4, since cosinusoidal M=2
+# misses the 1e-4 budget at that step count
 PRODUCTION = [
-    ["simulate"],
-    ["sensitivity"],
-    ["decompose"],
-    ["trajectory"],
-    ["design", "--index", "1"],
-    ["verify"],
-    ["fig2", "--panel", "a"],
-    ["simulate", "--sweep", "rotation=0.05:0.5:4"],
-    ["decompose", "--sweep", "duration=4:8:3", "--format", "human"],
-    ["fig2", "--panel", "b"],
-    ["fig2", "--panel", "c", "--n-samples", "64"],
-    ["fig2", "--panel", "d"],
-    ["fig2", "--panel", "e"],
-    ["fig2", "--panel", "f", "--format", "human"],
-    ["verify", "--format", "human"],
-    ["design", "--bracket", "5:7"],
+    (["simulate"], 0),
+    (["sensitivity"], 0),
+    (["decompose"], 0),
+    (["trajectory"], 0),
+    (["design", "--index", "1"], 0),
+    (["verify"], 0),
+    (["fig2", "--panel", "a"], 0),
+    (["simulate", "--sweep", "rotation=0.05:0.5:4"], 0),
+    (["decompose", "--sweep", "duration=4:8:3", "--format", "human"], 0),
+    (["fig2", "--panel", "b"], 0),
+    (["fig2", "--panel", "c", "--n-samples", "64"], 0),
+    (["fig2", "--panel", "d"], 0),
+    (["fig2", "--panel", "e"], 0),
+    (["fig2", "--panel", "f", "--format", "human"], 0),
+    (["verify", "--format", "human"], 0),
+    (["verify", "--steps", "256"], 4),
+    (["design", "--bracket", "5:7"], 0),
     # the oracle module's one production caller comes last, so that every
     # step before it is seen to leave the module unloaded
-    ["spectrum"],
-    ["spectrum", "--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4", "--duration", "5"],
+    (["spectrum"], 0),
+    (["spectrum", "--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4", "--duration", "5"],
+     0),
 ]
 
 SCRIPT = """
@@ -84,12 +90,13 @@ def _run(commands) -> dict:
 
 
 def test_production_routes_load_no_scipy():
-    report = _run(PRODUCTION)
-    assert len(report) == 3 + len(PRODUCTION)
+    report = _run([argv for argv, _ in PRODUCTION])
+    expected_codes = [0, 0, 0, *(code for _, code in PRODUCTION)]
     oracle_expected = False
-    for step, (code, scipy_loaded, oracle_loaded) in report.items():
+    for (step, (code, scipy_loaded, oracle_loaded)), expected in zip(
+            report.items(), expected_codes, strict=True):
         oracle_expected = oracle_expected or step.startswith("spectrum")
-        assert code == 0, step
+        assert code == expected, step
         assert scipy_loaded == [], step
         assert oracle_loaded == oracle_expected, step
 
@@ -126,27 +133,36 @@ def test_public_names_are_pinned():
 
 
 LOADS_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, runpy, sys
 
 def loaded():
     return sorted(name for name in sys.modules
                   if name == "numpy" or name.startswith("ringsagnac."))
 
 import ringsagnac
-report = [[0, loaded()]]
-import ringsagnac.cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = ringsagnac.cli.run(argv)
-    report.append([code, loaded()])
+report = [[0, loaded(), ""]]
+for argv in json.loads(sys.stdin.read()):
+    sys.argv = ["ringsagnac", *argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("ringsagnac.cli", run_name="__main__")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, loaded(), out.getvalue()])
 print(json.dumps(report))
 """
 
 
 def _loads(commands) -> list:
-    """[exit code, numpy and package modules loaded] after import and after each command."""
+    """[exit code, numpy and package modules loaded, stdout] after import and after each command.
+
+    Each command runs as `python -m ringsagnac.cli` does, through runpy as
+    __main__, so the entry point itself is what is checked.
+    """
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT], input=json.dumps(commands),
                           capture_output=True, text=True, env=env, timeout=300, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -180,34 +196,48 @@ SCALAR = [
 
 
 def test_import_and_scalar_commands_load_no_numpy():
-    (code, loaded), *steps = _loads([argv for argv, *_ in SCALAR])
+    (code, loaded, _), *steps = _loads([argv for argv, *_ in SCALAR])
     assert loaded == ["ringsagnac.errors"]
     allowed = set()
-    for (argv, expected, modules), (code, loaded) in zip(SCALAR, steps, strict=True):
+    for (argv, expected, modules), (code, loaded, _) in zip(SCALAR, steps, strict=True):
         assert code == expected, argv
         allowed |= modules
         assert ARRAY_MODULES & set(loaded) <= allowed, argv
 
 
-@pytest.mark.parametrize("argv, needed, unloaded", [
+# a 4097-node tabulated profile, its samples spread over [0.09, 1]
+LONG_SAMPLES = ",".join(str(((j * 7919) % 1000 + 100) / 1100) for j in range(4097))
+SCALAR_UNLOADED = {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv, needed, unloaded, prints_json", [
     (["spectrum", "--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4"],
      {"numpy", "ringsagnac.oracle"},
-     {"ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry", "ringsagnac.design"}),
-    (["decompose"], {"ringsagnac.evolution", "ringsagnac.geometry"},
-     {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
+     {"ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry", "ringsagnac.design"},
+     True),
+    (["decompose"], {"ringsagnac.evolution", "ringsagnac.geometry"}, SCALAR_UNLOADED, True),
     (["decompose", *TABULATED, "--sweep", "duration=4:8:4"],
-     {"ringsagnac.evolution", "ringsagnac.geometry"},
-     {"numpy", "ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
+     {"ringsagnac.evolution", "ringsagnac.geometry"}, SCALAR_UNLOADED, False),
     (["decompose", "--family", "sinusoidal"],
      {"numpy", "ringsagnac.evolution", "ringsagnac.geometry"},
-     {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}),
+     {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle"}, True),
     (["trajectory"], {"numpy", "ringsagnac.evolution"},
-     {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle", "ringsagnac.geometry"}),
+     {"ringsagnac.fock", "ringsagnac.design", "ringsagnac.oracle", "ringsagnac.geometry"},
+     False),
+    (["decompose", "--family", "tabulated", "--samples", LONG_SAMPLES],
+     {"ringsagnac.evolution", "ringsagnac.geometry"}, SCALAR_UNLOADED, True),
 ], ids=["spectrum", "decompose", "decompose-tabulated-sweep", "decompose-sinusoidal",
-        "trajectory"])
-def test_array_command_loads_only_what_it_runs(argv, needed, unloaded):
-    # each in a fresh interpreter, so that no earlier step loaded a module
-    _, (code, loaded) = _loads([argv])
+        "trajectory", "decompose-tabulated-4097"])
+def test_array_command_loads_only_what_it_runs(argv, needed, unloaded, prints_json):
+    # each in a fresh interpreter, so that no earlier step loaded a module;
+    # a JSON record must be standard JSON
+    _, (code, loaded, out) = _loads([argv])
     assert code == 0
     assert needed <= set(loaded)
     assert not unloaded & set(loaded)
+    if prints_json:
+        json.loads(out, parse_constant=_reject_constant)

@@ -1,5 +1,7 @@
 """Trap parameters, sweep-profile families, and the branch drive."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ def test_unnormalisable_samples_rejected(level):
         make_profile(ProfileFamily.TABULATED, 1.0, samples=[level, level])
 
 
+def test_trapezoid_sum_beyond_the_float_range_rejected():
+    # every trapezoid term is finite, but not their exact sum
+    with pytest.raises(ConfigurationError, match="finite profile"):
+        make_profile(ProfileFamily.TABULATED, 29.0, samples=[1e307] * 30)
+
+
 def test_tabulated_validation():
     with pytest.raises(NegativeSample):
         make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.2, -0.1, 0.4])
@@ -140,13 +148,21 @@ def test_tabulated_samples_match_numpy_trapezoid(samples):
     assert profile.samples == tuple((values * factor).tolist())
 
 
-def test_tabulated_rescale_is_numpy_trapezoid_bit_for_bit():
-    # numpy's pairwise order at every block boundary, and on long grids
+def test_tabulated_rescale_is_the_exact_trapezoid_rounded_once():
+    # the trapezoid terms are summed exactly: the factor is pi over their
+    # rational sum rounded once, at every length and on long grids
     rng = np.random.default_rng(23)
     for size in [*range(2, 300), 4097, 10_001]:
         values = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-5, 5, size)
         T = 10.0 ** rng.uniform(-3, 3)
-        factor = np.pi / np.trapezoid(values, dx=T / (size - 1))
+        dx = T / (size - 1)
+        left, right = values[:-1].tolist(), values[1:].tolist()
+        # each term is n / d exactly, d a power of two, so over the largest
+        # d their sum is an integer sum
+        ratios = [(dx * (b + a) / 2.0).as_integer_ratio() for a, b in zip(left, right)]
+        common = max(d for _, d in ratios)
+        exact = Fraction(sum(n * (common // d) for n, d in ratios), common)
+        factor = np.pi / float(exact)
         profile = make_profile(ProfileFamily.TABULATED, T, samples=values)
         assert profile.rescale_factor == factor, size
         assert profile.samples == tuple((values * factor).tolist()), size
