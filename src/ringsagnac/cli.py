@@ -96,8 +96,7 @@ _OPTIONS = (
             help="tabulated sweep rates, comma separated"),
     _Option("omega", None, float, help="evaluation frequency (spectrum)"),
     _Option("n_samples", None, int, 4096,
-            help="path intervals; sizes trajectory and the fig2 c/f tables, while "
-                 "decompose and the human fig2 record only check it"),
+            help="path intervals; sizes only trajectory and the fig2 c/f tables"),
     _Option("n_max", None, int, 40, help="basis truncation (verify)"),
     _Option("steps", None, int, 4096, help="propagation steps (verify)"),
     _Option("index", None, int, help="scheme order (design)"),
@@ -335,20 +334,21 @@ def _table_text(header, columns, fmt: str) -> str:
 # single-point evaluators (shared by plain runs and sweeps)
 
 def _eval_spectrum(rc: RunConfig) -> dict:
-    from .oracle import spectrum_derivative, spectrum_numeric
-    from .spectrum import spectrum_closed_form
+    from .spectrum import _exact_spectrum
 
     omega = rc.trap.trap_frequency if rc.omega is None else rc.omega
-    profile = rc.profile
-    if profile.family is ProfileFamily.TABULATED:
-        sample = spectrum_numeric(profile, omega)
+    if rc.profile.family is ProfileFamily.TABULATED:
+        # the quadrature oracle's values and label, which perfbench/cli_refs.json pins
+        from .oracle import spectrum_derivative, spectrum_numeric
+
+        sample, slope = spectrum_numeric(rc.profile, omega), spectrum_derivative(rc.profile, omega)
     else:
-        sample = spectrum_closed_form(profile.family, profile.duration, omega)
+        sample, slope = _exact_spectrum(rc.profile, omega)
     return {
         "omega": omega,
         "re": sample.value.real,
         "im": sample.value.imag,
-        "d_re_d_omega": spectrum_derivative(profile, omega),
+        "d_re_d_omega": slope,
         "method": sample.method,
     }
 
@@ -373,7 +373,7 @@ def _field_record(result) -> dict:
 def _eval_decompose(rc: RunConfig) -> dict:
     from .geometry import decompose
 
-    return _field_record(decompose(rc.trap, rc.profile, n_samples=rc.n_samples))
+    return _field_record(decompose(rc.trap, rc.profile))
 
 
 def _eval_sensitivity(rc: RunConfig) -> dict:
@@ -573,7 +573,7 @@ def _cmd_fig2(rc: RunConfig, args) -> tuple[str, int]:
     from .geometry import decompose
     from .interferometer import sagnac_phase
 
-    dec = decompose(rc.trap, profile, n_samples=rc.n_samples)
+    dec = decompose(rc.trap, profile)
     record = {
         "area_measure": dec.delta_geometric_path / 2,
         "half_sagnac": sagnac_phase(rc.trap) / 2,

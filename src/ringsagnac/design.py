@@ -23,7 +23,7 @@ from .errors import ConfigurationError, InvalidIndex, NoZeroInBracket, Unsupport
 from .interferometer import readout
 from .model import ProfileFamily, SweepProfile, TrapConfig, _linspace, make_profile
 from .sensitivity import _integer_periods
-from .spectrum import spectrum_closed_form
+from .spectrum import _exact_spectrum, spectrum_closed_form
 
 if TYPE_CHECKING:
     from .geometry import PhaseDecomposition
@@ -100,11 +100,6 @@ def design_time(family, config: TrapConfig, index: int) -> SchemeSpec:
     return _verified_scheme(family, config, duration, index)
 
 
-def _profile_for_duration(shape: SweepProfile, duration) -> SweepProfile:
-    # the shape stretched to the new window; tabulated samples renormalized
-    return make_profile(shape.family, duration, samples=shape.samples)
-
-
 def _bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int) -> tuple:
     """(x, f(x)) at a minimum of f on [lo, hi] by Brent's fmin.
 
@@ -173,8 +168,10 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float, maxiter: int) -> tuple
 def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     """Interrogation time in the bracket where the spectrum vanishes.
 
-    shape is a profile whose family, and samples for a tabulated one, are
-    stretched to each candidate window; its own duration is not used.
+    shape gives the family, and the samples of a tabulated one; its own
+    duration is not used.  Stretched to T, the profile is f_1(t / T) / T,
+    so W_T(omega0) = W_1(omega0 T): the shape is built once, on the unit
+    window, and each candidate T is scored by its exact W at omega0 T.
     Minimizes |W(omega0)|^2 over the bracket (both real and imaginary
     parts must vanish for full contrast): a 128-point scan localizes the
     dip, then Brent's bounded minimiser (golden sections and parabolic
@@ -191,10 +188,10 @@ def find_zero_time(shape: SweepProfile, config: TrapConfig, bracket) -> float:
     if not (0 < lo < hi):
         raise ConfigurationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     w0 = config.trap_frequency
+    unit = make_profile(shape.family, 1.0, samples=shape.samples)
 
     def objective(duration: float) -> float:
-        profile = _profile_for_duration(shape, duration)
-        return abs(readout(config, profile).spectrum.value) ** 2
+        return abs(_exact_spectrum(unit, w0 * duration)[0].value) ** 2
 
     grid = _linspace(lo, hi, _SCAN_POINTS)
     values = [objective(t) for t in grid]

@@ -22,12 +22,14 @@ frequency.  The phase is linear in the rotation rate, with slope
 
     d phi_I / d Omega = (2 pi m r^2 / hbar) {1 - sqrt(2/pi) Re W(omega0)}.
 
-``readout`` is the one place where W(omega0) becomes numbers: it carries
-W(omega0) and d Re W / d omega at omega0 from a single exact spectral
-evaluation, and the decomposition, sensitivity and design layers read
-them from its result.  It keeps one entry, its last result: a call with
-the same ``TrapConfig`` and ``SweepProfile`` objects returns that result,
-so ``readout``, ``sensitivity_report`` and ``decompose`` on one pair share
+``readout`` is the one place where a profile's W(omega0) becomes numbers:
+it carries W(omega0) and d Re W / d omega at omega0 from a single exact
+spectral evaluation, and the decomposition, sensitivity and design layers
+read them from its result.  The zero search scores each trial time T by
+the exact W of one unit-window shape at omega0 T instead (``find_zero_time``).
+``readout`` keeps one entry, its last result: a call with the same
+``TrapConfig`` and ``SweepProfile`` objects returns that result, so
+``readout``, ``sensitivity_report`` and ``decompose`` on one pair share
 one evaluation.  The match is by identity, not equality: configs with
 rotation 0.0 and -0.0 compare equal but give phases of opposite sign.
 Both inputs are frozen and the memo holds them, so an identity match is

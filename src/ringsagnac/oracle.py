@@ -13,7 +13,7 @@ Import rule: this module imports only model and errors from the package,
 and no library module imports it, so `import ringsagnac` does not load
 it.  It loads scipy only inside the time-domain oracles (quad and
 simpson), so its spectral routes run on numpy alone.  Its one production
-caller is the CLI spectrum command.
+caller is the CLI spectrum command on a tabulated profile.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import pytest
 import ringsagnac
 from ringsagnac import TrapConfig, cli, make_profile, readout
 from ringsagnac.cli import _json_text, run
+from ringsagnac.spectrum import _exact_spectrum
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -68,10 +69,12 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_config_numeric_keys(tmp_path, capsys):
+    # an integral float is taken for an integer option
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n_samples": 32}))
-    assert run(["trajectory", "--config", str(cfg)]) == 0
-    assert len(_lines(capsys.readouterr().out)) == 34  # header + 33 points
+    for n_samples in (32, 32.0):
+        cfg.write_text(json.dumps({"n_samples": n_samples}))
+        assert run(["trajectory", "--config", str(cfg)]) == 0
+        assert len(_lines(capsys.readouterr().out)) == 34  # header + 33 points
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
@@ -85,6 +88,8 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
 def test_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    cfg.write_text("[1, 2]")  # valid JSON, but not an object
     assert run(["simulate", "--config", str(cfg)]) == 2
     assert run(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
     # json raises a plain ValueError for an integer longer than Python will parse
@@ -125,10 +130,11 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
          "--family", "flat"],
         ["simulate", "--rotation", "1e308"],
         ["spectrum", "--omega", "1e308"],
+        ["spectrum", "--sweep", "omega=1e307:1e308:2"],
         ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--omega", "1e308"],
         ["simulate", "--family", "tabulated", "--samples", "1e308,1e308"],
         ["simulate", "--family", "tabulated", "--samples", "1e-320,1e-320"],
-        ["decompose", "--n-samples", "-5"],
+        ["trajectory", "--n-samples", "-5"],
         ["trajectory", "--n-samples", "0"],
         ["simulate", "--rotation", "-inf"],
         ["spectrum", "--omega", "-nan"],
@@ -138,11 +144,13 @@ def _assert_one_line_failure(capsys, argv, code, prefix):
         ["verify", "--steps", "20000000"],
         ["verify", "--n-max", "100000"],
         *([*command, "--n-samples", str(ringsagnac.evolution._MAX_SAMPLES + 1)]
-          for command in (["trajectory"], ["fig2", "--panel", "c"], ["decompose"])),
+          for command in (["trajectory"], ["fig2", "--panel", "c"])),
         # 2 pi / T overflows, so the slope's kernel arguments are not finite
         *([command, "--family", family, "--duration", "1e-320"]
           for command in ("simulate", "sensitivity", "decompose")
           for family in ("flat", "sinusoidal", "cosinusoidal")),
+        # pi / T overflows, so the slope's constant pieces are not finite
+        ["spectrum", "--family", "flat", "--duration", "1e-320", "--omega", "0.7"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -157,13 +165,7 @@ def test_nonfinite_input_rejected(capsys, argv):
     "argv",
     [
         # omega T beyond the panel ceiling of the spectral oracle
-        ["spectrum", "--omega", "1e300"],
-        ["spectrum", "--sweep", "omega=1e307:1e308:2"],
-        ["spectrum", "--duration", "1e300"],
         ["spectrum", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
-        ["spectrum", "--family", "sinusoidal", "--duration", "1e300"],
-        # pi / T overflows, so the spectral oracle's integrand is not finite
-        ["spectrum", "--family", "flat", "--duration", "1e-320", "--omega", "0.7"],
         ["decompose", "--duration", "1e300"],
         ["decompose", "--family", "tabulated", "--samples", "0.5,1,0.5", "--duration", "1e300"],
         ["trajectory", "--duration", "1e300", "--format", "human"],
@@ -382,6 +384,9 @@ def test_subnormal_hbar_paths_are_zeros(capsys):
         {"profile": {"family": "tabulated", "samples": "1,2,3"}},
         {"profile": {"family": "tabulated", "samples": ["a", 1]}},
         {"bracket": 7},
+        {"bracket": [7]},
+        {"trap": 5},
+        {"profile": {"family": 3}},
         {"trap": {"rotation": "0.2"}},
         {"trap": {"rotation": True}},
         {"trap": {"rotation": 10**400}},
@@ -496,8 +501,16 @@ def test_argparse_failures(capsys):
 def test_n_samples_help_names_what_it_sizes(capsys):
     assert run(["fig2", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert ("sizes trajectory and the fig2 c/f tables, while decompose and the human "
-            "fig2 record only check it") in text
+    assert "sizes only trajectory and the fig2 c/f tables" in text
+
+
+def test_n_samples_does_not_reach_decompose(capsys):
+    # decompose sizes nothing from it, so a count the path sweep would
+    # refuse leaves the record as it is
+    assert run(["decompose"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["decompose", "--n-samples", "8"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(
@@ -540,6 +553,26 @@ def test_spectrum_defaults_to_trap_frequency(capsys):
     assert record["method"] == "closed-form"
     assert abs(record["re"]) < 1e-15 and abs(record["im"]) < 1e-15
     assert record["d_re_d_omega"] == pytest.approx(1.2533141373155001, rel=1e-10)
+
+
+HUGE_OMEGA_T = [
+    (["--omega", "1e300"], "flat", 2 * np.pi),
+    (["--duration", "1e300"], "flat", 1e300),
+    (["--family", "sinusoidal", "--duration", "1e300"], "sinusoidal", 1e300),
+]
+
+
+@pytest.mark.parametrize("argv, family, duration", HUGE_OMEGA_T,
+                         ids=[" ".join(argv) for argv, _, _ in HUGE_OMEGA_T])
+def test_analytic_spectrum_at_huge_omega_t(capsys, argv, family, duration):
+    # an analytic record takes W and its slope from the closed forms and
+    # constant pieces, so omega T of 1e300 is answered, with the library's values
+    assert run(["spectrum", *argv]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    sample, slope = _exact_spectrum(make_profile(family, duration), record["omega"])
+    assert record == {"omega": record["omega"], "re": sample.value.real, "im": sample.value.imag,
+                      "d_re_d_omega": slope, "method": "closed-form"}
+    assert all(math.isfinite(record[key]) for key in ("re", "im", "d_re_d_omega"))
 
 
 def test_trajectory_csv(capsys):
@@ -812,6 +845,10 @@ def test_design_by_index(capsys):
     assert record["phase_equality"] is True
     assert record["qcrb_time"] is True
     assert record["decomposition"]["kappa"] == pytest.approx(-3.0, rel=1e-10)
+    # a nested record prints its fields under the record's name
+    assert run(["design", "--family", "cosinusoidal", "--index", "2", "--format", "human"]) == 0
+    out = capsys.readouterr().out
+    assert float(_human_value(out, "decomposition.kappa")) == pytest.approx(-3.0, rel=1e-10)
 
 
 def test_design_by_bracket(capsys):
@@ -830,6 +867,8 @@ def test_design_errors(capsys):
     assert "nonzero" in err and "-0.62665" in err
     assert run(["design", "--bracket", "2:4"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert run(["design", "--bracket", "1:2:3"]) == 2
+    assert "bracket needs exactly 2 values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -903,8 +942,8 @@ def test_fig2_area_measures(capsys):
 def test_fig2_human_record_has_no_sample_count(capsys, panel, expected):
     # the record reads decompose, whose end values come from the kink grid,
     # so a sample count would describe nothing; the other fields keep their
-    # bytes, at any n_samples
-    for n_samples in ("64", "4096"):
+    # bytes, at any n_samples, even one the path tables would refuse
+    for n_samples in ("8", "64", "4096"):
         assert run(["fig2", "--panel", panel, "--format", "human",
                     "--n-samples", n_samples]) == 0
         assert capsys.readouterr().out == expected

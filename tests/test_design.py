@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ringsagnac.design
 from ringsagnac import (
     ConfigurationError,
     InvalidIndex,
@@ -16,6 +17,7 @@ from ringsagnac import (
     readout,
 )
 from ringsagnac.design import _bounded_brent
+from ringsagnac.spectrum import _exact_spectrum
 
 
 def test_flat_design_times(natural):
@@ -101,6 +103,45 @@ def test_find_zero_time(natural, family, samples, bracket, expected):
     # the shape's own duration is not used: it is stretched to each candidate
     shape = make_profile(family, 1.0, samples=samples)
     assert find_zero_time(shape, natural, bracket) == pytest.approx(expected, abs=1e-8)
+
+
+def test_find_zero_time_builds_one_profile(natural, monkeypatch):
+    # each trial T is scored on the one unit-window shape, not on a new
+    # profile and a full readout
+    calls = []
+
+    def counted(name):
+        original = getattr(ringsagnac.design, name)
+        monkeypatch.setattr(ringsagnac.design, name,
+                            lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+
+    counted("make_profile")
+    counted("readout")
+    for family, samples, bracket, _ in ZERO_SEARCHES:
+        calls.clear()
+        find_zero_time(make_profile(family, 1.0, samples=samples), natural, bracket)
+        assert calls == ["make_profile"], family
+
+
+@pytest.mark.parametrize("family", list(ProfileFamily))
+def test_stretched_spectrum_is_the_unit_shape_at_omega_t(family):
+    # the identity the zero search rests on: stretched to T, a shape has
+    # W_T(omega0) = W_1(omega0 T).  The closed forms see the same u =
+    # omega0 T either way, so the analytic values are bit-equal; a tabulated
+    # shape is renormalized on each window, which moves its last bits
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        samples = None
+        if family is ProfileFamily.TABULATED:
+            samples = rng.uniform(0.05, 1.0, int(rng.integers(2, 61))).tolist()
+        duration = 10.0 ** rng.uniform(-3, 3)
+        omega0 = 10.0 ** rng.uniform(-4, np.log10(3e4 / duration))
+        stretched = _exact_spectrum(make_profile(family, duration, samples=samples), omega0)[0]
+        unit = _exact_spectrum(make_profile(family, 1.0, samples=samples), omega0 * duration)[0]
+        if family is ProfileFamily.TABULATED:
+            assert abs(stretched.value - unit.value) <= 1e-14, (samples, duration, omega0)
+        else:
+            assert stretched.value == unit.value, (duration, omega0)
 
 
 def test_find_zero_time_no_zero(natural):

@@ -2,13 +2,14 @@
 
 `import ringsagnac` loads the exceptions and nothing else.  The scalar
 commands (simulate, sensitivity, decompose on a tabulated or flat
-profile, their sweeps and the design zero search) and every input
-refused while the run is configured load no numpy; the commands that
-build arrays load numpy and the library modules they call.  ringsagnac.oracle holds
-every quadrature route; the spectrum command is the one production step
-that loads it, and its spectral rule runs on numpy.  The numpy checks run
-each command through its `__main__` entry, as `python -m ringsagnac.cli`
-does, and a command that prints a JSON record must print standard JSON.
+profile, spectrum on an analytic one, their sweeps and the design zero
+search) and every input refused while the run is configured load no
+numpy; the commands that build arrays load numpy and the library modules
+they call.  ringsagnac.oracle holds every quadrature route; the spectrum
+command on a tabulated profile is the one production step that loads it,
+and its spectral rule runs on numpy.  The numpy checks run each command
+through its `__main__` entry, as `python -m ringsagnac.cli` does, and a
+command that prints a JSON record must print standard JSON.
 """
 
 import json
@@ -29,6 +30,7 @@ SRC = Path(ringsagnac.__file__).resolve().parents[1]
 # misses the 1e-4 budget at that step count
 PRODUCTION = [
     (["simulate"], 0),
+    (["spectrum"], 0),
     (["sensitivity"], 0),
     (["decompose"], 0),
     (["trajectory"], 0),
@@ -45,9 +47,9 @@ PRODUCTION = [
     (["verify", "--format", "human"], 0),
     (["verify", "--steps", "256"], 4),
     (["design", "--bracket", "5:7"], 0),
-    # the oracle module's one production caller comes last, so that every
-    # step before it is seen to leave the module unloaded
-    (["spectrum"], 0),
+    # the oracle module's one production caller, the tabulated spectrum,
+    # comes last, so that every step before it is seen to leave the module
+    # unloaded
     (["spectrum", "--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4", "--duration", "5"],
      0),
 ]
@@ -95,7 +97,7 @@ def test_production_routes_load_no_scipy():
     oracle_expected = False
     for (step, (code, scipy_loaded, oracle_loaded)), expected in zip(
             report.items(), expected_codes, strict=True):
-        oracle_expected = oracle_expected or step.startswith("spectrum")
+        oracle_expected = oracle_expected or step.startswith("spectrum --family tabulated")
         assert code == expected, step
         assert scipy_loaded == [], step
         assert oracle_loaded == oracle_expected, step
@@ -170,15 +172,19 @@ def _loads(commands) -> list:
 ARRAY_MODULES = {"numpy", "ringsagnac.evolution", "ringsagnac.fock", "ringsagnac.geometry",
                  "ringsagnac.design", "ringsagnac.oracle"}
 TABULATED = ["--family", "tabulated", "--samples", "0.3,0.9,0.6,1.0,0.4"]
-# the readout, sensitivity and end-value closed forms, sweeps of them, the
-# tabulated zero search, and the inputs the benchmark's cli mix expects
-# refused, each with the library modules it may load besides those of the
-# steps before it.  A module stays loaded, so each step that adds one comes
-# as late as it can: the design steps load ringsagnac.design, and decompose
-# takes the end values from ringsagnac.evolution; that decompose loads no
-# design module is checked in a fresh interpreter below
+# the readout, sensitivity, end-value and analytic spectrum closed forms,
+# sweeps of them, the tabulated zero search, and the inputs the benchmark's
+# cli mix expects refused, each with the library modules it may load
+# besides those of the steps before it.  A module stays loaded, so each
+# step that adds one comes as late as it can: the design steps load
+# ringsagnac.design, and decompose takes the end values from
+# ringsagnac.evolution; that decompose loads no design module is checked
+# in a fresh interpreter below
 SCALAR = [
     (["simulate"], 0, set()),
+    (["spectrum"], 0, set()),
+    (["spectrum", "--family", "sinusoidal", "--sweep", "omega=0.5:3:4"], 0, set()),
+    (["spectrum", "--family", "cosinusoidal", "--omega", "3e5"], 0, set()),
     (["sensitivity", "--family", "sinusoidal"], 0, set()),
     (["simulate", "--sweep", "rotation=0.05:0.5:4"], 0, set()),
     (["simulate", "--sweep", "volume=1:2:3"], 2, set()),

@@ -120,7 +120,7 @@ def test_readout_dimensional_consistency():
 
 
 def _count_spectrum_calls(monkeypatch) -> list:
-    """Count exact-spectrum calls; readout is their only caller outside spectrum."""
+    """Count the exact-spectrum calls made through readout, the one the library layers share."""
     import ringsagnac.interferometer
 
     calls = []
@@ -133,19 +133,37 @@ def _count_spectrum_calls(monkeypatch) -> list:
     return calls
 
 
-def test_readout_is_the_only_exact_spectrum_caller():
-    # every other layer reads W(omega0) and its slope from a readout result
-    import importlib
-    import pkgutil
+def test_exact_spectrum_callers_are_named():
+    # every other layer reads W(omega0) and its slope from a readout result;
+    # the zero search scores the unit shape at omega0 T, and the CLI spectrum
+    # record of an analytic profile takes both numbers from one call.  Each
+    # reference outside spectrum.py is found by its source, so a
+    # function-local import or a getattr by name counts as well
+    import ast
+    from pathlib import Path
 
     import ringsagnac
 
-    holders = set()
-    for info in pkgutil.iter_modules(ringsagnac.__path__):
-        module = importlib.import_module(f"ringsagnac.{info.name}")
-        if hasattr(module, "_exact_spectrum"):
-            holders.add(info.name)
-    assert holders == {"spectrum", "interferometer"}
+    references = set()
+    for path in sorted(Path(ringsagnac.__file__).parent.glob("*.py")):
+        if path.stem == "spectrum":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            # None for a module-level statement, else the top-level def
+            scope = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else node.value if isinstance(node, ast.Constant) else None)
+                if name == "_exact_spectrum":
+                    references.add((path.stem, scope))
+    # the module-level entries are the imports of the two library callers
+    assert references == {
+        ("interferometer", None), ("interferometer", "readout"),
+        ("design", None), ("design", "find_zero_time"),
+        ("cli", "_eval_spectrum"),
+    }
     assert not hasattr(ringsagnac, "_exact_spectrum")
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ringsagnac.cli
 import ringsagnac.oracle
 import ringsagnac.spectrum
 from ringsagnac import (
@@ -478,9 +479,9 @@ def test_gauss_rule_refuses_beyond_its_panel_ceiling(oracle):
 
 def test_production_paths_never_run_quadrature(monkeypatch):
     # quadrature is the oracle only: readout, sensitivity, decompose (whose
-    # path parts give the time-domain phase) and the design routines run
-    # with the spectral oracle's Gauss rule and the time-domain oracles'
-    # quad wrapper disabled
+    # path parts give the time-domain phase), the design routines and the
+    # CLI spectrum of an analytic profile run with the spectral oracle's
+    # Gauss rule and the time-domain oracles' quad wrapper disabled
     def refuse(*args, **kwargs):
         raise AssertionError("production path called quadrature")
 
@@ -496,3 +497,5 @@ def test_production_paths_never_run_quadrature(monkeypatch):
         design_time(family, config, index)
     shape = make_profile(ProfileFamily.TABULATED, 1.0, samples=[0.4, 1.0, 1.0, 0.4])
     assert 7.0 < find_zero_time(shape, config, (7.0, 8.5)) < 8.5
+    for family in ANALYTIC:
+        assert ringsagnac.cli.run(["spectrum", "--family", family.value]) == 0
