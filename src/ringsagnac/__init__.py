@@ -18,7 +18,6 @@ from .errors import (
     DegeneratePath,
     InsufficientResolution,
     InvalidIndex,
-    KappaUndefined,
     NegativeSample,
     NonPositiveDuration,
     NoZeroInBracket,
@@ -35,10 +34,10 @@ __version__ = "0.1.0"
 # the public names each submodule defines, imported on first use
 _SUBMODULES = {
     "model": "Branch ProfileFamily SpectrumValue SweepProfile TrapConfig eval_profile "
-             "lambda_drive make_profile zero_profile",
+             "lambda_drive make_profile",
     "spectrum": "spectrum_closed_form",
     "evolution": "BranchEvolution sample_trajectory",
-    "fock": "FockState coherence_fock evolve_fock evolve_two_component",
+    "fock": "coherence_fock evolve_fock evolve_two_component",
     "interferometer": "InterferometerResult readout sagnac_phase",
     "geometry": "PhaseDecomposition SchemeClass decompose",
     "design": "SchemeSpec design_time find_zero_time",

@@ -51,11 +51,6 @@ class InvalidIndex(ConfigurationError):
         self.limit_value = limit_value
 
 
-class KappaUndefined(ConfigurationError):
-    """The scheme has no proportionality constant: geometric part is zero
-    or the spectrum-zero premise does not hold."""
-
-
 class NoZeroInBracket(ConfigurationError):
     """The bracket holds no spectrum zero to the required depth."""
 

@@ -166,10 +166,6 @@ class BranchEvolution:
             raise ValueError("running |alpha|^2 integral must start at 0")
 
     @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def final_alpha(self) -> complex:
         return complex(self.alphas[-1])
 

@@ -7,7 +7,9 @@ Independent validation backend: the driven-trap Hamiltonian
 is propagated from the vacuum in a truncated number basis with a
 piecewise-constant midpoint Hamiltonian.  Nothing here uses the
 coherent-state closed form, so agreement with the evolution/interferometer
-modules is a real check.
+modules is a real check.  evolve_fock returns one branch's number-basis
+amplitudes as an array of n_max entries, evolve_two_component the two
+branches' arrays, and coherence_fock their overlap.
 
 One pass propagates every branch at once: each branch is one row of a
 (branches, n_max) array, its vacuum holding equal weight, and all rows see
@@ -65,7 +67,6 @@ outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,7 +80,7 @@ from .errors import (
 )
 from .model import Branch, SweepProfile, TrapConfig, _check_count, eval_profile
 
-__all__ = ["FockState", "coherence_fock", "evolve_fock", "evolve_two_component"]
+__all__ = ["coherence_fock", "evolve_fock", "evolve_two_component"]
 
 _NORM_TOL = 1e-8
 _TAIL_TOL = 1e-10
@@ -96,27 +97,6 @@ _MAX_STEPS = 1_000_000
 # steps per tail check: the kicks, phases and states of one chunk are the only
 # tables that grow with the step count beyond the drive itself
 _CHUNK = 256
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Truncated number-basis state of one branch at a given time."""
-
-    n_max: int
-    amplitudes: np.ndarray
-    branch: Branch
-    time: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def mean_amplitude(self) -> complex:
-        """Expectation of the lowering operator."""
-        c = self.amplitudes
-        n = np.arange(1, self.n_max)
-        return complex(np.sum(np.conj(c[:-1]) * np.sqrt(n) * c[1:]))
 
 
 @lru_cache(maxsize=4)
@@ -347,11 +327,12 @@ def evolve_fock(
     steps: int = 4096,
     until: float | None = None,
     check_steps: bool = False,
-) -> FockState:
+) -> np.ndarray:
     """Propagate the vacuum of one branch to `until` (default: full window).
 
-    With check_steps=True the run is repeated at half the step count and
-    the step-doubling error estimate must pass, otherwise
+    Returns its number-basis amplitudes, shape (n_max,).  With
+    check_steps=True the run is repeated at half the step count and the
+    step-doubling error estimate must pass, otherwise
     StepCountInsufficient is raised.  From about 1024 steps on the design
     schemes the estimate is within a factor 2 of the true step error; on
     coarser grids it can undershoot (sinusoidal L=0 at 256 steps: 3.0e-6
@@ -364,7 +345,7 @@ def evolve_fock(
     psi = _propagate(config, profile, (branch,), n_max, steps, t_end)
     if check_steps:
         _check_halving(psi, config, profile, (branch,), n_max, steps, t_end)
-    return FockState(n_max=n_max, amplitudes=psi[0], branch=branch, time=t_end)
+    return psi[0]
 
 
 def coherence_fock(

@@ -31,8 +31,8 @@ dgg_spectral to dgg_path plus the rounding eps omega0 T of the phase
 omega0 t, which xi carries.  When |dgd| or |dgg| lies within its spread of
 the threshold, decompose refuses instead of labelling.  kappa follows the
 label: it is given exactly when the scheme is pure- or
-unconventional-geometric and |W(omega0)| <= 1e-8, so a "dynamic" or
-"undefined" scheme never carries one.
+unconventional-geometric and |W(omega0)| <= 1e-8, and is None otherwise,
+so a "dynamic" or "undefined" scheme never carries one.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InsufficientResolution, KappaUndefined
+from .errors import InsufficientResolution
 from .evolution import _check_samples, _end_grid_text, _sweep_ends
 from .interferometer import readout
 from .model import SweepProfile, TrapConfig
@@ -85,15 +85,6 @@ class PhaseDecomposition:
     gamma_dynamic: tuple[float, float]
     gamma_geometric: tuple[float, float]
     residual_angle: float
-
-    def require_kappa(self) -> float:
-        """The dynamic-to-geometric ratio constant; raises when undefined."""
-        if self.kappa is None:
-            raise KappaUndefined(
-                "no proportionality constant: geometric part vanishes or the "
-                "spectrum does not vanish at the trap frequency"
-            )
-        return self.kappa
 
 
 def _swept_dynamic_phase(phase: float, mean_square: float, w0: float, T: float) -> float:

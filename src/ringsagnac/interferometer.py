@@ -73,12 +73,7 @@ class InterferometerResult:
     principal_arg: float    # arg of the coherence, in (-pi, pi]
     sagnac: float
     sigma_y: float
-    sigma_z: float
-
-    @property
-    def signal(self) -> float:
-        """Population-difference signal of the closing pulse sequence."""
-        return self.sigma_z
+    sigma_z: float          # population-difference signal of the closing pulses
 
 
 def sagnac_phase(config: TrapConfig) -> float:

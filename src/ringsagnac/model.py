@@ -31,7 +31,6 @@ __all__ = [
     "flat_rate",
     "lambda_drive",
     "make_profile",
-    "zero_profile",
 ]
 
 SWEEP_TOTAL_ANGLE = math.pi
@@ -129,7 +128,7 @@ class SweepProfile:
         if self.family is ProfileFamily.SINUSOIDAL:
             return (self.duration / 2,)
         if self.family is ProfileFamily.TABULATED:
-            return tuple(self.grid[1:-1])
+            return tuple(_linspace(0.0, self.duration, len(self.samples))[1:-1])
         return ()
 
 
@@ -154,13 +153,6 @@ def _check_count(name: str, value):
         operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_duration(duration):
-    if not duration > 0:
-        raise NonPositiveDuration(f"duration must be positive, got {duration}")
-    if not math.isfinite(duration):
-        raise ConfigurationError(f"duration must be finite, got {duration}")
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -218,7 +210,10 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
     is recorded on the profile.
     """
     family = ProfileFamily(family)
-    _check_duration(duration)
+    if not duration > 0:
+        raise NonPositiveDuration(f"duration must be positive, got {duration}")
+    if not math.isfinite(duration):
+        raise ConfigurationError(f"duration must be finite, got {duration}")
     if family is not ProfileFamily.TABULATED:
         return SweepProfile(family, float(duration))
 
@@ -245,16 +240,6 @@ def make_profile(family, duration, samples=None) -> SweepProfile:
         samples=tuple(value * factor for value in values),
         rescale_factor=factor,
     )
-
-
-def zero_profile(duration) -> SweepProfile:
-    """Diagnostic profile with omega_P identically zero.
-
-    Deliberately violates the half-revolution normalization; useful for
-    switched-off-drive checks, never returned by make_profile.
-    """
-    _check_duration(duration)
-    return SweepProfile(ProfileFamily.TABULATED, float(duration), samples=(0.0, 0.0))
 
 
 def flat_rate(duration: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ringsagnac import ProfileFamily, TrapConfig, make_profile
+from ringsagnac import ProfileFamily, SweepProfile, TrapConfig, make_profile
 
 
 @pytest.fixture
@@ -19,6 +19,19 @@ def random_profile():
         values = rng.uniform(0.1, 1.0, size=n_nodes)
         duration = float(rng.uniform(3.0, 12.0))
         return make_profile(ProfileFamily.TABULATED, duration, samples=values)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def switched_off():
+    """Factory for the drive with omega_P identically zero over [0, T].
+
+    It breaks the half-revolution normalization, so make_profile refuses
+    it; the switched-off checks build the profile directly."""
+
+    def make(duration: float) -> SweepProfile:
+        return SweepProfile(ProfileFamily.TABULATED, duration, samples=(0.0, 0.0))
 
     return make
 

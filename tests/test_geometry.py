@@ -15,14 +15,12 @@ from ringsagnac import (
     ConvergenceError,
     DegeneratePath,
     InsufficientResolution,
-    KappaUndefined,
     ProfileFamily,
     SchemeClass,
     TrapConfig,
     decompose,
     make_profile,
     sample_trajectory,
-    zero_profile,
 )
 from ringsagnac import geometry
 from ringsagnac.oracle import alpha_at, branch_geometric_phase, phi_at, shoelace_area
@@ -76,11 +74,11 @@ def test_dynamic_phase_flat_design(natural):
     assert dec.gamma_dynamic == pytest.approx((-np.pi, -np.pi), abs=1e-7)
 
 
-def test_zero_drive_phases():
+def test_zero_drive_phases(switched_off):
     # undriven trap: only the zero-point term survives in the dynamic
     # phase and the path encloses no area
     still = TrapConfig(rotation=0.0)
-    profile = zero_profile(2 * np.pi)
+    profile = switched_off(2 * np.pi)
     dec = decompose(still, profile, n_samples=64)
     assert dec.gamma_dynamic == pytest.approx((-np.pi, -np.pi), abs=1e-12)
     ev = sample_trajectory(still, profile, Branch.CO, 64)
@@ -138,7 +136,6 @@ def test_decompose_flat_design(natural):
     assert dec.delta_geometric == pytest.approx(SAGNAC_NATURAL, rel=1e-10)
     assert dec.delta_geometric_path == pytest.approx(SAGNAC_NATURAL, rel=1e-7)
     assert dec.kappa == pytest.approx(1.0, abs=1e-12)
-    assert dec.require_kappa() == dec.kappa
     assert dec.gamma_dynamic[0] == pytest.approx(-np.pi, abs=1e-10)
     assert dec.gamma_dynamic[1] == pytest.approx(-np.pi, abs=1e-10)
     assert dec.residual_angle == pytest.approx(0.0, abs=1e-12)
@@ -178,8 +175,6 @@ def test_decompose_sinusoidal_higher_order_is_dynamic(natural):
     assert dec.scheme_class is SchemeClass.DYNAMIC
     assert dec.kappa is None
     assert abs(dec.delta_geometric) < 1e-10
-    with pytest.raises(KappaUndefined):
-        dec.require_kappa()
 
 
 def test_decompose_off_design(natural):

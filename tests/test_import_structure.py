@@ -12,6 +12,9 @@ through its `__main__` entry, as `python -m ringsagnac.cli` does, and a
 command that prints a JSON record must print standard JSON.
 """
 
+import ast
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -24,6 +27,7 @@ import pytest
 import ringsagnac
 
 SRC = Path(ringsagnac.__file__).resolve().parents[1]
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # numpy-only commands, run one after another in a fresh interpreter, each
 # with its exit code: a 256-step verify exits 4, since cosinusoidal M=2
@@ -106,8 +110,8 @@ def test_production_routes_load_no_scipy():
 # the public top-level API; a name added or removed must be listed here
 PUBLIC_NAMES = [
     "Branch", "BranchEvolution", "ConfigurationError", "ConvergenceError",
-    "DegeneratePath", "FockState", "InsufficientResolution", "InterferometerResult",
-    "InvalidIndex", "KappaUndefined", "NegativeSample", "NoZeroInBracket",
+    "DegeneratePath", "InsufficientResolution", "InterferometerResult",
+    "InvalidIndex", "NegativeSample", "NoZeroInBracket",
     "NonPositiveDuration", "PhaseDecomposition", "ProfileFamily",
     "QuadratureNonConvergence", "SchemeClass", "SchemeSpec", "SensitivityReport",
     "SpectrumValue", "StepCountInsufficient", "SweepProfile", "TimeOutOfRange",
@@ -115,7 +119,7 @@ PUBLIC_NAMES = [
     "coherence_fock", "decompose", "design_time", "eval_profile", "evolve_fock",
     "evolve_two_component", "find_zero_time", "lambda_drive", "make_profile",
     "readout", "sagnac_phase", "sample_trajectory", "sensitivity_report",
-    "spectrum_closed_form", "zero_profile",
+    "spectrum_closed_form",
 ]
 
 
@@ -132,6 +136,30 @@ def test_public_names_are_pinned():
     assert sorted(ringsagnac.__all__) == PUBLIC_NAMES
     with pytest.raises(AttributeError, match="no_such_name"):
         ringsagnac.no_such_name  # noqa: B018
+    for retired in ("zero_profile", "FockState", "KappaUndefined"):
+        with pytest.raises(AttributeError, match=retired):
+            getattr(ringsagnac, retired)
+
+
+def test_benchmark_workloads_call_the_public_surface():
+    # every ringsagnac name the benchmark's workloads use is public or a
+    # submodule, and every call of one binds to the callee's signature, so
+    # a trimmed name or keyword fails here before a benchmark run
+    tree = ast.parse(WORKLOADS.read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in ("rs", "ringsagnac")}
+    assert {"ProfileFamily", "TrapConfig", "decompose", "readout", "coherence_fock"} <= used
+    for name in used:
+        assert name in ringsagnac.__all__ or importlib.util.find_spec(f"ringsagnac.{name}"), name
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "rs"]
+    assert {call.func.attr for call in calls} >= {"decompose", "coherence_fock", "design_time"}
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        signature = inspect.signature(getattr(ringsagnac, call.func.attr))
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
 LOADS_SCRIPT = """

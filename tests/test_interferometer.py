@@ -49,7 +49,6 @@ def test_readout_flat_design(natural):
     assert result.sagnac == pytest.approx(SAGNAC_NATURAL, rel=1e-15)
     assert result.sigma_y == pytest.approx(-0.5877852522924731, rel=1e-12)
     assert result.sigma_z == pytest.approx(-0.8090169943749475, rel=1e-12)
-    assert result.signal == result.sigma_z
 
 
 def test_readout_flat_degraded(natural):
@@ -60,7 +59,7 @@ def test_readout_flat_degraded(natural):
     assert abs(result.delta_alpha) ** 2 == pytest.approx(8.0, rel=1e-12)
     assert result.contrast == pytest.approx(0.01831563888873418, rel=1e-12)
     assert result.phase == pytest.approx(SAGNAC_NATURAL, rel=1e-12)
-    assert result.signal == pytest.approx(-0.014817663123820627, rel=1e-12)
+    assert result.sigma_z == pytest.approx(-0.014817663123820627, rel=1e-12)
 
 
 def test_delta_alpha_matches_branch_endpoints(natural):

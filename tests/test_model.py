@@ -11,12 +11,12 @@ from ringsagnac import (
     NegativeSample,
     NonPositiveDuration,
     ProfileFamily,
+    SweepProfile,
     TrapConfig,
     ZeroProfile,
     eval_profile,
     lambda_drive,
     make_profile,
-    zero_profile,
 )
 from ringsagnac.design import design_time
 
@@ -73,11 +73,6 @@ def test_infinite_duration_rejected(family):
     samples = [1.0, 1.0] if family is ProfileFamily.TABULATED else None
     with pytest.raises(ConfigurationError):
         make_profile(family, float("inf"), samples=samples)
-
-
-def test_zero_profile_rejects_infinite_duration():
-    with pytest.raises(ConfigurationError):
-        zero_profile(float("inf"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -240,6 +235,14 @@ def test_breakpoints():
     assert make_profile(ProfileFamily.SINUSOIDAL, T).breakpoints() == (2.0,)
     tab = make_profile(ProfileFamily.TABULATED, T, samples=[0.0, 1.0, 1.0, 0.0])
     np.testing.assert_allclose(tab.breakpoints(), [4.0 / 3, 8.0 / 3], rtol=1e-15)
+    # Python floats, bit for bit numpy's interior grid nodes, down to
+    # subnormal durations and up to near the float range
+    for n in (2, 3, 5, 12, 129, 4097):
+        for T in (5e-324, 3.5e-323, 1e-300, 1e-7, 1 / 3, 4.0, 2 * np.pi, 7.6448845176266005,
+                  1e12, 1e300):
+            points = SweepProfile(ProfileFamily.TABULATED, T, samples=(1.0,) * n).breakpoints()
+            assert all(type(b) is float for b in points)
+            assert np.array(points).tobytes() == np.linspace(0.0, T, n)[1:-1].tobytes()
 
 
 def test_grid_requires_samples():
@@ -247,12 +250,13 @@ def test_grid_requires_samples():
         make_profile(ProfileFamily.FLAT, 1.0).grid
 
 
-def test_zero_profile_is_diagnostic_only():
-    profile = zero_profile(3.0)
+def test_zero_profile_is_diagnostic_only(switched_off):
+    # the switched-off drive evaluates to zero, and make_profile never returns it
+    profile = switched_off(3.0)
     ts = np.linspace(0.0, 3.0, 11)
     np.testing.assert_array_equal(eval_profile(profile, ts), np.zeros(11))
-    with pytest.raises(NonPositiveDuration):
-        zero_profile(0.0)
+    with pytest.raises(ZeroProfile):
+        make_profile(ProfileFamily.TABULATED, 3.0, samples=profile.samples)
 
 
 def test_lambda_drive_flat_branches(natural):

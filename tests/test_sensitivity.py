@@ -129,11 +129,11 @@ def test_uncertainty_against_finite_difference(natural):
     # full readout and compare delta P / |dP/dOmega| at unit variance
     profile = make_profile(ProfileFamily.FLAT, TWO_PI)
     h = 1e-6
-    plus = readout(TrapConfig(rotation=0.1 + h), profile).signal
-    minus = readout(TrapConfig(rotation=0.1 - h), profile).signal
+    plus = readout(TrapConfig(rotation=0.1 + h), profile).sigma_z
+    minus = readout(TrapConfig(rotation=0.1 - h), profile).sigma_z
     slope_p = (plus - minus) / (2 * h)
     base = readout(natural, profile)
     # population variance of the two-outcome measurement: 1 - P^2
-    sigma_p = np.sqrt(1 - base.signal**2)
+    sigma_p = np.sqrt(1 - base.sigma_z**2)
     report = sensitivity_report(natural, profile)
     assert report.delta_omega == pytest.approx(sigma_p / abs(slope_p), rel=1e-6)
